@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -112,12 +113,25 @@ def _np_scalar_table(spec):
 
 
 def _digit_block(q, m, start, stop):
+    """Coefficient ranks of units start..stop-1, one row per coefficient."""
     r = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((stop - start, m), dtype=np.uint8)
-    out[:, 0] = r // q ** (m - 1) + 1
-    for j in range(1, m):
-        out[:, j] = (r // q ** (m - 1 - j)) % q
+    out = np.empty((m, stop - start), dtype=np.uint8)
+    for j in range(m - 1, 0, -1):
+        r, out[j] = np.divmod(r, q)
+    out[0] = r + 1
     return out
+
+
+def _unique_keys(keys):
+    """Sorted distinct columns of a (words, rows) uint64 key array.
+
+    Sort plus an adjacent-difference mask.  np.unique is avoided: numpy 2.4
+    runs it through a hash table that is several times slower here.
+    """
+    keys = np.sort(keys) if keys.shape[0] == 1 else keys[:, np.lexsort(keys)]
+    keep = np.ones(keys.shape[1], dtype=bool)
+    keep[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    return keys[:, keep]
 
 
 def image_order_brute(spec: FqSpec, k: int, n: int, *,
@@ -126,8 +140,12 @@ def image_order_brute(spec: FqSpec, k: int, n: int, *,
                       enum_precision: int | None = None) -> int:
     """Count distinct jet images mod t^n over every unit mod t^(n+k).
 
-    The count is a literal deduplication of coefficient keys, chunked by
-    coefficient prefix; chunk results merge by set union, so the answer is
+    The count is a literal deduplication: every unit's full jet, all
+    (k+1)*n entries, is packed into one integer key of (q-1).bit_length()
+    bits per entry (several uint64 words past 64 bits), and the
+    keys are deduplicated per chunk of units, then merged by set union.
+    `threads` > 1 spreads the chunks over a thread pool, which pays off
+    because sorting and table gathers release the GIL; the answer is
     independent of chunking and thread count.  `enum_precision` may raise
     the enumeration precision above n+k to double-check sufficiency.
     """
@@ -140,40 +158,43 @@ def image_order_brute(spec: FqSpec, k: int, n: int, *,
     total = unit_count(q, m)
     if total > budget:
         raise BudgetExceeded(f"{total} units exceed budget {budget}")
-    scal = _np_scalar_table(spec)
-    coeff = [[binom_mod_p(i + j, j, spec.p) for i in range(n)] for j in range(k + 1)]
+    scal = _np_scalar_table(spec).astype(np.uint64)
+    bits = (q - 1).bit_length()
+    per_word = 64 // bits
+    words = -(-(k + 1) * n // per_word)
+    # entry (j, i) of the jet is C(i+j, j) * a_(i+j); it occupies bits
+    # [pos*bits, (pos+1)*bits) of its word.  Entries never share bits, so
+    # the tables of entries in one word that read the same coefficient a_l
+    # are OR-ed into one, which packs all of them with a single gather.
+    lut = {}
+    for j in range(k + 1):
+        for i in range(n):
+            word, pos = divmod(j * n + i, per_word)
+            table = scal[binom_mod_p(i + j, j, spec.p)] << np.uint64(pos * bits)
+            lut[word, i + j] = lut.get((word, i + j), 0) | table
 
     def run(start):
         stop = min(start + chunk_size, total)
         block = _digit_block(q, m, start, stop)
-        out = np.empty((stop - start, (k + 1) * n), dtype=np.uint8)
-        for j in range(k + 1):
-            for i in range(n):
-                out[:, j * n + i] = scal[coeff[j][i], block[:, i + j]]
-        return np.unique(out, axis=0)
+        key = np.zeros((words, stop - start), dtype=np.uint64)
+        for (word, digit), table in lut.items():
+            key[word] |= table[block[digit]]
+        return _unique_keys(key)
 
-    starts = range(0, total, chunk_size)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(run, starts)
-            parts, acc = [], 0
-            for part in results:
-                parts.append(part)
-                acc += len(part)
-                if acc > _MERGE_ROW_LIMIT:
-                    parts = [np.unique(np.vstack(parts), axis=0)]
-                    acc = len(parts[0])
-    else:
-        parts, acc = [], 0
-        for start in starts:
-            part = run(start)
-            parts.append(part)
-            acc += len(part)
-            if acc > _MERGE_ROW_LIMIT:
-                parts = [np.unique(np.vstack(parts), axis=0)]
-                acc = len(parts[0])
-    merged = parts[0] if len(parts) == 1 else np.unique(np.vstack(parts), axis=0)
-    return int(merged.shape[0])
+    merged = np.empty((words, 0), dtype=np.uint64)
+    pending, pending_rows = [], 0
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        for part in (pool.map if pool else map)(run, range(0, total, chunk_size)):
+            pending.append(part)
+            pending_rows += part.shape[1]
+            # merge only once the pending rows outnumber the merged set, so
+            # total sort work stays O(U log U) in the U keys produced
+            if pending_rows > max(_MERGE_ROW_LIMIT, merged.shape[1]):
+                merged = _unique_keys(np.concatenate([merged, *pending], axis=1))
+                pending, pending_rows = [], 0
+    if pending:
+        merged = _unique_keys(np.concatenate([merged, *pending], axis=1))
+    return int(merged.shape[1])
 
 
 # ---------------------------------------------------------------------------

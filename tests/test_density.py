@@ -100,11 +100,47 @@ def test_enumeration_precision_sufficiency(f2, f3):
                 assert base == wide
 
 
-def test_image_order_thread_invariance(f3):
+def test_image_order_thread_invariance(f2, f3):
     a = image_order_brute(f3, 2, 5, threads=1, chunk_size=64)
     b = image_order_brute(f3, 2, 5, threads=4, chunk_size=64)
     c = image_order_brute(f3, 2, 5, threads=1, chunk_size=17)
     assert a == b == c == image_order_formula(f3, 2, 5)
+    # wide keys: (k+1)*n one-bit jet entries make 72 and 65 bits, two uint64
+    # words per key; (4, 13) also has collisions (D < units)
+    for k, n in [(7, 9), (4, 13)]:
+        expected = image_order_formula(f2, k, n)
+        for threads, chunk_size in [(1, 64), (1, 17), (2, 64)]:
+            assert image_order_brute(f2, k, n, threads=threads,
+                                     chunk_size=chunk_size) == expected
+
+
+def test_image_order_brute_merge_path(monkeypatch, f2, f3):
+    import carlitz.density as density
+
+    monkeypatch.setattr(density, "_MERGE_ROW_LIMIT", 8)
+    for spec, k, n in [(f3, 2, 5), (f2, 0, 12), (f2, 7, 9)]:
+        expected = image_order_formula(spec, k, n)
+        for threads, chunk_size in [(1, 64), (1, 17), (2, 17), (4, 64)]:
+            assert image_order_brute(spec, k, n, threads=threads,
+                                     chunk_size=chunk_size) == expected
+
+
+def test_image_order_brute_merge_is_amortised(monkeypatch, f2):
+    # 2048 distinct units in chunks of 16: merging the whole distinct set
+    # again after every chunk would sort about 130k keys
+    import carlitz.density as density
+
+    sorted_rows = []
+    unique_keys = density._unique_keys
+
+    def counting(keys):
+        sorted_rows.append(keys.shape[1])
+        return unique_keys(keys)
+
+    monkeypatch.setattr(density, "_MERGE_ROW_LIMIT", 8)
+    monkeypatch.setattr(density, "_unique_keys", counting)
+    assert image_order_brute(f2, 0, 12, chunk_size=16) == 2048
+    assert sum(sorted_rows) <= 4 * 2048
 
 
 def test_image_order_budget(f2):
