@@ -24,7 +24,6 @@ from .cinfty import (
 from .density import (
     DEFAULT_SEED,
     DensityEstimate,
-    DensityProblem,
     ImageRow,
     ImageTable,
     ZariskiReport,
@@ -45,13 +44,11 @@ from .density import (
     torsion_level_m,
     zariski_rank_certificate,
 )
-from .field import FqElem, FqSpec, fq_enumerate, spec_for_order
+from .field import FqElem, FqSpec, spec_for_order
 from .jets import (
     JetMatrix,
     hyperderiv,
     jet,
-    jet_inv,
-    jet_mul,
     verify_iteration,
     verify_leibniz,
     verify_taylor,

@@ -166,7 +166,7 @@ class UInftyElem:
             hi = uprec
             if hi <= lo:
                 return UInftyElem.zero(self.spec, uprec)
-        add = self.spec.tables[0]
+        add = self.spec.tables.add
         out = [0] * (hi - lo)
         for e in (self, other):
             if not e.is_zero:
@@ -177,7 +177,7 @@ class UInftyElem:
         return UInftyElem(self.spec, lo, out, uprec)
 
     def __neg__(self):
-        neg = self.spec.tables[2]
+        neg = self.spec.tables.neg
         return UInftyElem._make(
             self.spec, self.val, tuple(neg[r] for r in self.ranks), self.uprec
         )
@@ -199,7 +199,7 @@ class UInftyElem:
             width = len(self.ranks) + len(other.ranks) - 1
         else:
             width = uprec - lo
-        add, mul = self.spec.tables[0], self.spec.tables[1]
+        add, mul = self.spec.tables.add, self.spec.tables.mul
         out = [0] * width
         # iterate the sparser operand
         a, b = (self, other) if len(self.ranks) <= len(other.ranks) else (other, self)
@@ -216,10 +216,11 @@ class UInftyElem:
     __rmul__ = __mul__
 
     def scale(self, c) -> "UInftyElem":
-        rank = c.rank if isinstance(c, FqElem) else self.spec.element(c).rank
+        """Multiply by a scalar (an FqElem, or an int residue mod p)."""
+        rank = c.rank if isinstance(c, FqElem) else c % self.spec.p
         if rank == 0:
             return UInftyElem.zero(self.spec, None)
-        row = self.spec.tables[1][rank]
+        row = self.spec.tables.mul[rank]
         return UInftyElem(
             self.spec, self.val, [row[r] for r in self.ranks], self.uprec
         )
@@ -253,7 +254,8 @@ class UInftyElem:
         else:
             out_uprec = _umin(self.uprec - 2 * v, uprec)
         width = out_uprec - (-v)
-        add, mul, neg, _, _ = self.spec.tables
+        t = self.spec.tables
+        add, mul, neg = t.add, t.mul, t.neg
         c = self.spec.inv_rank(self.ranks[0])
         out = [0] * width
         out[0] = c

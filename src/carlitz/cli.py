@@ -77,10 +77,9 @@ def _cmd_density(args):
 def _cmd_tensor(args):
     _positive("nmax", args.nmax)
     _positive("d", args.d)
-    _positive("threads", args.threads)
     spec = _resolve_spec(args.q)
     table = density.build_tensor_table(spec, args.d, args.nmax, args.mode,
-                                       threads=args.threads, seed=args.seed)
+                                       seed=args.seed)
     _emit(_table_text(table, args.format), args.out)
     return EX_OK
 
@@ -198,7 +197,6 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     common_table(p)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_tensor)
 
     p = sub.add_parser("omega-verify", help="functional-equation checks for omega")

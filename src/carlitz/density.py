@@ -47,37 +47,6 @@ EXHAUSTIVE_LIMIT_DEFAULT = 10 ** 5
 _MERGE_ROW_LIMIT = 1 << 21
 
 
-@dataclass(frozen=True)
-class DensityProblem:
-    """One table instance: a field, a jet order or tensor degree, a range of N.
-
-    `kind` is "prolongation" (param = k) or "tensor" (param = d).  The
-    enumeration budget is validated up front by run().
-    """
-
-    spec: FqSpec
-    kind: str
-    param: int
-    n_max: int
-    mode: str = "both"
-    budget: int = ENUM_BUDGET_DEFAULT
-    threads: int = 1
-    seed: int = DEFAULT_SEED
-
-    def run(self) -> "ImageTable":
-        if self.kind == "prolongation":
-            return build_density_table(
-                self.spec, self.param, self.n_max, self.mode,
-                threads=self.threads, budget=self.budget, seed=self.seed,
-            )
-        if self.kind == "tensor":
-            return build_tensor_table(
-                self.spec, self.param, self.n_max, self.mode,
-                budget=self.budget, threads=self.threads, seed=self.seed,
-            )
-        raise ValueError(f"unknown problem kind {self.kind!r}")
-
-
 def galois_rep(a, k: int, n: int) -> JetMatrix:
     """The jet matrix of a unit a, reduced mod t^n.
 
@@ -97,20 +66,6 @@ def galois_rep(a, k: int, n: int) -> JetMatrix:
 # ---------------------------------------------------------------------------
 # brute-force image counting (vectorized enumeration core)
 # ---------------------------------------------------------------------------
-
-_SCALAR_TABLES: dict = {}
-
-
-def _np_scalar_table(spec):
-    tab = _SCALAR_TABLES.get(spec.key)
-    if tab is None:
-        tab = np.empty((spec.p, spec.q), dtype=np.uint8)
-        for c in range(spec.p):
-            row = spec.tables[1][c]
-            tab[c] = row
-        _SCALAR_TABLES[spec.key] = tab
-    return tab
-
 
 def _digit_block(q, m, start, stop):
     """Coefficient ranks of units start..stop-1, one row per coefficient."""
@@ -158,7 +113,8 @@ def image_order_brute(spec: FqSpec, k: int, n: int, *,
     total = unit_count(q, m)
     if total > budget:
         raise BudgetExceeded(f"{total} units exceed budget {budget}")
-    scal = _np_scalar_table(spec).astype(np.uint64)
+    # row c is multiplication by the prime-field constant c
+    scal = np.array(spec.tables.mul[:spec.p], dtype=np.uint64)
     bits = (q - 1).bit_length()
     per_word = 64 // bits
     words = -(-(k + 1) * n // per_word)
@@ -328,31 +284,13 @@ def tensor_image_order_formula(spec: FqSpec, d: int, n: int) -> int:
 
 
 def tensor_image_order_brute(spec: FqSpec, d: int, n: int, *,
-                             budget: int = ENUM_BUDGET_DEFAULT,
-                             threads: int = 1) -> int:
+                             budget: int = ENUM_BUDGET_DEFAULT) -> int:
     """Count distinct d-th powers a^d mod t^n over all units mod t^n.
 
-    Partitioned by the leading coefficient; partition counts merge by set
-    union, so the result is independent of the thread count.
+    This is the object-level oracle for the closed form: every unit is
+    raised to the d-th power as a series and the results are deduplicated.
     """
-    if unit_count(spec.q, n) > budget:
-        raise BudgetExceeded(
-            f"{unit_count(spec.q, n)} units exceed budget {budget}"
-        )
-
-    def run(lead):
-        part = set()
-        for u in unit_enumerate(spec, n, budget=budget, prefix=(lead,)):
-            part.add((u.series ** d).ranks)
-        return part
-
-    leads = range(1, spec.q)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, leads))
-    else:
-        parts = [run(lead) for lead in leads]
-    return len(set().union(*parts))
+    return len({(u.series ** d).ranks for u in unit_enumerate(spec, n, budget=budget)})
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +419,7 @@ def build_density_table(spec: FqSpec, k: int, n_max: int, mode: str = "both", *,
 
 
 def build_tensor_table(spec: FqSpec, d: int, n_max: int, mode: str = "both", *,
-                       budget: int = ENUM_BUDGET_DEFAULT, threads: int = 1,
+                       budget: int = ENUM_BUDGET_DEFAULT,
                        seed: int = DEFAULT_SEED) -> ImageTable:
     """Image orders for the d-th tensor power action, N = 1..n_max."""
     if mode not in ("brute", "formula", "both"):
@@ -498,8 +436,7 @@ def build_tensor_table(spec: FqSpec, d: int, n_max: int, mode: str = "both", *,
         if mode in ("formula", "both"):
             formula = tensor_image_order_formula(spec, d, n)
         if mode in ("brute", "both"):
-            brute = tensor_image_order_brute(spec, d, n, budget=budget,
-                                             threads=threads)
+            brute = tensor_image_order_brute(spec, d, n, budget=budget)
         if mode == "both" and brute != formula:
             raise CrossCheckMismatch(n, brute, formula)
         rows.append(_table_row(n, 1, spec.q, w, brute, formula))
@@ -623,7 +560,8 @@ def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: i
             for _ in range(sample_count)
         ]
 
-    add, mul, neg, _, _ = spec.tables
+    t = spec.tables
+    add, mul, neg = t.add, t.mul, t.neg
     pivots: dict[int, list[int]] = {}
     rank = 0
     one_col = TruncSeries.one(spec, n)

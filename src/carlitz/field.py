@@ -9,7 +9,9 @@ hot enumeration loops free of object overhead.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     DivisionByZero,
@@ -143,6 +145,25 @@ def _is_irreducible(poly, p):
 # field spec
 # ---------------------------------------------------------------------------
 
+class FieldTables(NamedTuple):
+    """Per-field lookup tables, indexed by rank.
+
+    `add`, `mul`, `neg` and `inv` are nested lists for the pure-Python
+    loops (inv[0] is 0).  `digits` (q x e) holds each rank's coefficients,
+    `weights` the place values p^i, and `xd` (e-1 x e) the coefficient
+    rows of x^d mod the defining polynomial for d in [e, 2e-1); the numpy
+    series product reads these three.
+    """
+
+    add: list
+    mul: list
+    neg: list
+    inv: list
+    digits: np.ndarray
+    weights: np.ndarray
+    xd: np.ndarray
+
+
 class FqSpec:
     """Description of F_q, q = p^e: characteristic, degree, defining polynomial.
 
@@ -178,7 +199,6 @@ class FqSpec:
         self.q = q
         self.defining_poly = poly
         self._tables = None
-        self._np_tables = None
 
     @property
     def key(self):
@@ -213,15 +233,13 @@ class FqSpec:
         # coefficient rows of x^d mod defining_poly for d in [e, 2e-1)
         xd_rows = []
         cur = [(-c) % p for c in self.defining_poly[:e]]
-        xd_rows.append(tuple(cur))
-        for _ in range(e + 1, 2 * e - 1):
+        for _ in range(e - 1):
+            xd_rows.append(tuple(cur))
             carry = cur[-1]
-            nxt = [0] + cur[:-1]
+            cur = [0] + cur[:-1]
             if carry:
                 for m in range(e):
-                    nxt[m] = (nxt[m] + carry * xd_rows[0][m]) % p
-            cur = nxt
-            xd_rows.append(tuple(cur))
+                    cur[m] = (cur[m] + carry * xd_rows[0][m]) % p
 
         def raw_mul(r1, r2):
             a, b = self.decode(r1), self.decode(r2)
@@ -264,47 +282,49 @@ class FqSpec:
                     inv[r] = s
                     inv[s] = r
                     break
-        self._tables = (add, mul, neg, inv, xd_rows)
+        self._tables = FieldTables(
+            add=add, mul=mul, neg=neg, inv=inv,
+            digits=np.array([self.decode(r) for r in range(q)], dtype=np.int64),
+            weights=np.array([p ** i for i in range(e)], dtype=np.int64),
+            xd=np.array(xd_rows, dtype=np.int64).reshape(e - 1, e),
+        )
         return self._tables
 
     @property
-    def tables(self):
+    def tables(self) -> FieldTables:
+        """The field's lookup tables, built on first use."""
         return self._tables or self._build_tables()
 
     def add_rank(self, r1, r2):
-        return self.tables[0][r1][r2]
+        return self.tables.add[r1][r2]
 
     def mul_rank(self, r1, r2):
-        return self.tables[1][r1][r2]
+        return self.tables.mul[r1][r2]
 
     def neg_rank(self, r):
-        return self.tables[2][r]
+        return self.tables.neg[r]
 
     def inv_rank(self, r):
         if r == 0:
             raise DivisionByZero("inversion of zero")
-        return self.tables[3][r]
+        return self.tables.inv[r]
 
     def sub_rank(self, r1, r2):
         t = self.tables
-        return t[0][r1][t[2][r2]]
+        return t.add[r1][t.neg[r2]]
 
     def pow_rank(self, r, n):
         if n < 0:
             r = self.inv_rank(r)
             n = -n
         out = 1
-        mul = self.tables[1]
+        mul = self.tables.mul
         while n:
             if n & 1:
                 out = mul[out][r]
             r = mul[r][r]
             n >>= 1
         return out
-
-    @property
-    def xd_rows(self):
-        return self.tables[4]
 
     # -- element constructors ------------------------------------------------
 
@@ -439,11 +459,6 @@ class FqElem:
         return f"Fq{self.spec.q}({self})"
 
 
-def fq_enumerate(spec: FqSpec):
-    """Deterministic enumeration of all q elements; zero comes first."""
-    return spec.elements()
-
-
 # ---------------------------------------------------------------------------
 # spec resolution: built-ins plus a key/value config for custom polynomials
 # ---------------------------------------------------------------------------
@@ -503,6 +518,9 @@ def spec_for_order(q: int, config_path: str | None = None,
         entries = parse_fq_config(config_path)
         if q in entries:
             custom = entries[q][1]
+    # checked before the cache, which holds specs built under any bound
+    if q > order_bound:
+        raise UnsupportedOrder(f"q={q} exceeds the configured bound {order_bound}")
     cache_key = (q, custom)
     if cache_key in _SPEC_CACHE:
         return _SPEC_CACHE[cache_key]

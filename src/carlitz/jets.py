@@ -31,7 +31,7 @@ def hyperderiv(n: int, f: TruncSeries) -> TruncSeries:
     if n >= f.prec:
         return TruncSeries.from_ranks(f.spec, (0,), exhausted=True)
     p = f.spec.p
-    mul = f.spec.tables[1]
+    mul = f.spec.tables.mul
     ranks = f.ranks
     out = [mul[binom_mod_p(i + n, n, p)][ranks[i + n]] for i in range(f.prec - n)]
     return TruncSeries.from_ranks(f.spec, out)
@@ -145,14 +145,6 @@ def jet(k: int, f: TruncSeries, prec: int | None = None) -> JetMatrix:
     for j in range(1, k + 1):
         rows.append(hyperderiv(j, f).truncate(prec))
     return JetMatrix(rows)
-
-
-def jet_mul(a: JetMatrix, b: JetMatrix) -> JetMatrix:
-    return a * b
-
-
-def jet_inv(a: JetMatrix) -> JetMatrix:
-    return a.inverse()
 
 
 def verify_leibniz(n: int, f: TruncSeries, g: TruncSeries) -> bool:

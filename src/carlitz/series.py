@@ -9,7 +9,7 @@ which is the canonical deduplication key used by the image counting.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -122,29 +122,29 @@ class TruncSeries:
 
     def __add__(self, other):
         prec = self._common(other)
-        add = self.spec.tables[0]
+        add = self.spec.tables.add
         return TruncSeries.from_ranks(
             self.spec, [add[a][b] for a, b in zip(self._ranks[:prec], other._ranks[:prec])]
         )
 
     def __sub__(self, other):
         prec = self._common(other)
-        add, _, neg, _, _ = self.spec.tables
+        add, neg = self.spec.tables.add, self.spec.tables.neg
         return TruncSeries.from_ranks(
             self.spec,
             [add[a][neg[b]] for a, b in zip(self._ranks[:prec], other._ranks[:prec])],
         )
 
     def __neg__(self):
-        neg = self.spec.tables[2]
+        neg = self.spec.tables.neg
         return TruncSeries.from_ranks(self.spec, [neg[a] for a in self._ranks])
 
     def scale(self, c) -> "TruncSeries":
         """Multiply by a scalar (an FqElem, or an int residue mod p)."""
-        r = self.spec.element(c).rank if not isinstance(c, FqElem) else c.rank
         if isinstance(c, FqElem) and c.spec.key != self.spec.key:
             raise SpecMismatch("scalar from a different field")
-        row = self.spec.tables[1][r]
+        r = c.rank if isinstance(c, FqElem) else c % self.spec.p
+        row = self.spec.tables.mul[r]
         return TruncSeries.from_ranks(self.spec, [row[a] for a in self._ranks])
 
     def __mul__(self, other):
@@ -155,7 +155,7 @@ class TruncSeries:
             return TruncSeries.from_ranks(
                 self.spec, _mul_ranks_np(self.spec, self._ranks, other._ranks, prec)
             )
-        add, mul = self.spec.tables[0], self.spec.tables[1]
+        add, mul = self.spec.tables.add, self.spec.tables.mul
         out = [0] * prec
         xr, yr = self._ranks, other._ranks
         for i in range(prec):
@@ -189,7 +189,8 @@ class TruncSeries:
         """Multiplicative inverse mod t^prec; requires a unit constant term."""
         if self._ranks[0] == 0:
             raise NonUnit("series has zero constant term")
-        add, mul, neg, _, _ = self.spec.tables
+        t = self.spec.tables
+        add, mul, neg = t.add, t.mul, t.neg
         c = self.spec.inv_rank(self._ranks[0])
         out = [0] * self.prec
         out[0] = c
@@ -217,19 +218,6 @@ class TruncSeries:
         return f"TruncSeries({render_series(self)!r}, prec={self.prec}, q={self.spec.q})"
 
 
-def _np_digit_matrix(spec):
-    cache = spec._np_tables
-    if cache is None:
-        p, e, q = spec.p, spec.e, spec.q
-        digits = np.empty((q, e), dtype=np.int64)
-        for r in range(q):
-            digits[r] = spec.decode(r)
-        xd = np.array(spec.xd_rows, dtype=np.int64) if e > 1 else None
-        weights = np.array([p ** i for i in range(e)], dtype=np.int64)
-        cache = spec._np_tables = (digits, xd, weights)
-    return cache
-
-
 def _mul_ranks_np(spec, xr, yr, prec):
     """Exact truncated product via componentwise integer convolution."""
     p, e = spec.p, spec.e
@@ -238,9 +226,9 @@ def _mul_ranks_np(spec, xr, yr, prec):
         b = np.asarray(yr[:prec], dtype=np.int64)
         c = np.convolve(a, b)[:prec] % p
         return [int(v) for v in c]
-    digits, xd, weights = _np_digit_matrix(spec)
-    X = digits[np.asarray(xr[:prec])]
-    Y = digits[np.asarray(yr[:prec])]
+    t = spec.tables
+    X = t.digits[np.asarray(xr[:prec])]
+    Y = t.digits[np.asarray(yr[:prec])]
     # component d of the product polynomial in the basis variable, d < 2e-1
     comp = [np.zeros(prec, dtype=np.int64) for _ in range(2 * e - 1)]
     for i in range(e):
@@ -253,13 +241,13 @@ def _mul_ranks_np(spec, xr, yr, prec):
                 comp[i + j] += np.convolve(xi, yj)[:prec]
     res = [comp[m] for m in range(e)]
     for d in range(e, 2 * e - 1):
-        row = xd[d - e]
+        row = t.xd[d - e]
         for m in range(e):
             if row[m]:
                 res[m] = res[m] + row[m] * comp[d]
     ranks = np.zeros(prec, dtype=np.int64)
     for m in range(e):
-        ranks += (res[m] % p) * weights[m]
+        ranks += (res[m] % p) * t.weights[m]
     return [int(v) for v in ranks]
 
 
@@ -296,12 +284,11 @@ def unit_count(q: int, prec: int) -> int:
     return (q - 1) * q ** (prec - 1)
 
 
-def unit_enumerate(spec: FqSpec, prec: int, *, budget: int = ENUM_BUDGET_DEFAULT,
-                   prefix: Sequence[int] | None = None) -> Iterator[UnitClass]:
+def unit_enumerate(spec: FqSpec, prec: int, *,
+                   budget: int = ENUM_BUDGET_DEFAULT) -> Iterator[UnitClass]:
     """All units of F_q[t]/(t^prec), lexicographic in the coefficient ranks.
 
-    `prefix` pins the leading coefficient ranks, which partitions the
-    enumeration into disjoint, jointly exhaustive slices for parallel runs.
+    The budget is checked at call time, before any unit is produced.
     """
     if prec < 1:
         raise ValueError("precision must be >= 1")
@@ -309,30 +296,14 @@ def unit_enumerate(spec: FqSpec, prec: int, *, budget: int = ENUM_BUDGET_DEFAULT
     if total > budget:
         raise BudgetExceeded(f"{total} units exceed budget {budget}")
     q = spec.q
-    ranges = [range(1, q)] + [range(q)] * (prec - 1)
-    if prefix is not None:
-        if len(prefix) > prec:
-            raise ValueError("prefix longer than precision")
-        for i, r in enumerate(prefix):
-            if r not in ranges[i]:
-                raise ValueError(f"prefix rank {r} invalid at position {i}")
-            ranges[i] = (r,)
-
-    def gen():
-        for tup in itertools.product(*ranges):
-            yield UnitClass(TruncSeries.from_ranks(spec, tup))
-
-    return gen()
+    ranks = itertools.product(range(1, q), *[range(q)] * (prec - 1))
+    return (UnitClass(TruncSeries.from_ranks(spec, tup)) for tup in ranks)
 
 
 # ---------------------------------------------------------------------------
 # text literals: c0+c1*t+c2*t^2+..., integer coefficients in prime fields and
 # bracketed coefficient vectors [c0,...,c_{e-1}] in extension fields
 # ---------------------------------------------------------------------------
-
-def render_fq(x: FqElem) -> str:
-    return str(x)
-
 
 def render_series(f: TruncSeries) -> str:
     parts = []
@@ -400,7 +371,7 @@ def parse_series(spec: FqSpec, text: str, prec: int) -> TruncSeries:
         raise ParseError("empty series literal")
     ranks = [0] * prec
     if s != "0":
-        add = spec.tables[0]
+        add = spec.tables.add
         for term in s.split("+"):
             if not term:
                 raise ParseError(f"empty term in literal {text!r}")

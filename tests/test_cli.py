@@ -172,6 +172,9 @@ def test_zariski_cli(capsys):
 
 def test_unknown_flag_exits_64(capsys):
     assert run(capsys, "density", "--bogus")[0] == EX_USAGE
+    # the tensor enumeration runs on one thread and takes no --threads
+    assert run(capsys, "tensor", "--q", "2", "--d", "2", "--nmax", "3",
+               "--threads", "2")[0] == EX_USAGE
 
 
 def test_missing_command_exits_64(capsys):

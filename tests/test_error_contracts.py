@@ -24,7 +24,6 @@ from carlitz.errors import (
     UnsupportedOrder,
 )
 from carlitz.field import parse_fq_config
-from carlitz.series import unit_enumerate
 
 
 def test_field_constructor_guards(f3, f4):
@@ -75,13 +74,6 @@ def test_series_constructor_guards(f3):
 def test_series_scale_spec_mismatch(f2, f3):
     with pytest.raises(SpecMismatch):
         TruncSeries.one(f2, 3).scale(f3.one())
-
-
-def test_unit_enumerate_prefix_guards(f3):
-    with pytest.raises(ValueError):
-        unit_enumerate(f3, 2, prefix=(0,))  # leading coefficient must be a unit
-    with pytest.raises(ValueError):
-        unit_enumerate(f3, 2, prefix=(1, 1, 1))
 
 
 def test_literal_unterminated_bracket(f4):

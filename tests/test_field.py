@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from carlitz import FqElem, FqSpec, fq_enumerate, spec_for_order
+from carlitz import FqElem, FqSpec, spec_for_order
 from carlitz.errors import (
     DivisionByZero,
     InvalidCharacteristic,
@@ -28,9 +28,9 @@ def test_f4_generator_square(f4):
 
 
 def test_enumeration_small():
-    assert [e.rank for e in fq_enumerate(spec_for_order(2))] == [0, 1]
-    assert [e.rank for e in fq_enumerate(spec_for_order(3))] == [0, 1, 2]
-    elems = list(fq_enumerate(spec_for_order(4)))
+    assert [e.rank for e in spec_for_order(2).elements()] == [0, 1]
+    assert [e.rank for e in spec_for_order(3).elements()] == [0, 1, 2]
+    elems = list(spec_for_order(4).elements())
     assert len(elems) == len(set(elems)) == 4
     assert elems[0].rank == 0
 
@@ -113,6 +113,13 @@ def test_nonprime_characteristic_rejected():
 def test_order_bound():
     with pytest.raises(UnsupportedOrder):
         FqSpec(2, 9)  # q = 512 > 256
+
+
+def test_spec_for_order_checks_bound_on_cache_hit():
+    # a spec cached under a raised bound must not pass the default bound
+    assert spec_for_order(257, order_bound=300).q == 257
+    with pytest.raises(UnsupportedOrder):
+        spec_for_order(257)
 
 
 def test_zero_inverse_raises(f3):

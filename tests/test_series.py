@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carlitz import TruncSeries, UnitClass, parse_series, render_series, unit_enumerate
-from carlitz import spec_for_order, unit_count
+from carlitz import UInftyElem, spec_for_order, unit_count
 from carlitz.errors import BudgetExceeded, NonUnit, ParseError, SpecMismatch
 from carlitz.series import _mul_ranks_np
 
@@ -105,15 +105,14 @@ def test_unit_enumerate_budget():
         unit_enumerate(spec_for_order(2), 40, budget=10 ** 6)
 
 
-def test_unit_enumerate_prefix_partition(f3):
-    whole = [u.series.ranks for u in unit_enumerate(f3, 3)]
-    parts = []
-    for lead in range(1, 3):
-        parts.extend(
-            u.series.ranks for u in unit_enumerate(f3, 3, prefix=(lead,))
-        )
-    assert sorted(parts) == sorted(whole)
-    assert len(set(parts)) == len(whole)
+def test_int_scalars_are_residues_mod_p(f4):
+    # in F_4 an int scalar is its residue mod 2, never a rank
+    t = TruncSeries.monomial(f4, 1, 4)
+    assert t * 3 == t * 5 == 3 * t == t.scale(3) == t
+    assert t * 2 == TruncSeries.zero(f4, 4)
+    u = UInftyElem.monomial(f4, 1)
+    assert u * 3 == u * 5 == 3 * u == u.scale(3) == u
+    assert (u * 2).is_zero
 
 
 def test_unitclass_validates(f2):
@@ -177,7 +176,7 @@ def test_numpy_mul_matches_scalar_path(q):
         a = random_series(rng, spec, prec)
         b = random_series(rng, spec, prec)
         slow = [0] * prec
-        add, mul = spec.tables[0], spec.tables[1]
+        add, mul = spec.tables.add, spec.tables.mul
         for i in range(prec):
             for j in range(prec - i):
                 slow[i + j] = add[slow[i + j]][mul[a.ranks[i]][b.ranks[j]]]
