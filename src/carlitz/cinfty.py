@@ -34,6 +34,7 @@ from .errors import (
     WindowEmpty,
 )
 from .field import FqElem, FqSpec
+from .series import inv_ranks, mul_ranks, scalar_rank
 
 
 def _umin(a, b):
@@ -56,35 +57,10 @@ class UInftyElem:
     __slots__ = ("spec", "val", "ranks", "uprec")
 
     def __init__(self, spec: FqSpec, val: int, coeffs, uprec: int | None):
-        ranks = []
-        for c in coeffs:
-            if isinstance(c, FqElem):
-                if c.spec.key != spec.key:
-                    raise SpecMismatch("coefficient from a different field")
-                ranks.append(c.rank)
-            else:
-                ranks.append(spec.element(c).rank)
-        if uprec is not None:
-            width = uprec - val
-            if width < 0:
-                raise ValueError("window upper bound below valuation")
-            if len(ranks) < width:
-                ranks.extend([0] * (width - len(ranks)))
-            else:
-                ranks = ranks[:width]
-        # normalize: the leading stored coefficient is nonzero
-        while ranks and ranks[0] == 0:
-            ranks.pop(0)
-            val += 1
-        if uprec is None:
-            while ranks and ranks[-1] == 0:
-                ranks.pop()
-        if not ranks:
-            val = 0
-        self.spec = spec
-        self.val = val
-        self.ranks = tuple(ranks)
-        self.uprec = uprec
+        if uprec is not None and uprec < val:
+            raise ValueError("window upper bound below valuation")
+        e = UInftyElem._normal(spec, val, [spec.element(c).rank for c in coeffs], uprec)
+        self.spec, self.val, self.ranks, self.uprec = spec, e.val, e.ranks, uprec
 
     # -- constructors -----------------------------------------------------------
 
@@ -98,12 +74,30 @@ class UInftyElem:
         return obj
 
     @classmethod
+    def _normal(cls, spec, val, ranks, uprec):
+        """An element from trusted ranks starting at u^val: the ranks are fitted
+        to the window [val, uprec), then zero ends are stripped so the leading
+        stored rank is nonzero (and, when exact, the last one too)."""
+        if uprec is not None:
+            width = max(uprec - val, 0)
+            ranks = ranks[:width] + [0] * (width - len(ranks))
+        lo, hi = 0, len(ranks)
+        while lo < hi and not ranks[lo]:
+            lo += 1
+        if lo == hi:
+            return cls._make(spec, 0, (), uprec)
+        if uprec is None:
+            while not ranks[hi - 1]:
+                hi -= 1
+        return cls._make(spec, val + lo, tuple(ranks[lo:hi]), uprec)
+
+    @classmethod
     def zero(cls, spec, uprec=None):
         return cls._make(spec, 0, (), uprec)
 
     @classmethod
     def monomial(cls, spec, exp, coeff=1, uprec=None):
-        rank = coeff.rank if isinstance(coeff, FqElem) else spec.element(coeff).rank
+        rank = spec.element(coeff).rank
         if rank == 0:
             return cls.zero(spec, uprec)
         if uprec is not None and exp >= uprec:
@@ -156,25 +150,18 @@ class UInftyElem:
     def __add__(self, other):
         self._check(other)
         uprec = _umin(self.uprec, other.uprec)
-        if self.is_zero and other.is_zero:
+        terms = [e for e in (self, other) if not e.is_zero]
+        if not terms:
             return UInftyElem.zero(self.spec, uprec)
-        vals = [e.val for e in (self, other) if not e.is_zero]
-        lo = min(vals)
-        if uprec is None:
-            hi = max(e.val + len(e.ranks) for e in (self, other) if not e.is_zero)
-        else:
-            hi = uprec
-            if hi <= lo:
-                return UInftyElem.zero(self.spec, uprec)
+        lo = min(e.val for e in terms)
+        hi = max(e.val + len(e.ranks) for e in terms) if uprec is None else uprec
         add = self.spec.tables.add
         out = [0] * (hi - lo)
-        for e in (self, other):
-            if not e.is_zero:
-                off = e.val - lo
-                for i, r in enumerate(e.ranks):
-                    if 0 <= off + i < len(out) and r:
-                        out[off + i] = add[out[off + i]][r]
-        return UInftyElem(self.spec, lo, out, uprec)
+        for e in terms:
+            for i, r in enumerate(e.ranks[:max(hi - e.val, 0)], e.val - lo):
+                if r:
+                    out[i] = add[out[i]][r]
+        return UInftyElem._normal(self.spec, lo, out, uprec)
 
     def __neg__(self):
         neg = self.spec.tables.neg
@@ -199,30 +186,19 @@ class UInftyElem:
             width = len(self.ranks) + len(other.ranks) - 1
         else:
             width = uprec - lo
-        add, mul = self.spec.tables.add, self.spec.tables.mul
-        out = [0] * width
-        # iterate the sparser operand
-        a, b = (self, other) if len(self.ranks) <= len(other.ranks) else (other, self)
-        for i, ra in enumerate(a.ranks):
-            if ra:
-                row = mul[ra]
-                jmax = min(len(b.ranks), width - i)
-                for j in range(jmax):
-                    rb = b.ranks[j]
-                    if rb:
-                        out[i + j] = add[out[i + j]][row[rb]]
-        return UInftyElem(self.spec, lo, out, uprec)
+        out = mul_ranks(self.spec, self.ranks, other.ranks, width)
+        return UInftyElem._normal(self.spec, lo, out, uprec)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "UInftyElem":
         """Multiply by a scalar (an FqElem, or an int residue mod p)."""
-        rank = c.rank if isinstance(c, FqElem) else c % self.spec.p
+        rank = scalar_rank(self.spec, c)
         if rank == 0:
             return UInftyElem.zero(self.spec, None)
         row = self.spec.tables.mul[rank]
-        return UInftyElem(
-            self.spec, self.val, [row[r] for r in self.ranks], self.uprec
+        return UInftyElem._make(
+            self.spec, self.val, tuple(row[r] for r in self.ranks), self.uprec
         )
 
     def frobenius(self) -> "UInftyElem":
@@ -232,9 +208,8 @@ class UInftyElem:
         if self.is_zero:
             return UInftyElem.zero(self.spec, new_uprec)
         out = [0] * ((len(self.ranks) - 1) * q + 1)
-        for i, r in enumerate(self.ranks):
-            out[i * q] = r
-        return UInftyElem(self.spec, q * self.val, out, new_uprec)
+        out[::q] = self.ranks
+        return UInftyElem._normal(self.spec, q * self.val, out, new_uprec)
 
     def inverse(self, uprec: int | None = None) -> "UInftyElem":
         if self.is_zero:
@@ -242,8 +217,8 @@ class UInftyElem:
         v = self.val
         if self.uprec is None:
             if len(self.ranks) == 1:
-                inv = UInftyElem.monomial(
-                    self.spec, -v, self.spec.inv_rank(self.ranks[0])
+                inv = UInftyElem._make(
+                    self.spec, -v, (self.spec.inv_rank(self.ranks[0]),), None
                 )
                 return inv.truncate_to(uprec) if uprec is not None else inv
             if uprec is None:
@@ -253,20 +228,8 @@ class UInftyElem:
             out_uprec = uprec
         else:
             out_uprec = _umin(self.uprec - 2 * v, uprec)
-        width = out_uprec - (-v)
-        t = self.spec.tables
-        add, mul, neg = t.add, t.mul, t.neg
-        c = self.spec.inv_rank(self.ranks[0])
-        out = [0] * width
-        out[0] = c
-        a = self.ranks
-        for n in range(1, width):
-            acc = 0
-            for i in range(1, min(n, len(a) - 1) + 1):
-                if a[i]:
-                    acc = add[acc][mul[a[i]][out[n - i]]]
-            out[n] = mul[neg[acc]][c]
-        return UInftyElem(self.spec, -v, out, out_uprec)
+        out = inv_ranks(self.spec, self.ranks, out_uprec + v)
+        return UInftyElem._normal(self.spec, -v, out, out_uprec)
 
     # -- comparison --------------------------------------------------------------
 

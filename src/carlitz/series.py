@@ -32,25 +32,14 @@ class TruncSeries:
 
     def __init__(self, spec: FqSpec, coeffs: Iterable, prec: int | None = None,
                  *, exhausted: bool = False):
-        ranks = []
-        for c in coeffs:
-            if isinstance(c, FqElem):
-                if c.spec.key != spec.key:
-                    raise SpecMismatch("coefficient from a different field")
-                ranks.append(c.rank)
-            else:
-                ranks.append(spec.element(c).rank)
+        ranks = [spec.element(c).rank for c in coeffs]
         if prec is None:
             prec = len(ranks)
         if prec < 1:
             raise ValueError("precision must be >= 1")
-        if len(ranks) < prec:
-            ranks.extend([0] * (prec - len(ranks)))
-        elif len(ranks) > prec:
-            ranks = ranks[:prec]
         self.spec = spec
         self.prec = prec
-        self._ranks = tuple(ranks)
+        self._ranks = tuple(ranks[:prec]) + (0,) * (prec - len(ranks))
         self.exhausted = exhausted
 
     # -- constructors ---------------------------------------------------------
@@ -66,11 +55,17 @@ class TruncSeries:
 
     @classmethod
     def zero(cls, spec, prec):
-        return cls(spec, [], prec)
+        return cls._constant(spec, 0, prec)
 
     @classmethod
     def one(cls, spec, prec):
-        return cls(spec, [1], prec)
+        return cls._constant(spec, 1, prec)
+
+    @classmethod
+    def _constant(cls, spec, rank, prec):
+        if prec < 1:
+            raise ValueError("precision must be >= 1")
+        return cls.from_ranks(spec, (rank,) + (0,) * (prec - 1))
 
     @classmethod
     def monomial(cls, spec, i, prec, coeff=1):
@@ -141,32 +136,16 @@ class TruncSeries:
 
     def scale(self, c) -> "TruncSeries":
         """Multiply by a scalar (an FqElem, or an int residue mod p)."""
-        if isinstance(c, FqElem) and c.spec.key != self.spec.key:
-            raise SpecMismatch("scalar from a different field")
-        r = c.rank if isinstance(c, FqElem) else c % self.spec.p
-        row = self.spec.tables.mul[r]
+        row = self.spec.tables.mul[scalar_rank(self.spec, c)]
         return TruncSeries.from_ranks(self.spec, [row[a] for a in self._ranks])
 
     def __mul__(self, other):
         if isinstance(other, (FqElem, int)):
             return self.scale(other)
         prec = self._common(other)
-        if prec >= _NP_MUL_MIN_PREC:
-            return TruncSeries.from_ranks(
-                self.spec, _mul_ranks_np(self.spec, self._ranks, other._ranks, prec)
-            )
-        add, mul = self.spec.tables.add, self.spec.tables.mul
-        out = [0] * prec
-        xr, yr = self._ranks, other._ranks
-        for i in range(prec):
-            a = xr[i]
-            if a:
-                row = mul[a]
-                for j in range(prec - i):
-                    b = yr[j]
-                    if b:
-                        out[i + j] = add[out[i + j]][row[b]]
-        return TruncSeries.from_ranks(self.spec, out)
+        return TruncSeries.from_ranks(
+            self.spec, mul_ranks(self.spec, self._ranks, other._ranks, prec)
+        )
 
     def __rmul__(self, other):
         if isinstance(other, (FqElem, int)):
@@ -181,28 +160,18 @@ class TruncSeries:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def inverse(self) -> "TruncSeries":
         """Multiplicative inverse mod t^prec; requires a unit constant term."""
         if self._ranks[0] == 0:
             raise NonUnit("series has zero constant term")
-        t = self.spec.tables
-        add, mul, neg = t.add, t.mul, t.neg
-        c = self.spec.inv_rank(self._ranks[0])
-        out = [0] * self.prec
-        out[0] = c
-        xr = self._ranks
-        for n in range(1, self.prec):
-            acc = 0
-            for i in range(1, n + 1):
-                a = xr[i]
-                if a:
-                    acc = add[acc][mul[a][out[n - i]]]
-            out[n] = mul[neg[acc]][c]
-        return TruncSeries.from_ranks(self.spec, out)
+        return TruncSeries.from_ranks(
+            self.spec, inv_ranks(self.spec, self._ranks, self.prec)
+        )
 
     # -- comparison -----------------------------------------------------------------
 
@@ -218,19 +187,76 @@ class TruncSeries:
         return f"TruncSeries({render_series(self)!r}, prec={self.prec}, q={self.spec.q})"
 
 
-def _mul_ranks_np(spec, xr, yr, prec):
+# Rank-sequence kernels shared by TruncSeries and UInftyElem.  They trust their
+# input ranks; the callers own the precision and window bookkeeping.
+
+def scalar_rank(spec, c) -> int:
+    """The rank of a scalar: an FqElem of `spec`, or an int residue mod p."""
+    if isinstance(c, FqElem):
+        if c.spec.key != spec.key:
+            raise SpecMismatch("scalar from a different field")
+        return c.rank
+    return c % spec.p
+
+
+def mul_ranks(spec, xr, yr, width):
+    """The first `width` ranks of the product of two rank sequences.
+
+    Past the end of the full product the ranks are zero.  The numpy
+    convolution runs once the shorter operand has _NP_MUL_MIN_PREC ranks;
+    below that, a schoolbook loop over the shorter operand's rows.
+    """
+    if len(xr) > len(yr):
+        xr, yr = yr, xr
+    if len(xr) >= _NP_MUL_MIN_PREC:
+        return _mul_ranks_np(spec, xr, yr, width)
+    add, mul = spec.tables.add, spec.tables.mul
+    out = [0] * width
+    for i, a in enumerate(xr[:width]):
+        if a:
+            row = mul[a]
+            k = i
+            for b in yr[:width - i]:
+                if b:
+                    out[k] = add[out[k]][row[b]]
+                k += 1
+    return out
+
+
+def inv_ranks(spec, xr, width):
+    """The first `width` ranks of 1/x; the leading rank of x is nonzero."""
+    if width < 1:
+        return []
+    t = spec.tables
+    add, mul = t.add, t.mul
+    c = spec.inv_rank(xr[0])
+    times_minus_c = mul[t.neg[c]]
+    out = [c]
+    for n in range(1, width):
+        acc = 0
+        k = n
+        for a in xr[1:n + 1]:
+            k -= 1
+            if a:
+                acc = add[acc][mul[a][out[k]]]
+        out.append(times_minus_c[acc])
+    return out
+
+
+def _mul_ranks_np(spec, xr, yr, width):
     """Exact truncated product via componentwise integer convolution."""
     p, e = spec.p, spec.e
+    a, b = xr[:width], yr[:width]
+    n = min(width, len(a) + len(b) - 1)
+    pad = [0] * (width - n)
     if e == 1:
-        a = np.asarray(xr[:prec], dtype=np.int64)
-        b = np.asarray(yr[:prec], dtype=np.int64)
-        c = np.convolve(a, b)[:prec] % p
-        return [int(v) for v in c]
+        c = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+        return [int(v) for v in c[:n] % p] + pad
     t = spec.tables
-    X = t.digits[np.asarray(xr[:prec])]
-    Y = t.digits[np.asarray(yr[:prec])]
+    X = t.digits[np.asarray(a)]
+    Y = t.digits[np.asarray(b)]
     # component d of the product polynomial in the basis variable, d < 2e-1
-    comp = [np.zeros(prec, dtype=np.int64) for _ in range(2 * e - 1)]
+    comp = [np.zeros(n, dtype=np.int64) for _ in range(2 * e - 1)]
     for i in range(e):
         xi = X[:, i]
         if not xi.any():
@@ -238,17 +264,17 @@ def _mul_ranks_np(spec, xr, yr, prec):
         for j in range(e):
             yj = Y[:, j]
             if yj.any():
-                comp[i + j] += np.convolve(xi, yj)[:prec]
+                comp[i + j] += np.convolve(xi, yj)[:n]
     res = [comp[m] for m in range(e)]
     for d in range(e, 2 * e - 1):
         row = t.xd[d - e]
         for m in range(e):
             if row[m]:
                 res[m] = res[m] + row[m] * comp[d]
-    ranks = np.zeros(prec, dtype=np.int64)
+    ranks = np.zeros(n, dtype=np.int64)
     for m in range(e):
         ranks += (res[m] % p) * t.weights[m]
-    return [int(v) for v in ranks]
+    return [int(v) for v in ranks] + pad
 
 
 class UnitClass:

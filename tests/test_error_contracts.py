@@ -71,9 +71,14 @@ def test_series_constructor_guards(f3):
         TruncSeries.one(f3, 3).truncate(5)
 
 
-def test_series_scale_spec_mismatch(f2, f3):
-    with pytest.raises(SpecMismatch):
-        TruncSeries.one(f2, 3).scale(f3.one())
+def test_series_scale_spec_mismatch(f2, f3, f4):
+    for build in (
+        lambda: TruncSeries.one(f2, 3).scale(f3.one()),
+        lambda: UInftyElem.monomial(f3, 0).scale(f4.gen()),
+        lambda: UInftyElem.monomial(f3, 0, f4.gen()),
+    ):
+        with pytest.raises(SpecMismatch):
+            build()
 
 
 def test_literal_unterminated_bracket(f4):
@@ -110,6 +115,7 @@ def test_uinfty_exact_inverse_needs_window(f3):
     x = UInftyElem(f3, 0, [1, 1], None)  # exact binomial 1 + u
     with pytest.raises(ValueError):
         x.inverse()
+    assert x.inverse(uprec=0) == UInftyElem.zero(f3, 0)  # window below u^0
     inv = x.inverse(uprec=6)
     prod = x * inv
     assert prod.coeff_rank(0) == 1

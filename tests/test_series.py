@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carlitz import TruncSeries, UnitClass, parse_series, render_series, unit_enumerate
-from carlitz import UInftyElem, spec_for_order, unit_count
+from carlitz import FqSpec, UInftyElem, spec_for_order, unit_count
 from carlitz.errors import BudgetExceeded, NonUnit, ParseError, SpecMismatch
-from carlitz.series import _mul_ranks_np
+from carlitz.series import _NP_MUL_MIN_PREC, _mul_ranks_np, mul_ranks
 
 from conftest import random_series
 
@@ -170,15 +170,86 @@ def test_ring_axioms(triple):
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 27])
 def test_numpy_mul_matches_scalar_path(q):
     spec = spec_for_order(q)
+    add, mul = spec.tables.add, spec.tables.mul
+
+    def schoolbook(xr, yr, width):
+        out = [0] * width
+        for i, a in enumerate(xr):
+            for j, b in enumerate(yr):
+                if i + j < width:
+                    out[i + j] = add[out[i + j]][mul[a][b]]
+        return out
+
     rng = random.Random(3)
     for _ in range(25):
         prec = rng.randrange(2, 40)
         a = random_series(rng, spec, prec)
         b = random_series(rng, spec, prec)
-        slow = [0] * prec
-        add, mul = spec.tables.add, spec.tables.mul
-        for i in range(prec):
-            for j in range(prec - i):
-                slow[i + j] = add[slow[i + j]][mul[a.ranks[i]][b.ranks[j]]]
+        slow = schoolbook(a.ranks, b.ranks, prec)
         assert list(_mul_ranks_np(spec, a.ranks, b.ranks, prec)) == slow
         assert (a * b).ranks == tuple(slow)
+    # the shared kernel on unequal operands, on both sides of the numpy
+    # threshold, and with windows up to and past the full product length
+    m = _NP_MUL_MIN_PREC
+    for na, nb in [(1, 40), (5, 9), (m - 1, m), (m, m), (m, 2 * m), (3, m + 1)]:
+        xr = [rng.randrange(q) for _ in range(na)]
+        yr = [rng.randrange(q) for _ in range(nb)]
+        for width in (1, min(na, nb), na + nb - 1, na + nb + 3):
+            slow = schoolbook(xr, yr, width)
+            assert mul_ranks(spec, xr, yr, width) == slow
+            assert mul_ranks(spec, yr, xr, width) == slow
+            assert _mul_ranks_np(spec, xr, yr, width) == slow
+
+
+@pytest.mark.parametrize("q", [3, 4, 9])
+def test_inverse_round_trip_both_types(q):
+    spec = spec_for_order(q)
+    rng = random.Random(q)
+    for prec in (1, 2, 7, _NP_MUL_MIN_PREC, 30):
+        a = random_series(rng, spec, prec, unit=True)
+        assert a * a.inverse() == TruncSeries.one(spec, prec)
+    for _ in range(20):
+        val = rng.randrange(-6, 6)
+        ranks = [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(rng.randrange(40))]
+        windowed = UInftyElem(spec, val, ranks, val + len(ranks))
+        assert windowed * windowed.inverse() == UInftyElem.monomial(
+            spec, 0, uprec=len(ranks)
+        )
+        exact = UInftyElem(spec, val, ranks, None)
+        window = rng.randrange(1, 40) - val
+        assert exact * exact.inverse(uprec=window) == UInftyElem.monomial(
+            spec, 0, uprec=window + val
+        )
+
+
+@pytest.mark.parametrize("q", [2, 3, 9])
+def test_pow_matches_repeated_product(q):
+    spec = spec_for_order(q)
+    rng = random.Random(q)
+    a = random_series(rng, spec, 7, unit=True)
+    acc = TruncSeries.one(spec, 7)
+    for n in range(10):
+        assert a ** n == acc
+        acc = acc * a
+    for n in range(1, 4):
+        assert a ** -n == (a ** n).inverse()
+
+
+def test_arithmetic_does_not_revalidate(monkeypatch):
+    # internal results are built from trusted ranks, never coefficient by
+    # coefficient through FqSpec.element
+    spec = spec_for_order(9)
+    s = TruncSeries.from_ranks(spec, [1, 4, 0, 7, 2, 8])
+    x = UInftyElem(spec, -2, [3, 0, 5, 1, 0, 2, 7], 6)
+    y = UInftyElem(spec, 1, [2, 6, 0, 4], 9)
+    exact = UInftyElem(spec, 0, [1, 3, 0, 2], None)
+    calls = []
+    element = FqSpec.element
+    monkeypatch.setattr(
+        FqSpec, "element", lambda self, v: calls.append(v) or element(self, v)
+    )
+    s ** 3
+    for e in (x, y):
+        e + exact, e * exact, e * y, e.scale(5), e.frobenius(), e.inverse()
+    exact.frobenius(), exact.inverse(uprec=12), exact + exact
+    assert calls == []
