@@ -55,7 +55,6 @@ from .jets import (
 )
 from .series import (
     TruncSeries,
-    UnitClass,
     parse_series,
     render_series,
     unit_count,

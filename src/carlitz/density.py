@@ -35,9 +35,7 @@ from .jets import JetMatrix, jet
 from .series import (
     ENUM_BUDGET_DEFAULT,
     TruncSeries,
-    as_series,
     unit_count,
-    unit_enumerate,
 )
 
 DEFAULT_SEED = 1729
@@ -45,6 +43,9 @@ LINALG_BUDGET_DEFAULT = 10 ** 7
 EXHAUSTIVE_LIMIT_DEFAULT = 10 ** 5
 
 _MERGE_ROW_LIMIT = 1 << 21
+# units per block of the batched tensor count; larger blocks are no faster
+# past this size and raise the peak memory of the products
+_TENSOR_CHUNK = 1 << 13
 
 
 def galois_rep(a, k: int, n: int) -> JetMatrix:
@@ -53,27 +54,51 @@ def galois_rep(a, k: int, n: int) -> JetMatrix:
     Needs a known to precision n+k; the result has unit diagonal, i.e. it
     lies in the Toeplitz group of the corresponding order.
     """
-    s = as_series(a)
-    if not s.is_unit:
+    if not a.is_unit:
         raise NonUnit("representation is defined on units only")
-    if s.prec < n + k:
+    if a.prec < n + k:
         raise InsufficientPrecision(
-            f"unit precision {s.prec} below required {n + k}"
+            f"unit precision {a.prec} below required {n + k}"
         )
-    return jet(k, s.truncate(n + k), prec=n)
+    return jet(k, a.truncate(n + k), prec=n)
 
 
 # ---------------------------------------------------------------------------
 # brute-force image counting (vectorized enumeration core)
 # ---------------------------------------------------------------------------
 
-def _digit_block(q, m, start, stop):
-    """Coefficient ranks of units start..stop-1, one row per coefficient."""
-    r = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((m, stop - start), dtype=np.uint8)
+def _unit_ranks(q, m, index):
+    """The coefficient ranks of unit number `index` in unit_enumerate order."""
+    ranks = [0] * m
     for j in range(m - 1, 0, -1):
-        r, out[j] = np.divmod(r, q)
-    out[0] = r + 1
+        index, ranks[j] = divmod(index, q)
+    ranks[0] = index + 1
+    return ranks
+
+
+def _digit_block(q, m, start, stop):
+    """Coefficient ranks of units start..stop-1, one row per coefficient.
+
+    Row j is the base-q digit of place value q^(m-1-j) of the unit number
+    (plus one in row 0).  Over consecutive numbers that digit steps through
+    0..q-1 in runs of equal values, so each row is a cycle of digits, each
+    repeated for its run, entered at the offset of `start` into its run.
+    """
+    size = stop - start
+    dtype = np.min_scalar_type(q - 1)
+    out = np.empty((m, size), dtype=dtype)
+    cycle = np.arange(q, dtype=dtype)
+    run = 1
+    for j in range(m - 1, -1, -1):
+        first, offset = divmod(start, run)
+        runs = -(-(offset + size) // run)
+        digits = np.tile(np.roll(cycle, -(first % q)), -(-runs // q))[:runs]
+        counts = np.full(runs, run)
+        counts[0] -= offset
+        counts[-1] -= runs * run - offset - size
+        out[j] = np.repeat(digits, counts)
+        run *= q
+    out[0] += 1
     return out
 
 
@@ -89,53 +114,17 @@ def _unique_keys(keys):
     return keys[:, keep]
 
 
-def image_order_brute(spec: FqSpec, k: int, n: int, *,
-                      budget: int = ENUM_BUDGET_DEFAULT, threads: int = 1,
-                      chunk_size: int = 1 << 16,
-                      enum_precision: int | None = None) -> int:
-    """Count distinct jet images mod t^n over every unit mod t^(n+k).
+def _count_distinct_keys(keys_of, total, words, chunk_size, threads=1):
+    """The number of distinct keys of units 0..total-1.
 
-    The count is a literal deduplication: every unit's full jet, all
-    (k+1)*n entries, is packed into one integer key of (q-1).bit_length()
-    bits per entry (several uint64 words past 64 bits), and the
-    keys are deduplicated per chunk of units, then merged by set union.
-    `threads` > 1 spreads the chunks over a thread pool, which pays off
-    because sorting and table gathers release the GIL; the answer is
-    independent of chunking and thread count.  `enum_precision` may raise
-    the enumeration precision above n+k to double-check sufficiency.
+    keys_of(start, stop) returns the (words, stop-start) uint64 keys of
+    units start..stop-1.  Each chunk is deduplicated on its own, and the
+    parts are merged by set union.  `threads` > 1 spreads the chunks over a
+    thread pool, which pays off because sorting and table gathers release
+    the GIL; the count is independent of chunking and thread count.
     """
-    if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
-    m = n + k if enum_precision is None else enum_precision
-    if m < n + k:
-        raise InsufficientPrecision(f"enumeration precision {m} below n+k={n + k}")
-    q = spec.q
-    total = unit_count(q, m)
-    if total > budget:
-        raise BudgetExceeded(f"{total} units exceed budget {budget}")
-    # row c is multiplication by the prime-field constant c
-    scal = np.array(spec.tables.mul[:spec.p], dtype=np.uint64)
-    bits = (q - 1).bit_length()
-    per_word = 64 // bits
-    words = -(-(k + 1) * n // per_word)
-    # entry (j, i) of the jet is C(i+j, j) * a_(i+j); it occupies bits
-    # [pos*bits, (pos+1)*bits) of its word.  Entries never share bits, so
-    # the tables of entries in one word that read the same coefficient a_l
-    # are OR-ed into one, which packs all of them with a single gather.
-    lut = {}
-    for j in range(k + 1):
-        for i in range(n):
-            word, pos = divmod(j * n + i, per_word)
-            table = scal[binom_mod_p(i + j, j, spec.p)] << np.uint64(pos * bits)
-            lut[word, i + j] = lut.get((word, i + j), 0) | table
-
     def run(start):
-        stop = min(start + chunk_size, total)
-        block = _digit_block(q, m, start, stop)
-        key = np.zeros((words, stop - start), dtype=np.uint64)
-        for (word, digit), table in lut.items():
-            key[word] |= table[block[digit]]
-        return _unique_keys(key)
+        return _unique_keys(keys_of(start, min(start + chunk_size, total)))
 
     merged = np.empty((words, 0), dtype=np.uint64)
     pending, pending_rows = [], 0
@@ -151,6 +140,55 @@ def image_order_brute(spec: FqSpec, k: int, n: int, *,
     if pending:
         merged = _unique_keys(np.concatenate([merged, *pending], axis=1))
     return int(merged.shape[1])
+
+
+def image_order_brute(spec: FqSpec, k: int, n: int, *,
+                      budget: int = ENUM_BUDGET_DEFAULT, threads: int = 1,
+                      chunk_size: int = 1 << 16,
+                      enum_precision: int | None = None) -> int:
+    """Count distinct jet images mod t^n over every unit mod t^(n+k).
+
+    The count is a literal deduplication: every unit's full jet, all
+    (k+1)*n entries, is packed into one integer key of (q-1).bit_length()
+    bits per entry (several uint64 words past 64 bits), and the keys are
+    counted by _count_distinct_keys in chunks of `chunk_size` units over
+    `threads` threads; the answer is independent of both.
+    `enum_precision` may raise the enumeration precision above n+k to
+    double-check sufficiency.
+    """
+    if n < 1 or k < 0:
+        raise ValueError("need n >= 1 and k >= 0")
+    m = n + k if enum_precision is None else enum_precision
+    if m < n + k:
+        raise InsufficientPrecision(f"enumeration precision {m} below n+k={n + k}")
+    q = spec.q
+    total = unit_count(q, m)
+    if total > budget:
+        raise BudgetExceeded(f"{total} units exceed budget {budget}")
+    # row c is multiplication by the prime-field constant c
+    scal = spec.tables.mul_np[:spec.p].astype(np.uint64)
+    bits = (q - 1).bit_length()
+    per_word = 64 // bits
+    words = -(-(k + 1) * n // per_word)
+    # entry (j, i) of the jet is C(i+j, j) * a_(i+j); it occupies bits
+    # [pos*bits, (pos+1)*bits) of its word.  Entries never share bits, so
+    # the tables of entries in one word that read the same coefficient a_l
+    # are OR-ed into one, which packs all of them with a single gather.
+    lut = {}
+    for j in range(k + 1):
+        for i in range(n):
+            word, pos = divmod(j * n + i, per_word)
+            table = scal[binom_mod_p(i + j, j, spec.p)] << np.uint64(pos * bits)
+            lut[word, i + j] = lut.get((word, i + j), 0) | table
+
+    def keys_of(start, stop):
+        block = _digit_block(q, m, start, stop)
+        key = np.zeros((words, stop - start), dtype=np.uint64)
+        for (word, digit), table in lut.items():
+            key[word] |= table[block[digit]]
+        return key
+
+    return _count_distinct_keys(keys_of, total, words, chunk_size, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +321,58 @@ def tensor_image_order_formula(spec: FqSpec, d: int, n: int) -> int:
     return w * spec.q ** ((n - 1) // spec.p ** e)
 
 
+def _mul_block(tables, x, y):
+    """Batched truncated product: column c is the product of columns c of x, y.
+
+    x and y are (n, units) rank arrays; row i of the result is the t^i
+    coefficient, gathered from the field's add and mul tables.
+    """
+    add, mul = tables.add_np, tables.mul_np
+    out = mul[x[0], y]
+    for i in range(1, len(x)):
+        out[i:] = add[out[i:], mul[x[i], y[:-i]]]
+    return out
+
+
 def tensor_image_order_brute(spec: FqSpec, d: int, n: int, *,
                              budget: int = ENUM_BUDGET_DEFAULT) -> int:
     """Count distinct d-th powers a^d mod t^n over all units mod t^n.
 
-    This is the object-level oracle for the closed form: every unit is
-    raised to the d-th power as a series and the results are deduplicated.
+    The brute route for the closed form: every unit is raised to the d-th
+    power by binary powering, a block of units at a time with batched
+    truncated products, and the n ranks of each power are packed into one
+    key and counted by _count_distinct_keys.  Its oracle in the tests is
+    the object-level set of (a ** d).ranks.
     """
-    return len({(u.series ** d).ranks for u in unit_enumerate(spec, n, budget=budget)})
+    if d < 1:
+        raise ValueError("tensor degree must be >= 1")
+    if n < 1:
+        raise ValueError("precision must be >= 1")
+    q = spec.q
+    total = unit_count(q, n)
+    if total > budget:
+        raise BudgetExceeded(f"{total} units exceed budget {budget}")
+    tables = spec.tables
+    bits = (q - 1).bit_length()
+    per_word = 64 // bits
+    words = -(-n // per_word)
+
+    def keys_of(start, stop):
+        base, power, e = _digit_block(q, n, start, stop), None, d
+        while True:
+            if e & 1:
+                power = base if power is None else _mul_block(tables, power, base)
+            e >>= 1
+            if not e:
+                break
+            base = _mul_block(tables, base, base)
+        key = np.zeros((words, stop - start), dtype=np.uint64)
+        for i, row in enumerate(power):
+            word, pos = divmod(i, per_word)
+            key[word] |= row.astype(np.uint64) << np.uint64(pos * bits)
+        return key
+
+    return _count_distinct_keys(keys_of, total, words, _TENSOR_CHUNK)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +618,11 @@ def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: i
     vector of this map is exactly a relation vanishing on every sampled
     unit, so full column rank certifies that no relation within the bounds
     exists.  Unit sets are exhaustive below `exhaustive_limit`, else sampled
-    reproducibly from `seed`.
+    reproducibly from `seed`.  The exhaustive set is evaluated in an order
+    drawn from `seed`, each unit decoded from its number only when reached:
+    units near each other in lexicographic order give nearly dependent rows,
+    and the rank of a row set does not depend on its order, so the report
+    is the same for every seed.
     """
     monos = _monomials(k + 1, deg_bound)
     columns = [(m, s) for m in monos for s in range(tdeg_bound + 1)]
@@ -547,9 +633,13 @@ def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: i
     prec = n + k
     sampled = False
     if units is not None:
-        unit_list = [as_series(u) for u in units]
+        unit_list = list(units)
+        n_units = len(unit_list)
     elif unit_count(q, prec) <= exhaustive_limit:
-        unit_list = [u.series for u in unit_enumerate(spec, prec)]
+        n_units = unit_count(q, prec)
+        order = list(range(n_units))
+        random.Random(seed).shuffle(order)
+        unit_list = (TruncSeries.from_ranks(spec, _unit_ranks(q, prec, i)) for i in order)
     else:
         sampled = True
         rng = random.Random(seed)
@@ -559,6 +649,7 @@ def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: i
             )
             for _ in range(sample_count)
         ]
+        n_units = sample_count
 
     t = spec.tables
     add, mul, neg = t.add, t.mul, t.neg
@@ -609,6 +700,6 @@ def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: i
             break
     return ZariskiReport(
         full_rank=rank == n_cols, rank=rank, n_columns=n_cols,
-        n_units=len(unit_list), k=k, deg_bound=deg_bound,
+        n_units=n_units, k=k, deg_bound=deg_bound,
         tdeg_bound=tdeg_bound, n=n, seed=seed, sampled=sampled,
     )

@@ -149,7 +149,9 @@ class FieldTables(NamedTuple):
     """Per-field lookup tables, indexed by rank.
 
     `add`, `mul`, `neg` and `inv` are nested lists for the pure-Python
-    loops (inv[0] is 0).  `digits` (q x e) holds each rank's coefficients,
+    loops (inv[0] is 0); `add_np` and `mul_np` are the same two tables as
+    q x q arrays of the smallest unsigned dtype that holds a rank, for
+    batched gathers.  `digits` (q x e) holds each rank's coefficients,
     `weights` the place values p^i, and `xd` (e-1 x e) the coefficient
     rows of x^d mod the defining polynomial for d in [e, 2e-1); the numpy
     series product reads these three.
@@ -159,6 +161,8 @@ class FieldTables(NamedTuple):
     mul: list
     neg: list
     inv: list
+    add_np: np.ndarray
+    mul_np: np.ndarray
     digits: np.ndarray
     weights: np.ndarray
     xd: np.ndarray
@@ -282,8 +286,11 @@ class FqSpec:
                     inv[r] = s
                     inv[s] = r
                     break
+        rank_dtype = np.min_scalar_type(q - 1)
         self._tables = FieldTables(
             add=add, mul=mul, neg=neg, inv=inv,
+            add_np=np.array(add, dtype=rank_dtype),
+            mul_np=np.array(mul, dtype=rank_dtype),
             digits=np.array([self.decode(r) for r in range(q)], dtype=np.int64),
             weights=np.array([p ** i for i in range(e)], dtype=np.int64),
             xd=np.array(xd_rows, dtype=np.int64).reshape(e - 1, e),

@@ -277,41 +277,12 @@ def _mul_ranks_np(spec, xr, yr, width):
     return [int(v) for v in ranks] + pad
 
 
-class UnitClass:
-    """A truncated series with invertible constant term."""
-
-    __slots__ = ("series",)
-
-    def __init__(self, series: TruncSeries):
-        if not series.is_unit:
-            raise NonUnit("constant term is zero")
-        self.series = series
-
-    def inverse(self) -> TruncSeries:
-        return self.series.inverse()
-
-    def __eq__(self, other):
-        if isinstance(other, UnitClass):
-            return self.series == other.series
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("unit", self.series.key()))
-
-    def __repr__(self):
-        return f"UnitClass({render_series(self.series)!r})"
-
-
-def as_series(a) -> TruncSeries:
-    return a.series if isinstance(a, UnitClass) else a
-
-
 def unit_count(q: int, prec: int) -> int:
     return (q - 1) * q ** (prec - 1)
 
 
 def unit_enumerate(spec: FqSpec, prec: int, *,
-                   budget: int = ENUM_BUDGET_DEFAULT) -> Iterator[UnitClass]:
+                   budget: int = ENUM_BUDGET_DEFAULT) -> Iterator[TruncSeries]:
     """All units of F_q[t]/(t^prec), lexicographic in the coefficient ranks.
 
     The budget is checked at call time, before any unit is produced.
@@ -323,7 +294,7 @@ def unit_enumerate(spec: FqSpec, prec: int, *,
         raise BudgetExceeded(f"{total} units exceed budget {budget}")
     q = spec.q
     ranks = itertools.product(range(1, q), *[range(q)] * (prec - 1))
-    return (UnitClass(TruncSeries.from_ranks(spec, tup)) for tup in ranks)
+    return (TruncSeries.from_ranks(spec, tup) for tup in ranks)
 
 
 # ---------------------------------------------------------------------------

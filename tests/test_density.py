@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+
+import carlitz.density as density_mod
 
 from carlitz import (
     JetMatrix,
@@ -22,6 +25,7 @@ from carlitz import (
     tensor_image_order_formula,
     tensor_unit_part,
     torsion_level_m,
+    unit_count,
     unit_enumerate,
     zariski_rank_certificate,
 )
@@ -55,6 +59,11 @@ def test_galois_rep_guards(f2):
         galois_rep(TruncSeries.monomial(f2, 1, 5), 1, 3)
     with pytest.raises(InsufficientPrecision):
         galois_rep(TruncSeries.one(f2, 3), 2, 3)
+
+
+def test_galois_rep_rejects_zero_series(f2):
+    with pytest.raises(NonUnit):
+        galois_rep(TruncSeries.zero(f2, 3), 0, 3)
 
 
 def test_galois_rep_is_multiplicative(f3):
@@ -222,7 +231,7 @@ def test_tensor_order_examples(f2, f3):
 
 
 def test_tensor_squares_q2_n3(f2):
-    squares = {(u.series ** 2).ranks for u in unit_enumerate(f2, 3)}
+    squares = {(u ** 2).ranks for u in unit_enumerate(f2, 3)}
     assert squares == {(1, 0, 0), (1, 0, 1)}  # {1, 1 + t^2}
 
 
@@ -297,8 +306,8 @@ def test_zariski_k2_truncation_artifact(f2):
     one = TruncSeries.one(f2, 4)
     tmon = TruncSeries.monomial(f2, 1, 4)
     for u in unit_enumerate(f2, 6):
-        x1 = hyperderiv(1, u.series).truncate(4)
-        x2 = hyperderiv(2, u.series).truncate(4)
+        x1 = hyperderiv(1, u).truncate(4)
+        x2 = hyperderiv(2, u).truncate(4)
         s1 = x1 + x1 * x1
         s2 = x2 + x2 * x2
         assert (one + tmon) * s1 + tmon * s2 == TruncSeries.zero(f2, 4)
@@ -307,6 +316,83 @@ def test_zariski_k2_truncation_artifact(f2):
 def test_zariski_budget(f2):
     with pytest.raises(BudgetExceeded):
         zariski_rank_certificate(f2, 2, 2, 1, 4, budget=10)
+
+
+@pytest.mark.parametrize("q, k, deg, tdeg, n, rank", [
+    (2, 2, 2, 1, 4, 19),    # the criterion-8 truncation artefact
+    (2, 3, 3, 2, 7, 99),
+    (3, 1, 2, 1, 3, 12),
+])
+def test_zariski_rank_independent_of_order(q, k, deg, tdeg, n, rank):
+    spec = spec_for_order(q)
+    lex = zariski_rank_certificate(spec, k, deg, tdeg, n,
+                                   units=list(unit_enumerate(spec, n + k)))
+    assert lex.rank == rank
+    for seed in (1729, 1, 2, 3):
+        r = zariski_rank_certificate(spec, k, deg, tdeg, n, seed=seed)
+        assert (r.rank, r.full_rank, r.n_columns) == (lex.rank, lex.full_rank, lex.n_columns)
+        assert r.n_units == lex.n_units == unit_count(q, n + k) and not r.sampled
+
+
+def test_zariski_seeded_order_reaches_rank_in_few_units(monkeypatch):
+    # lexicographic order evaluates 5104 of the 13122 units before full rank
+    import carlitz.density as density
+
+    calls = []
+    galois_rep_ = density.galois_rep
+
+    def counting(a, k, n):
+        calls.append(a)
+        return galois_rep_(a, k, n)
+
+    monkeypatch.setattr(density, "galois_rep", counting)
+    r = zariski_rank_certificate(spec_for_order(3), 3, 3, 2, 6, seed=1729)
+    assert r.full_rank and r.rank == 105 and r.n_units == 13122
+    assert len(calls) < 100
+    assert len({u.ranks for u in calls}) == len(calls)
+
+
+def test_zariski_rank_progression_q2_k3(f2):
+    # a relation mod t^7 that the certificate loses one more coefficient at a time
+    assert [zariski_rank_certificate(f2, 3, 3, 2, n).rank for n in (7, 8, 9)] == [99, 104, 105]
+
+
+def test_unit_ranks_follow_enumeration(f2, f3, f4):
+    for spec, m in [(f2, 5), (f3, 4), (f4, 3)]:
+        decoded = [tuple(density_mod._unit_ranks(spec.q, m, i))
+                   for i in range(unit_count(spec.q, m))]
+        assert decoded == [u.ranks for u in unit_enumerate(spec, m)]
+
+
+def _digit_block_divmod(q, m, start, stop):
+    r = np.arange(start, stop, dtype=np.int64)
+    out = np.empty((m, stop - start), dtype=np.int64)
+    for j in range(m - 1, 0, -1):
+        r, out[j] = np.divmod(r, q)
+    out[0] = r + 1
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 257])
+def test_digit_block_matches_divmod(q):
+    for m in (1, 2, 3, 6):
+        total = unit_count(q, m)
+        if total > 1 << 18:
+            continue
+        for size in (17, 1 << 16):
+            starts = list(range(0, total, size))[:40] + [1, 5, q + 2, total - 3]
+            for start in starts:
+                if 0 <= start < total:
+                    stop = min(start + size, total)
+                    got = density_mod._digit_block(q, m, start, stop)
+                    assert np.array_equal(got, _digit_block_divmod(q, m, start, stop)), \
+                        (m, size, start)
+
+
+def test_image_order_past_byte_ranks():
+    # ranks of F_257 do not fit in a byte
+    spec = spec_for_order(257, order_bound=300)
+    assert image_order_brute(spec, 1, 1) == image_order_formula(spec, 1, 1) == 256 * 257
 
 
 def test_zariski_sampling_is_deterministic(f2):
@@ -356,10 +442,52 @@ def test_extra_indices_form_initial_segment():
                 assert ex == list(range(n, n + len(ex)))
 
 
-@pytest.mark.parametrize("q, d", [(3, 6), (4, 2), (4, 3), (4, 4)])
+@pytest.mark.parametrize("q, d", [
+    (3, 6), (4, 2), (4, 3), (4, 4), (5, 5), (7, 7), (8, 2), (8, 4), (9, 3),
+    (9, 6), (16, 2), (16, 4), (25, 5), (27, 3), (27, 9),
+])
 def test_tensor_brute_matches_formula(q, d):
     spec = spec_for_order(q)
-    assert tensor_image_order_brute(spec, d, 5) == tensor_image_order_formula(spec, d, 5)
+    n = 1
+    while unit_count(q, n) <= 1 << 17:
+        assert tensor_image_order_brute(spec, d, n) == tensor_image_order_formula(spec, d, n)
+        n += 1
+    assert n > 3
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+def test_tensor_brute_matches_object_path(q):
+    spec = spec_for_order(q)
+    for d in (2, 3, 4, 6):
+        n = 1
+        while unit_count(q, n) <= 1000:
+            powers = {(a ** d).ranks for a in unit_enumerate(spec, n)}
+            assert tensor_image_order_brute(spec, d, n) == len(powers), (d, n)
+            n += 1
+
+
+def test_tensor_brute_guards_before_work(monkeypatch, f2):
+    import carlitz.density as density
+
+    def no_blocks(*args):
+        raise AssertionError("a block was built")
+
+    monkeypatch.setattr(density, "_digit_block", no_blocks)
+    with pytest.raises(BudgetExceeded):
+        tensor_image_order_brute(f2, 2, 40, budget=10 ** 6)
+    with pytest.raises(ValueError):
+        tensor_image_order_brute(f2, 0, 3)
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 16, 25, 27])
+def test_brute_equals_formula_wider_fields(q):
+    # k runs past p at q=5 and q=9, where binomials vanish mod p
+    spec = spec_for_order(q)
+    for k in range(spec.p + 2):
+        n = 1
+        while unit_count(q, n + k) <= 1 << 17:
+            assert image_order_brute(spec, k, n) == image_order_formula(spec, k, n), (k, n)
+            n += 1
 
 
 def test_high_order_formula_spot_check(f2):
