@@ -5,7 +5,7 @@ finite model of the Anderson-Thakur function, and exhaustively checkable
 image orders and densities for the associated t-adic actions.
 """
 
-from .binomials import binom_mod_p, binom_pascal_oracle
+from .binomials import binom_mod_p, binom_pascal_oracle, binom_row
 from .cinfty import (
     ProlongationAction,
     UInftyElem,

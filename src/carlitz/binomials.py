@@ -2,7 +2,8 @@
 
 Two independent routes: Lucas' base-p digit product, and the additive
 Pascal recurrence used as an oracle.  Neither ever materializes C(l, j)
-as an integer.
+as an integer.  Callers that read many coefficients C(i+n, n) take them
+from binom_row, one Lucas row per (p, n) built once and then shared.
 """
 
 from .errors import InvalidCharacteristic
@@ -10,6 +11,7 @@ from .field import is_prime
 
 _PASCAL_ROWS: dict[int, list[tuple[int, ...]]] = {}
 _SMALL_TABLES: dict[int, list[list[int]]] = {}
+_ROWS: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
 def _check_args(l, j, p):
@@ -49,6 +51,23 @@ def binom_mod_p(l: int, j: int, p: int) -> int:
         l //= p
         j //= p
     return out
+
+
+def binom_row(p: int, n: int, length: int) -> tuple[int, ...]:
+    """(C(n, n), C(n+1, n), C(n+2, n), ...) mod p, at least `length` entries.
+
+    Entry i is C(i+n, n), the factor the n-th hyperderivative puts on t^(i+n).
+    Rows are cached per (p, n).  A row that is too short is extended to
+    max(length, twice its length) through binom_mod_p, which checks p and n
+    whenever a row is built or grown; a cached row only ever exists for valid
+    arguments, so a hit is one dict lookup.
+    """
+    row = _ROWS.get((p, n), ())
+    if len(row) < max(length, 1):
+        size = max(length, 2 * len(row), 1)
+        row += tuple(binom_mod_p(i + n, n, p) for i in range(len(row), size))
+        _ROWS[p, n] = row
+    return row
 
 
 def _pascal_rows(p, upto):

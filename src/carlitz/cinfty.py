@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .binomials import binom_mod_p
+from .binomials import binom_row
 from .errors import (
     DivisionByZero,
     InsufficientPrecision,
@@ -286,10 +286,14 @@ def equal_on_overlap(x: UInftyElem, y: UInftyElem) -> bool:
         upper = max(x.val + len(x.ranks), y.val + len(y.ranks))
     elif lo >= upper:
         raise WindowEmpty("no known coefficients left to compare")
-    for exp in range(lo, upper):
-        if x.coeff_rank(exp) != y.coeff_rank(exp):
-            return False
-    return True
+    width = upper - lo
+
+    def window(e):
+        # the ranks of e at u^lo .. u^(upper-1), zero-padded
+        head = (0,) * min(e.val - lo, width) + e.ranks[:max(upper - e.val, 0)]
+        return head + (0,) * (width - len(head))
+
+    return window(x) == window(y)
 
 
 def theta(spec: FqSpec) -> UInftyElem:
@@ -362,17 +366,15 @@ class UPowerSeries:
         return UPowerSeries(self.spec, [e.frobenius() for e in self.entries])
 
     def hyperderiv(self, n: int) -> "UPowerSeries":
+        if n < 0:
+            raise ValueError("derivative order must be nonnegative")
         if n == 0:
             return self
         if n >= self.tprec:
             raise InsufficientPrecision(f"t-precision {self.tprec} too low for D^({n})")
-        p = self.spec.p
+        row = binom_row(self.spec.p, n, self.tprec - n)
         return UPowerSeries(
-            self.spec,
-            [
-                self.entries[i + n].scale(binom_mod_p(i + n, n, p))
-                for i in range(self.tprec - n)
-            ],
+            self.spec, [e.scale(c) for c, e in zip(row, self.entries[n:])]
         )
 
     def __repr__(self):
@@ -532,6 +534,8 @@ def jet_columns(omega: UPowerSeries, k: int) -> list[list[UPowerSeries]]:
     Column j carries (D^(j) omega, D^(j-1) omega, ..., omega, 0, ..., 0);
     these are the basis columns of the Tate-module model.
     """
+    if k < 0:
+        raise ValueError("jet order must be nonnegative")
     t2 = omega.tprec - k
     if t2 < 1:
         raise InsufficientPrecision("t-precision too low for the requested jet order")
@@ -549,12 +553,14 @@ def torsion_generators(omega: UPowerSeries, n: int, k: int) -> list[list[UInftyE
     These generate the torsion extensions of the order-k prolongation level
     by level; entry (i, j) vanishes exactly when C(i+j, j) = 0 mod p.
     """
+    if n < 0 or k < 0:
+        raise ValueError("torsion level and jet order must be nonnegative")
     if omega.tprec <= n + k:
         raise InsufficientPrecision(
             f"t-precision {omega.tprec} too low for n={n}, k={k}"
         )
-    p = omega.spec.p
+    rows = [binom_row(omega.spec.p, j, n + 1) for j in range(k + 1)]
     return [
-        [omega.entries[i + j].scale(binom_mod_p(i + j, j, p)) for j in range(k + 1)]
+        [omega.entries[i + j].scale(rows[j][i]) for j in range(k + 1)]
         for i in range(n + 1)
     ]

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .binomials import binom_mod_p
+from .binomials import binom_row
 from .errors import (
     BudgetExceeded,
     CrossCheckMismatch,
@@ -176,9 +176,10 @@ def image_order_brute(spec: FqSpec, k: int, n: int, *,
     # are OR-ed into one, which packs all of them with a single gather.
     lut = {}
     for j in range(k + 1):
+        row = binom_row(spec.p, j, n)
         for i in range(n):
             word, pos = divmod(j * n + i, per_word)
-            table = scal[binom_mod_p(i + j, j, spec.p)] << np.uint64(pos * bits)
+            table = scal[row[i]] << np.uint64(pos * bits)
             lut[word, i + j] = lut.get((word, i + j), 0) | table
 
     def keys_of(start, stop):
@@ -201,9 +202,13 @@ def extra_indices(p: int, k: int, n: int) -> list[int]:
     The jet entry in row j at t^(l-j) is C(l, j) a_l, so a_l with l >= n is
     visible exactly when C(l, j) != 0 mod p for some j with l-n+1 <= j <= k.
     """
+    if n < 0 or k < 0:
+        raise ValueError("need n >= 0 and k >= 0")
     out = []
     for l in range(n, n + k):
-        if any(binom_mod_p(l, j, p) for j in range(l - n + 1, k + 1)):
+        # C(l, j) vanishes for j > l
+        js = range(l - n + 1, min(k, l) + 1)
+        if any(binom_row(p, j, l - j + 1)[l - j] for j in js):
             out.append(l)
     return out
 
@@ -279,7 +284,7 @@ def torsion_level_m(p: int, n: int, k: int) -> int:
 
     def achieved(l):
         return any(
-            binom_mod_p(l, j, p)
+            binom_row(p, j, l - j + 1)[l - j]
             for j in range(max(0, l - n), min(k, l) + 1)
         )
 

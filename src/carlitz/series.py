@@ -251,7 +251,7 @@ def _mul_ranks_np(spec, xr, yr, width):
     pad = [0] * (width - n)
     if e == 1:
         c = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        return [int(v) for v in c[:n] % p] + pad
+        return (c[:n] % p).tolist() + pad
     t = spec.tables
     X = t.digits[np.asarray(a)]
     Y = t.digits[np.asarray(b)]
@@ -274,7 +274,7 @@ def _mul_ranks_np(spec, xr, yr, width):
     ranks = np.zeros(n, dtype=np.int64)
     for m in range(e):
         ranks += (res[m] % p) * t.weights[m]
-    return [int(v) for v in ranks] + pad
+    return ranks.tolist() + pad
 
 
 def unit_count(q: int, prec: int) -> int:

@@ -103,6 +103,60 @@ def test_equal_on_overlap_semantics(f3):
     assert equal_on_overlap(z, UInftyElem.zero(f3, 2))
 
 
+def _overlap_per_exponent(x, y):
+    # equal_on_overlap as one coeff_rank call per exponent, the reference
+    # for the slice comparison
+    uppers = [e.uprec for e in (x, y) if e.uprec is not None]
+    upper = min(uppers) if uppers else None
+    if x.is_zero and y.is_zero:
+        return True
+    if x.is_zero or y.is_zero:
+        nz = y if x.is_zero else x
+        if upper is not None and nz.val >= upper:
+            raise WindowEmpty("leading term falls outside the comparison window")
+        return False
+    lo = min(x.val, y.val)
+    if upper is None:
+        upper = max(x.val + len(x.ranks), y.val + len(y.ranks))
+    elif lo >= upper:
+        raise WindowEmpty("no known coefficients left to compare")
+    for exp in range(lo, upper):
+        if x.coeff_rank(exp) != y.coeff_rank(exp):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_equal_on_overlap_matches_per_exponent(q):
+    spec = spec_for_order(q)
+    rng = random.Random(q)
+
+    def element(base):
+        val = base + rng.randrange(-3, 8)
+        ranks = [rng.randrange(q) if rng.random() < 0.7 else 0
+                 for _ in range(rng.randrange(0, 9))]
+        uprec = None if rng.random() < 0.3 else val + rng.randrange(0, 12)
+        return UInftyElem(spec, val, ranks, uprec)
+
+    outcomes = set()
+    for _ in range(4000):
+        x = element(0)
+        # y is often x with a few changes, so equal pairs are frequent too
+        y = x if rng.random() < 0.3 else element(rng.randrange(-2, 3))
+        if rng.random() < 0.5 and not x.is_zero:
+            y = x + UInftyElem.monomial(spec, x.val + rng.randrange(0, 14), 1)
+        try:
+            want = _overlap_per_exponent(x, y)
+        except WindowEmpty:
+            with pytest.raises(WindowEmpty):
+                equal_on_overlap(x, y)
+            outcomes.add("empty")
+            continue
+        assert equal_on_overlap(x, y) == want, (x, y)
+        outcomes.add(want)
+    assert outcomes == {True, False, "empty"}
+
+
 # -- omega ---------------------------------------------------------------------
 
 def test_omega_entry0_is_zeta(f2, f3):

@@ -89,6 +89,9 @@ def test_extra_indices_examples():
     for p in (2, 3, 5):
         for n in range(1, 8):
             assert extra_indices(p, 0, n) == []
+        # mod t^0 the jet pins nothing, whatever its order
+        for k in range(6):
+            assert extra_indices(p, k, 0) == []
 
 
 def test_brute_equals_formula_small_grid(f2, f3):

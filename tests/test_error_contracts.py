@@ -10,12 +10,15 @@ from carlitz import (
     UInftyElem,
     UPowerSeries,
     compute_omega,
+    extra_indices,
     hyperderiv,
     image_order_brute,
     jet,
     parse_series,
+    jet_columns,
     spec_for_order,
     theta,
+    torsion_generators,
 )
 from carlitz.errors import (
     InsufficientPrecision,
@@ -128,6 +131,8 @@ def test_upower_series_guards(f3):
     s = UPowerSeries.zero(f3, 3)
     with pytest.raises(InsufficientPrecision):
         s.hyperderiv(3)
+    with pytest.raises(ValueError):
+        s.hyperderiv(-1)
     with pytest.raises(InsufficientPrecision):
         s.truncate_t(4)
     with pytest.raises(ValueError):
@@ -152,6 +157,19 @@ def test_density_arg_guards(f2):
         build_density_table(f2, 1, 3, mode="bogus")
     with pytest.raises(InsufficientPrecision):
         image_order_brute(f2, 2, 3, enum_precision=4)
+
+
+def test_negative_orders_rejected_up_front(f3):
+    omega = compute_omega(f3, 4, 32)
+    with pytest.raises(ValueError):
+        jet_columns(omega, -1)
+    for n, k in [(1, -2), (-1, 1), (-1, -1)]:
+        with pytest.raises(ValueError):
+            torsion_generators(omega, n, k)
+    with pytest.raises(ValueError):
+        extra_indices(3, 2, -1)
+    with pytest.raises(ValueError):
+        extra_indices(3, -1, 2)
 
 
 def test_prolongation_action_guards(f3):

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import carlitz
+import carlitz.binomials
+import carlitz.jets
 import carlitz.series
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -30,6 +32,8 @@ def test_tracer_resolves_every_name(monkeypatch):
     for layer, cls_name, meth, span in tracing.METHODS:
         assert (f"{layer}.{span}", meth) in resolved, f"{layer}.{cls_name}.{meth}"
     assert hasattr(carlitz.series, "_NP_MUL_MIN_PREC")
+    # the benchmark's self-test reads the binomial through this module
+    assert carlitz.jets.binom_mod_p is carlitz.binomials.binom_mod_p
 
 
 def test_counter_sees_the_certify_stages(monkeypatch):
@@ -47,3 +51,17 @@ def test_counter_sees_the_certify_stages(monkeypatch):
     assert counter.calls["density.tensor_image_order_brute"] == 6
     assert counter.counts["density.zariski_rank_certificate.rank"] == report.rank == 12
     assert counter.counts["density.zariski_rank_certificate.columns"] == report.n_columns
+
+
+def test_seen_hyperderivative_makes_no_binomial_calls(monkeypatch):
+    # the calculus workload's binomials.binom_mod_p count: once a (p, n) row
+    # is built, hyperderivatives of that order read it without a call
+    tracing = _load_tracing(monkeypatch)
+    spec = carlitz.spec_for_order(3)
+    f = carlitz.TruncSeries.from_ranks(spec, [1, 2, 0, 1, 1, 2, 2, 0, 1, 1])
+    first = carlitz.hyperderiv(4, f)
+    with tracing.Counter() as counter:
+        again = carlitz.hyperderiv(4, f)
+    assert again == first
+    assert counter.calls["jets.hyperderiv"] == 1
+    assert counter.calls["binomials.binom_mod_p"] == 0
