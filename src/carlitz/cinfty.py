@@ -387,32 +387,17 @@ def useries_equal(a: UPowerSeries, b: UPowerSeries) -> bool:
     return all(equal_on_overlap(a.entries[i], b.entries[i]) for i in range(n))
 
 
-def _t_conv(a, b, spec, tprec):
-    out = []
-    for n in range(tprec):
-        acc = None
-        for i in range(n + 1):
-            x, y = a[i], b[n - i]
-            if x.is_zero and x.uprec is None:
-                continue
-            if y.is_zero and y.uprec is None:
-                continue
-            term = x * y
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else UInftyElem.zero(spec))
-    return out
-
-
 def compute_omega(spec: FqSpec, tprec: int, uprec: int) -> UPowerSeries:
     """The Anderson-Thakur function as a t-expansion over the u-model.
 
     omega(t) = zeta * prod_{i >= 0} (1 - t/theta^(q^i))^(-1).  Factor i is
-    included while (q-1) q^i < uprec; each factor is the geometric series
-    sum_m t^m theta^(-m q^i) whose t^m coefficient is the exact monomial
-    (-1)^m u^(m (q-1) q^i).  The partial product is therefore exact, and the
-    windows are then capped at the first exponent an omitted factor could
-    touch: entry n is declared only below (q-1)(q^I + n - 1) - 1, where I is
-    the first omitted index.  Entry n has leading valuation (q-1)n - 1.
+    included while (q-1) q^i < uprec; multiplying by factor i is the
+    recurrence new_n = old_n + c new_(n-1) with the exact monomial
+    c = theta^(-q^i) = -u^((q-1) q^i).  The partial product is therefore
+    exact, and the windows are then capped at the first exponent an omitted
+    factor could touch: entry n is declared only below
+    (q-1)(q^I + n - 1) - 1, where I is the first omitted index.  Entry n has
+    leading valuation (q-1)n - 1.
     """
     if tprec < 1 or uprec < 1:
         raise ValueError("precisions must be >= 1")
@@ -421,14 +406,10 @@ def compute_omega(spec: FqSpec, tprec: int, uprec: int) -> UPowerSeries:
     while (q - 1) * q ** count < uprec:
         count += 1
     entries = [zeta(spec)] + [UInftyElem.zero(spec)] * (tprec - 1)
-    minus_one = spec.p - 1
     for i in range(count):
-        step = (q - 1) * q ** i
-        factor = [
-            UInftyElem.monomial(spec, step * m, 1 if m % 2 == 0 else minus_one)
-            for m in range(tprec)
-        ]
-        entries = _t_conv(entries, factor, spec, tprec)
+        c = UInftyElem.monomial(spec, (q - 1) * q ** i, spec.p - 1)
+        for n in range(1, tprec):
+            entries[n] = entries[n] + c * entries[n - 1]
     capped = []
     for n, e in enumerate(entries):
         vn = (q - 1) * n - 1

@@ -25,12 +25,12 @@ ORDER_BOUND_DEFAULT = 256
 
 # Built-in monic irreducible defining polynomials, low-to-high coefficients.
 _BUILTIN_POLYS = {
-    4: (2, (1, 1, 1)),          # x^2 + x + 1
-    8: (2, (1, 1, 0, 1)),       # x^3 + x + 1
-    9: (3, (1, 0, 1)),          # x^2 + 1
-    16: (2, (1, 1, 0, 0, 1)),   # x^4 + x + 1
-    25: (5, (2, 0, 1)),         # x^2 + 2
-    27: (3, (1, 2, 0, 1)),      # x^3 + 2x + 1
+    4: (1, 1, 1),          # x^2 + x + 1
+    8: (1, 1, 0, 1),       # x^3 + x + 1
+    9: (1, 0, 1),          # x^2 + 1
+    16: (1, 1, 0, 0, 1),   # x^4 + x + 1
+    25: (2, 0, 1),         # x^2 + 2
+    27: (1, 2, 0, 1),      # x^3 + 2x + 1
 }
 
 
@@ -188,7 +188,7 @@ class FqSpec:
             if e == 1:
                 defining_poly = (0, 1)
             elif q in _BUILTIN_POLYS:
-                defining_poly = _BUILTIN_POLYS[q][1]
+                defining_poly = _BUILTIN_POLYS[q]
             else:
                 raise UnsupportedOrder(
                     f"no built-in defining polynomial for q={q}; supply one"
@@ -302,36 +302,10 @@ class FqSpec:
         """The field's lookup tables, built on first use."""
         return self._tables or self._build_tables()
 
-    def add_rank(self, r1, r2):
-        return self.tables.add[r1][r2]
-
-    def mul_rank(self, r1, r2):
-        return self.tables.mul[r1][r2]
-
-    def neg_rank(self, r):
-        return self.tables.neg[r]
-
     def inv_rank(self, r):
         if r == 0:
             raise DivisionByZero("inversion of zero")
         return self.tables.inv[r]
-
-    def sub_rank(self, r1, r2):
-        t = self.tables
-        return t.add[r1][t.neg[r2]]
-
-    def pow_rank(self, r, n):
-        if n < 0:
-            r = self.inv_rank(r)
-            n = -n
-        out = 1
-        mul = self.tables.mul
-        while n:
-            if n & 1:
-                out = mul[out][r]
-            r = mul[r][r]
-            n >>= 1
-        return out
 
     # -- element constructors ------------------------------------------------
 
@@ -405,7 +379,7 @@ class FqElem:
         r = self._coerce(other)
         if r is NotImplemented:
             return NotImplemented
-        return FqElem(self.spec, self.spec.add_rank(self.rank, r))
+        return FqElem(self.spec, self.spec.tables.add[self.rank][r])
 
     __radd__ = __add__
 
@@ -413,19 +387,21 @@ class FqElem:
         r = self._coerce(other)
         if r is NotImplemented:
             return NotImplemented
-        return FqElem(self.spec, self.spec.sub_rank(self.rank, r))
+        t = self.spec.tables
+        return FqElem(self.spec, t.add[self.rank][t.neg[r]])
 
     def __rsub__(self, other):
         r = self._coerce(other)
         if r is NotImplemented:
             return NotImplemented
-        return FqElem(self.spec, self.spec.sub_rank(r, self.rank))
+        t = self.spec.tables
+        return FqElem(self.spec, t.add[r][t.neg[self.rank]])
 
     def __mul__(self, other):
         r = self._coerce(other)
         if r is NotImplemented:
             return NotImplemented
-        return FqElem(self.spec, self.spec.mul_rank(self.rank, r))
+        return FqElem(self.spec, self.spec.tables.mul[self.rank][r])
 
     __rmul__ = __mul__
 
@@ -433,13 +409,25 @@ class FqElem:
         r = self._coerce(other)
         if r is NotImplemented:
             return NotImplemented
-        return FqElem(self.spec, self.spec.mul_rank(self.rank, self.spec.inv_rank(r)))
+        inv = self.spec.inv_rank(r)
+        return FqElem(self.spec, self.spec.tables.mul[self.rank][inv])
 
     def __neg__(self):
-        return FqElem(self.spec, self.spec.neg_rank(self.rank))
+        return FqElem(self.spec, self.spec.tables.neg[self.rank])
 
     def __pow__(self, n: int):
-        return FqElem(self.spec, self.spec.pow_rank(self.rank, n))
+        r = self.rank
+        if n < 0:
+            r = self.spec.inv_rank(r)
+            n = -n
+        out = 1
+        mul = self.spec.tables.mul
+        while n:
+            if n & 1:
+                out = mul[out][r]
+            r = mul[r][r]
+            n >>= 1
+        return FqElem(self.spec, out)
 
     def inverse(self):
         return FqElem(self.spec, self.spec.inv_rank(self.rank))
@@ -532,15 +520,6 @@ def spec_for_order(q: int, config_path: str | None = None,
     if cache_key in _SPEC_CACHE:
         return _SPEC_CACHE[cache_key]
     p, e = _factor_prime_power(q)
-    if custom is not None:
-        spec = FqSpec(p, e, custom, order_bound=order_bound)
-    elif e == 1:
-        spec = FqSpec(p, 1, order_bound=order_bound)
-    elif q in _BUILTIN_POLYS:
-        spec = FqSpec(p, e, _BUILTIN_POLYS[q][1], order_bound=order_bound)
-    else:
-        raise UnsupportedOrder(
-            f"q={q} has no built-in defining polynomial; add one to the config"
-        )
+    spec = FqSpec(p, e, custom, order_bound=order_bound)
     _SPEC_CACHE[cache_key] = spec
     return spec

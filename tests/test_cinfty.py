@@ -353,6 +353,46 @@ def test_omega_against_fixed_point_construction(q):
         assert equal_on_overlap(entries[n], product_route.entries[n])
 
 
+def _multiset_counts(q, p, nmax, emax):
+    """counts[n][E]: the multisets of n powers of q summing to E, mod p."""
+    counts = [[1] + [0] * emax] + [[0] * (emax + 1) for _ in range(nmax)]
+    part = 1
+    while part <= emax:
+        # unbounded use of this part: row n reads row n-1 already updated
+        for n in range(1, nmax + 1):
+            row, prev = counts[n], counts[n - 1]
+            for e in range(part, emax + 1):
+                row[e] = (row[e] + prev[e - part]) % p
+        part *= q
+    return counts
+
+
+@pytest.mark.parametrize("q, tprec, uprec", [
+    (2, 32, 1024), (3, 8, 128), (4, 16, 512), (5, 6, 200), (8, 4, 80), (9, 4, 300),
+])
+def test_omega_against_closed_form(q, tprec, uprec):
+    """Every declared coefficient of omega against the expanded product.
+
+    Expanding zeta * prod_{i >= 0} (1 + u^((q-1) q^i) t)^(-1) termwise, the
+    t^n entry is (-1)^n u^(-1) sum_E N_q(n, E) u^((q-1)E), where N_q(n, E)
+    counts mod p the multisets of n powers of q that sum to E.  This route
+    takes every factor, omitted ones included, so agreement up to each
+    entry's declared uprec also proves that entry's window cap sound.
+    """
+    spec = spec_for_order(q)
+    om = compute_omega(spec, tprec, uprec)
+    p = spec.p
+    emax = max(e.uprec for e in om.entries) // (q - 1) + 1
+    counts = _multiset_counts(q, p, tprec - 1, emax)
+    for n, entry in enumerate(om.entries):
+        sign = 1 if n % 2 == 0 else p - 1
+        assert entry.val == (q - 1) * n - 1 < entry.uprec
+        for exp in range(-1, entry.uprec):
+            big_e, rem = divmod(exp + 1, q - 1)
+            want = sign * counts[n][big_e] % p if rem == 0 else 0
+            assert entry.coeff_rank(exp) == want, (n, exp)
+
+
 def test_omega_extension_fields():
     # e >= 2 exercises the q-power (not p-power) twist for real
     f4 = spec_for_order(4)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import carlitz.jets
 from carlitz import (
     JetMatrix,
     TruncSeries,
@@ -145,6 +146,18 @@ def test_verify_leibniz_with_one(f3):
 
 def test_verify_taylor_polynomial(f3):
     assert verify_taylor(lit(3, "1+t+t^2", 5))
+
+
+def test_verify_taylor_reads_through_the_operator(f3, monkeypatch):
+    # an off-by-one hyperderivative must fail the check: each Taylor
+    # coefficient comes from jets.hyperderiv, not from f's ranks directly
+    f = lit(3, "1+t+2*t^2+t^4", 6)
+    assert verify_taylor(f)
+    real = carlitz.jets.hyperderiv
+    monkeypatch.setattr(
+        carlitz.jets, "hyperderiv", lambda n, g: real(max(n - 1, 0), g)
+    )
+    assert not verify_taylor(f)
 
 
 def test_verify_insufficient_precision(f3):

@@ -65,3 +65,15 @@ def test_seen_hyperderivative_makes_no_binomial_calls(monkeypatch):
     assert again == first
     assert counter.calls["jets.hyperderiv"] == 1
     assert counter.calls["binomials.binom_mod_p"] == 0
+
+
+def test_omega_makes_one_product_per_factor_and_entry(monkeypatch):
+    # the omega workload's cinfty.UInftyElem.mul count: factor i enters by
+    # the recurrence new_n = old_n + c new_(n-1), one product per entry
+    # n >= 1, where a t-convolution would make about tprec^2/2
+    tracing = _load_tracing(monkeypatch)
+    spec = carlitz.spec_for_order(2)
+    with tracing.Counter() as counter:
+        carlitz.compute_omega(spec, 32, 1024)
+    factors = 10  # (q-1) q^i < 1024 exactly for i < 10
+    assert counter.calls["cinfty.UInftyElem.mul"] == factors * (32 - 1) == 310
