@@ -1,16 +1,19 @@
 """Binomial coefficients modulo a prime.
 
 Two independent routes: Lucas' base-p digit product, and the additive
-Pascal recurrence used as an oracle.  Neither ever materializes C(l, j)
-as an integer.  Callers that read many coefficients C(i+n, n) take them
-from binom_row, one Lucas row per (p, n) built once and then shared.
+Pascal recurrence used as an oracle.  Neither materializes C(l, j) as an
+integer: Lucas computes only the digit binomials C(l_d, j_d), both digits
+below p, each by math.comb and without a table.  Callers that read many
+coefficients C(i+n, n) take them from binom_row, one Lucas row per (p, n)
+built once and then shared.
 """
+
+from math import comb
 
 from .errors import InvalidCharacteristic
 from .field import is_prime
 
 _PASCAL_ROWS: dict[int, list[tuple[int, ...]]] = {}
-_SMALL_TABLES: dict[int, list[list[int]]] = {}
 _ROWS: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
@@ -21,33 +24,17 @@ def _check_args(l, j, p):
         raise ValueError("binomial arguments must be nonnegative")
 
 
-def _small_table(p):
-    # C(a, b) mod p for 0 <= b <= a < p, via factorials (invertible below p)
-    table = _SMALL_TABLES.get(p)
-    if table is None:
-        fact = [1] * p
-        for i in range(1, p):
-            fact[i] = fact[i - 1] * i % p
-        table = [
-            [fact[a] * pow(fact[b] * fact[a - b] % p, p - 2, p) % p for b in range(a + 1)]
-            for a in range(p)
-        ]
-        _SMALL_TABLES[p] = table
-    return table
-
-
 def binom_mod_p(l: int, j: int, p: int) -> int:
     """C(l, j) mod p by Lucas' theorem; 0 when j > l."""
     _check_args(l, j, p)
     if j > l:
         return 0
-    small = _small_table(p)
     out = 1
     while l or j:
         ld, jd = l % p, j % p
         if jd > ld:
             return 0
-        out = out * small[ld][jd] % p
+        out = out * comb(ld, jd) % p
         l //= p
         j //= p
     return out

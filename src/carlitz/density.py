@@ -599,13 +599,13 @@ class ZariskiReport:
 
 def _monomials(n_vars, deg_bound):
     """Exponent vectors with total degree <= deg_bound, lexicographic."""
-    import itertools
-
-    out = [
-        m for m in itertools.product(range(deg_bound + 1), repeat=n_vars)
-        if sum(m) <= deg_bound
+    if n_vars == 0:
+        return [()]
+    return [
+        (a,) + rest
+        for a in range(deg_bound + 1)
+        for rest in _monomials(n_vars - 1, deg_bound - a)
     ]
-    return sorted(out)
 
 
 def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: int,
@@ -629,11 +629,13 @@ def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: i
     and the rank of a row set does not depend on its order, so the report
     is the same for every seed.
     """
-    monos = _monomials(k + 1, deg_bound)
-    columns = [(m, s) for m in monos for s in range(tdeg_bound + 1)]
-    n_cols = len(columns)
+    if min(k, deg_bound, tdeg_bound) < 0:
+        raise ValueError("need k, deg_bound and tdeg_bound >= 0")
+    n_cols = math.comb(k + 1 + deg_bound, deg_bound) * (tdeg_bound + 1)
     if n_cols * n > budget:
         raise BudgetExceeded(f"{n_cols} columns x {n} rows exceeds budget {budget}")
+    monos = _monomials(k + 1, deg_bound)
+    columns = [(m, s) for m in monos for s in range(tdeg_bound + 1)]
     q = spec.q
     prec = n + k
     sampled = False

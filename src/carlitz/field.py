@@ -151,10 +151,7 @@ class FieldTables(NamedTuple):
     `add`, `mul`, `neg` and `inv` are nested lists for the pure-Python
     loops (inv[0] is 0); `add_np` and `mul_np` are the same two tables as
     q x q arrays of the smallest unsigned dtype that holds a rank, for
-    batched gathers.  `digits` (q x e) holds each rank's coefficients,
-    `weights` the place values p^i, and `xd` (e-1 x e) the coefficient
-    rows of x^d mod the defining polynomial for d in [e, 2e-1); the numpy
-    series product reads these three.
+    batched gathers in `density`.
     """
 
     add: list
@@ -163,9 +160,6 @@ class FieldTables(NamedTuple):
     inv: list
     add_np: np.ndarray
     mul_np: np.ndarray
-    digits: np.ndarray
-    weights: np.ndarray
-    xd: np.ndarray
 
 
 class FqSpec:
@@ -291,9 +285,6 @@ class FqSpec:
             add=add, mul=mul, neg=neg, inv=inv,
             add_np=np.array(add, dtype=rank_dtype),
             mul_np=np.array(mul, dtype=rank_dtype),
-            digits=np.array([self.decode(r) for r in range(q)], dtype=np.int64),
-            weights=np.array([p ** i for i in range(e)], dtype=np.int64),
-            xd=np.array(xd_rows, dtype=np.int64).reshape(e - 1, e),
         )
         return self._tables
 

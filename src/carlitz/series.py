@@ -11,14 +11,10 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .errors import BudgetExceeded, NonUnit, ParseError, SpecMismatch
 from .field import FqElem, FqSpec
 
 ENUM_BUDGET_DEFAULT = 10 ** 8
-
-_NP_MUL_MIN_PREC = 16
 
 
 class TruncSeries:
@@ -202,14 +198,11 @@ def scalar_rank(spec, c) -> int:
 def mul_ranks(spec, xr, yr, width):
     """The first `width` ranks of the product of two rank sequences.
 
-    Past the end of the full product the ranks are zero.  The numpy
-    convolution runs once the shorter operand has _NP_MUL_MIN_PREC ranks;
-    below that, a schoolbook loop over the shorter operand's rows.
+    A schoolbook loop over the rows of the shorter operand; past the end
+    of the full product the ranks are zero.
     """
     if len(xr) > len(yr):
         xr, yr = yr, xr
-    if len(xr) >= _NP_MUL_MIN_PREC:
-        return _mul_ranks_np(spec, xr, yr, width)
     add, mul = spec.tables.add, spec.tables.mul
     out = [0] * width
     for i, a in enumerate(xr[:width]):
@@ -241,40 +234,6 @@ def inv_ranks(spec, xr, width):
                 acc = add[acc][mul[a][out[k]]]
         out.append(times_minus_c[acc])
     return out
-
-
-def _mul_ranks_np(spec, xr, yr, width):
-    """Exact truncated product via componentwise integer convolution."""
-    p, e = spec.p, spec.e
-    a, b = xr[:width], yr[:width]
-    n = min(width, len(a) + len(b) - 1)
-    pad = [0] * (width - n)
-    if e == 1:
-        c = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        return (c[:n] % p).tolist() + pad
-    t = spec.tables
-    X = t.digits[np.asarray(a)]
-    Y = t.digits[np.asarray(b)]
-    # component d of the product polynomial in the basis variable, d < 2e-1
-    comp = [np.zeros(n, dtype=np.int64) for _ in range(2 * e - 1)]
-    for i in range(e):
-        xi = X[:, i]
-        if not xi.any():
-            continue
-        for j in range(e):
-            yj = Y[:, j]
-            if yj.any():
-                comp[i + j] += np.convolve(xi, yj)[:n]
-    res = [comp[m] for m in range(e)]
-    for d in range(e, 2 * e - 1):
-        row = t.xd[d - e]
-        for m in range(e):
-            if row[m]:
-                res[m] = res[m] + row[m] * comp[d]
-    ranks = np.zeros(n, dtype=np.int64)
-    for m in range(e):
-        ranks += (res[m] % p) * t.weights[m]
-    return ranks.tolist() + pad
 
 
 def unit_count(q: int, prec: int) -> int:

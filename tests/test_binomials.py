@@ -1,4 +1,6 @@
+import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from carlitz import (
     binom_row,
     hyperderiv,
     spec_for_order,
+    torsion_level_m,
 )
 from carlitz.errors import InvalidCharacteristic
 
@@ -34,6 +37,29 @@ def test_left_edge():
 def test_above_diagonal_is_zero():
     assert binom_mod_p(3, 5, 2) == 0
     assert binom_pascal_oracle(3, 5, 3) == 0
+
+
+def test_large_prime_builds_no_digit_table():
+    # a prime of four digits: the Lucas digits must not cost p^2 memory
+    p = 4001
+    rng = random.Random(p)
+    cases = [(p - 1, (p - 1) // 2), (p, 1), (p + 3, 2), (3 * p + 7, p + 2),
+             (5, 9), (p * p + 1, p * p)]
+    cases += [(l, rng.randrange(l + 2)) for l in
+              (rng.randrange(4 * p) for _ in range(40))]
+    # three base-p digits, with j or l - j small enough for math.comb
+    cases += [(l, j) for l in (rng.randrange(p ** 3) for _ in range(10))
+              for j in (1, 3, l - 2)]
+    tracemalloc.start()
+    try:
+        got = [binom_mod_p(l, j, p) for l, j in cases]
+        m = torsion_level_m(p, 3, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == [math.comb(l, j) % p for l, j in cases]
+    assert m == 5
+    assert peak < 1 << 20
 
 
 def test_nonprime_rejected():

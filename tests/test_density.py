@@ -321,6 +321,34 @@ def test_zariski_budget(f2):
         zariski_rank_certificate(f2, 2, 2, 1, 4, budget=10)
 
 
+def test_zariski_budget_before_monomials(f2, monkeypatch):
+    # (deg+1)^(k+1) = 9^8 exponent tuples: the check must come first
+    def boom(n_vars, deg_bound):
+        raise AssertionError("monomials built before the budget check")
+
+    monkeypatch.setattr(density_mod, "_monomials", boom)
+    with pytest.raises(BudgetExceeded):
+        zariski_rank_certificate(f2, 7, 8, 0, 10 ** 4)
+
+
+def test_zariski_negative_bounds_rejected(f2):
+    for args in [(-1, 2, 1), (1, -1, 1), (1, 2, -1)]:
+        with pytest.raises(ValueError):
+            zariski_rank_certificate(f2, *args, 4)
+
+
+def test_monomials_are_the_filtered_product_in_order():
+    import itertools
+
+    for v in range(5):
+        for d in range(5):
+            ref = sorted(
+                m for m in itertools.product(range(d + 1), repeat=v) if sum(m) <= d
+            )
+            assert density_mod._monomials(v, d) == ref
+    assert len(density_mod._monomials(21, 2)) == 253
+
+
 @pytest.mark.parametrize("q, k, deg, tdeg, n, rank", [
     (2, 2, 2, 1, 4, 19),    # the criterion-8 truncation artefact
     (2, 3, 3, 2, 7, 99),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from carlitz import TruncSeries, parse_series, render_series, unit_enumerate
 from carlitz import FqSpec, UInftyElem, spec_for_order, unit_count
 from carlitz.errors import BudgetExceeded, NonUnit, ParseError, SpecMismatch
-from carlitz.series import _NP_MUL_MIN_PREC, _mul_ranks_np, mul_ranks
+from carlitz.series import mul_ranks
 
 from conftest import random_series
 
@@ -164,6 +164,7 @@ def test_ring_axioms(triple):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 27])
 def test_numpy_mul_matches_scalar_path(q):
+    """mul_ranks, the one series product kernel, against a schoolbook oracle."""
     spec = spec_for_order(q)
     add, mul = spec.tables.add, spec.tables.mul
 
@@ -180,28 +181,24 @@ def test_numpy_mul_matches_scalar_path(q):
         prec = rng.randrange(2, 40)
         a = random_series(rng, spec, prec)
         b = random_series(rng, spec, prec)
-        slow = schoolbook(a.ranks, b.ranks, prec)
-        assert list(_mul_ranks_np(spec, a.ranks, b.ranks, prec)) == slow
-        assert (a * b).ranks == tuple(slow)
-    # the shared kernel on unequal operands, on both sides of the numpy
-    # threshold, and with windows up to and past the full product length
-    m = _NP_MUL_MIN_PREC
-    for na, nb in [(1, 40), (5, 9), (m - 1, m), (m, m), (m, 2 * m), (3, m + 1)]:
+        assert (a * b).ranks == tuple(schoolbook(a.ranks, b.ranks, prec))
+    # unequal operands in both orders, with windows of one rank, the shorter
+    # length, the full product length and past it
+    for na, nb in [(1, 1), (1, 40), (5, 9), (15, 16), (16, 16), (16, 33),
+                   (3, 64), (40, 64), (64, 64)]:
         xr = [rng.randrange(q) for _ in range(na)]
         yr = [rng.randrange(q) for _ in range(nb)]
         for width in (1, min(na, nb), na + nb - 1, na + nb + 3):
             slow = schoolbook(xr, yr, width)
-            assert mul_ranks(spec, xr, yr, width) == slow
-            assert mul_ranks(spec, yr, xr, width) == slow
-            fast = _mul_ranks_np(spec, xr, yr, width)
-            assert fast == slow and all(type(v) is int for v in fast)
+            for fast in (mul_ranks(spec, xr, yr, width), mul_ranks(spec, yr, xr, width)):
+                assert fast == slow and all(type(v) is int for v in fast)
 
 
 @pytest.mark.parametrize("q", [3, 4, 9])
 def test_inverse_round_trip_both_types(q):
     spec = spec_for_order(q)
     rng = random.Random(q)
-    for prec in (1, 2, 7, _NP_MUL_MIN_PREC, 30):
+    for prec in (1, 2, 7, 16, 30):
         a = random_series(rng, spec, prec, unit=True)
         assert a * a.inverse() == TruncSeries.one(spec, prec)
     for _ in range(20):
