@@ -3,12 +3,11 @@
 Two independent routes: Lucas' base-p digit product, and the additive
 Pascal recurrence used as an oracle.  Neither materializes C(l, j) as an
 integer: Lucas computes only the digit binomials C(l_d, j_d), both digits
-below p, each by math.comb and without a table.  Callers that read many
-coefficients C(i+n, n) take them from binom_row, one Lucas row per (p, n)
-built once and then shared.
+below p, as products of min(j_d, l_d - j_d) factors mod p with one inverse
+per call, so a digit costs at most p/2 products and no table is built.
+Callers that read many coefficients C(i+n, n) take them from binom_row, one
+Lucas row per (p, n) built once and then shared.
 """
-
-from math import comb
 
 from .errors import InvalidCharacteristic
 from .field import is_prime
@@ -29,15 +28,20 @@ def binom_mod_p(l: int, j: int, p: int) -> int:
     _check_args(l, j, p)
     if j > l:
         return 0
-    out = 1
+    num = den = 1
     while l or j:
         ld, jd = l % p, j % p
         if jd > ld:
             return 0
-        out = out * comb(ld, jd) % p
+        if 0 < jd < ld:
+            # C(ld, jd) = prod (ld - i) / (i + 1) over i < min(jd, ld - jd);
+            # every factor is below p, so den stays a unit
+            for i in range(min(jd, ld - jd)):
+                num = num * (ld - i) % p
+                den = den * (i + 1) % p
         l //= p
         j //= p
-    return out
+    return num if den == 1 else num * pow(den, -1, p) % p
 
 
 def binom_row(p: int, n: int, length: int) -> tuple[int, ...]:

@@ -1,8 +1,12 @@
 """Batch command line front end: reproducible tables and verification reports."""
 
+# Every byte the commands write is decided here: each flag's lower bound in
+# the parser, the table columns in COLUMNS, every JSON document in _json_text.
+
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -29,20 +33,29 @@ EX_USAGE = 64
 
 CONFIG_ENV = "CARLITZ_CONFIG"
 
+# the table columns, in ImageRow field order
+COLUMNS = ("N", "D_brute", "D_formula", "extra_m",
+           "delta_hat_num", "delta_hat_den", "delta_hat_real")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
-class _UsageError(Exception):
-    pass
+def _at_least(minimum):
+    """An argparse type: an int, rejected below `minimum`."""
+    def parse(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
 
 
-def _positive(name, value, minimum=1):
-    if value < minimum:
-        raise _UsageError(f"--{name} must be >= {minimum}")
-    return value
+_NONNEG, _POSITIVE = _at_least(0), _at_least(1)
 
 
 def _resolve_spec(q):
@@ -57,15 +70,23 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
+def _json_text(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def _table_text(table, fmt):
-    return table.to_json_text() if fmt == "json" else table.to_csv_text()
+    rows = [dataclasses.astuple(r) for r in table.rows]
+    if fmt == "json":
+        header = {"q": table.q, "p": table.p, "e": table.e,
+                  "k" if table.kind == "prolongation" else "d": table.param,
+                  "mode": table.mode, "seed": table.seed}
+        return _json_text({"header": header,
+                           "rows": [dict(zip(COLUMNS, r)) for r in rows]})
+    lines = [COLUMNS, *(["" if v is None else str(v) for v in r] for r in rows)]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 def _cmd_density(args):
-    _positive("nmax", args.nmax)
-    _positive("threads", args.threads)
-    if args.k < 0:
-        raise _UsageError("--k must be >= 0")
     spec = _resolve_spec(args.q)
     table = density.build_density_table(
         spec, args.k, args.nmax, args.mode, threads=args.threads, seed=args.seed
@@ -75,8 +96,6 @@ def _cmd_density(args):
 
 
 def _cmd_tensor(args):
-    _positive("nmax", args.nmax)
-    _positive("d", args.d)
     spec = _resolve_spec(args.q)
     table = density.build_tensor_table(spec, args.d, args.nmax, args.mode,
                                        seed=args.seed)
@@ -85,10 +104,6 @@ def _cmd_tensor(args):
 
 
 def _cmd_omega_verify(args):
-    _positive("tprec", args.tprec)
-    _positive("uprec", args.uprec)
-    if args.k < 0:
-        raise _UsageError("--k must be >= 0")
     spec = _resolve_spec(args.q)
     omega = cinfty.compute_omega(spec, args.tprec, args.uprec)
     if args.dump_omega:
@@ -105,8 +120,7 @@ def _cmd_omega_verify(args):
                 for n, e in enumerate(omega.entries)
             ],
         }
-        with open(args.dump_omega, "w", encoding="utf-8", newline="") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        _emit(_json_text(payload), args.dump_omega)
     checks = [("carlitz-equation", cinfty.verify_carlitz_equation(omega))]
     checks.append(
         (f"prolongation-trivialization[k={args.k}]",
@@ -124,9 +138,6 @@ def _cmd_omega_verify(args):
 
 
 def _cmd_rep(args):
-    _positive("n", args.n)
-    if args.k < 0:
-        raise _UsageError("--k must be >= 0")
     spec = _resolve_spec(args.q)
     unit = parse_series(spec, args.unit, args.n + args.k)
     mat = density.galois_rep(unit, args.k, args.n)
@@ -137,23 +148,17 @@ def _cmd_rep(args):
         "unit": render_series(unit),
         "rows": [render_series(r) for r in mat.rows],
     }
-    _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", args.out)
+    _emit(_json_text(payload), args.out)
     return EX_OK
 
 
 def _cmd_torsion_level(args):
-    if args.n < 0 or args.k < 0:
-        raise _UsageError("--n and --k must be >= 0")
     m = density.torsion_level_m(args.p, args.n, args.k)
-    payload = {"p": args.p, "n": args.n, "k": args.k, "m": m}
-    _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", args.out)
+    _emit(_json_text({"p": args.p, "n": args.n, "k": args.k, "m": m}), args.out)
     return EX_OK
 
 
 def _cmd_zariski(args):
-    _positive("n", args.n)
-    if args.k < 0 or args.deg < 0 or args.tdeg < 0:
-        raise _UsageError("--k, --deg, --tdeg must be >= 0")
     spec = _resolve_spec(args.q)
     report = density.zariski_rank_certificate(
         spec, args.k, args.deg, args.tdeg, args.n, seed=args.seed
@@ -171,7 +176,7 @@ def _cmd_zariski(args):
         "rank": report.rank,
         "full_rank": report.full_rank,
     }
-    _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", args.out)
+    _emit(_json_text(payload), args.out)
     return EX_OK
 
 
@@ -180,7 +185,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common_table(p):
-        p.add_argument("--nmax", type=int, required=True)
+        p.add_argument("--nmax", type=_POSITIVE, required=True)
         p.add_argument("--mode", choices=["brute", "formula", "both"], default="both")
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -188,46 +193,46 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("density", help="image orders D(N) for the jet action")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_NONNEG, required=True)
     common_table(p)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_POSITIVE, default=1)
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("tensor", help="image orders D(N) for tensor powers")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_POSITIVE, required=True)
     common_table(p)
     p.set_defaults(func=_cmd_tensor)
 
     p = sub.add_parser("omega-verify", help="functional-equation checks for omega")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--tprec", type=int, required=True)
-    p.add_argument("--uprec", type=int, required=True)
+    p.add_argument("--k", type=_NONNEG, required=True)
+    p.add_argument("--tprec", type=_POSITIVE, required=True)
+    p.add_argument("--uprec", type=_POSITIVE, required=True)
     p.add_argument("--dump-omega", default=None)
     p.set_defaults(func=_cmd_omega_verify)
 
     p = sub.add_parser("rep", help="print the jet matrix of a unit")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=_NONNEG, required=True)
+    p.add_argument("--n", type=_POSITIVE, required=True)
     p.add_argument("--unit", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_rep)
 
     p = sub.add_parser("torsion-level", help="largest matching torsion level")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_NONNEG, required=True)
+    p.add_argument("--k", type=_NONNEG, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_torsion_level)
 
     p = sub.add_parser("zariski", help="low-degree relation-freeness certificate")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--deg", type=int, required=True)
-    p.add_argument("--tdeg", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=_NONNEG, required=True)
+    p.add_argument("--deg", type=_NONNEG, required=True)
+    p.add_argument("--tdeg", type=_NONNEG, required=True)
+    p.add_argument("--n", type=_POSITIVE, required=True)
     p.add_argument("--seed", type=int, default=density.DEFAULT_SEED)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_zariski)
@@ -243,8 +248,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EX_USAGE
     try:
         return args.func(args)
-    except (_UsageError, ParseError, UnsupportedOrder, InvalidCharacteristic,
+    except (OSError, ParseError, UnsupportedOrder, InvalidCharacteristic,
             NonUnit) as exc:
+        # OSError: an unreadable CARLITZ_CONFIG or an unwritable output path
         sys.stderr.write(f"carlitz: error: {exc}\n")
         return EX_USAGE
     except CrossCheckMismatch as exc:

@@ -29,6 +29,7 @@ from .errors import (
     InsufficientPrecision,
     MalformedOrder,
     NonUnit,
+    SegmentViolation,
 )
 from .field import FqSpec
 from .jets import JetMatrix, jet
@@ -276,19 +277,12 @@ def torsion_level_m(p: int, n: int, k: int) -> int:
     """The largest Carlitz torsion level reached by order-k level-n torsion.
 
     Level l is reached when C(l, j) != 0 mod p for some j with
-    max(0, l-n) <= j <= min(k, l).  The achieved levels must form an initial
-    segment 0..m with n <= m <= n+k; any violation would falsify the
-    combinatorics this rests on and raises SegmentViolation.
+    max(0, l-n) <= j <= min(k, l): every l <= n through j = 0, and past n
+    exactly the indices extra_indices(p, k, n+1) pins.  The achieved levels
+    must form an initial segment 0..m with n <= m <= n+k; any violation would
+    falsify the combinatorics this rests on and raises SegmentViolation.
     """
-    from .errors import SegmentViolation
-
-    def achieved(l):
-        return any(
-            binom_row(p, j, l - j + 1)[l - j]
-            for j in range(max(0, l - n), min(k, l) + 1)
-        )
-
-    levels = [l for l in range(n + k + 1) if achieved(l)]
+    levels = [*range(n + 1), *extra_indices(p, k, n + 1)]
     m = max(levels)
     if levels != list(range(m + 1)):
         raise SegmentViolation(
@@ -414,94 +408,50 @@ class ImageTable:
         return DensityEstimate(q=self.q, unit=self.unit,
                                exponent=row.delta_num, denominator=row.delta_den)
 
-    def header_dict(self):
-        key = "k" if self.kind == "prolongation" else "d"
-        return {
-            "q": self.q,
-            "p": self.p,
-            "e": self.e,
-            key: self.param,
-            "mode": self.mode,
-            "seed": self.seed,
-        }
 
-    def to_csv_text(self) -> str:
-        lines = ["N,D_brute,D_formula,extra_m,delta_hat_num,delta_hat_den,delta_hat_real"]
-        for r in self.rows:
-            lines.append(
-                f"{r.n},"
-                f"{'' if r.d_brute is None else r.d_brute},"
-                f"{'' if r.d_formula is None else r.d_formula},"
-                f"{r.extra_m},{r.delta_num},{r.delta_den},{r.delta_real!r}"
-            )
-        return "\n".join(lines) + "\n"
+def _build_table(spec, kind, param, n_max, mode, budget, seed, *,
+                 units, brute, formula, dim, unit):
+    """Rows N = 1..n_max of the image orders: brute(N), formula(N) or both.
 
-    def to_json_text(self) -> str:
-        import json
-
-        obj = {
-            "header": self.header_dict(),
-            "rows": [
-                {
-                    "N": r.n,
-                    "D_brute": r.d_brute,
-                    "D_formula": r.d_formula,
-                    "extra_m": r.extra_m,
-                    "delta_hat_num": r.delta_num,
-                    "delta_hat_den": r.delta_den,
-                    "delta_hat_real": r.delta_real,
-                }
-                for r in self.rows
-            ],
-        }
-        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _table_row(n, dim, q, unit, brute, formula):
-    value = formula if formula is not None else brute
-    exponent = factor_structured_order(value, q, unit)
-    est = density_estimate(q, dim, n, unit, exponent)
-    return ImageRow(
-        n=n,
-        d_brute=brute,
-        d_formula=formula,
-        extra_m=exponent - (n - 1),
-        delta_num=exponent,
-        delta_den=est.denominator,
-        delta_real=est.real,
-    )
+    units(N) is the number of units brute(N) enumerates; in the brute modes
+    the largest row is checked against `budget` before any row is computed.
+    In mode "both" every row is cross-checked and the first disagreement
+    raises CrossCheckMismatch.  Each order is written unit * q^E.
+    """
+    if mode not in ("brute", "formula", "both"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode != "formula" and units(n_max) > budget:
+        # fail fast on the largest row instead of grinding up to it
+        raise BudgetExceeded(
+            f"row N={n_max} needs {units(n_max)} units, over budget {budget}"
+        )
+    q = spec.q
+    rows = []
+    for n in range(1, n_max + 1):
+        d_formula = None if mode == "brute" else formula(n)
+        d_brute = None if mode == "formula" else brute(n)
+        if mode == "both" and d_brute != d_formula:
+            raise CrossCheckMismatch(n, d_brute, d_formula)
+        exponent = factor_structured_order(
+            d_brute if d_formula is None else d_formula, q, unit
+        )
+        est = density_estimate(q, dim, n, unit, exponent)
+        rows.append(ImageRow(n, d_brute, d_formula, exponent - (n - 1),
+                             exponent, est.denominator, est.real))
+    return ImageTable(kind=kind, q=q, p=spec.p, e=spec.e, param=param, mode=mode,
+                      seed=seed, dim=dim, unit=unit, rows=rows)
 
 
 def build_density_table(spec: FqSpec, k: int, n_max: int, mode: str = "both", *,
                         threads: int = 1, budget: int = ENUM_BUDGET_DEFAULT,
                         seed: int = DEFAULT_SEED) -> ImageTable:
-    """Image orders for the order-k jet action, N = 1..n_max.
-
-    In mode "both" every row is cross-checked; the first disagreement
-    raises CrossCheckMismatch.
-    """
-    if mode not in ("brute", "formula", "both"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode != "formula":
-        # fail fast on the largest row instead of grinding up to it
-        worst = unit_count(spec.q, n_max + k)
-        if worst > budget:
-            raise BudgetExceeded(
-                f"row N={n_max} needs {worst} units, over budget {budget}"
-            )
-    rows = []
-    for n in range(1, n_max + 1):
-        brute = formula = None
-        if mode in ("formula", "both"):
-            formula = image_order_formula(spec, k, n)
-        if mode in ("brute", "both"):
-            brute = image_order_brute(spec, k, n, budget=budget, threads=threads)
-        if mode == "both" and brute != formula:
-            raise CrossCheckMismatch(n, brute, formula)
-        rows.append(_table_row(n, k + 1, spec.q, spec.q - 1, brute, formula))
-    return ImageTable(
-        kind="prolongation", q=spec.q, p=spec.p, e=spec.e, param=k,
-        mode=mode, seed=seed, dim=k + 1, unit=spec.q - 1, rows=rows,
+    """Image orders for the order-k jet action, N = 1..n_max."""
+    return _build_table(
+        spec, "prolongation", k, n_max, mode, budget, seed,
+        units=lambda n: unit_count(spec.q, n + k),
+        brute=lambda n: image_order_brute(spec, k, n, budget=budget, threads=threads),
+        formula=lambda n: image_order_formula(spec, k, n),
+        dim=k + 1, unit=spec.q - 1,
     )
 
 
@@ -509,27 +459,12 @@ def build_tensor_table(spec: FqSpec, d: int, n_max: int, mode: str = "both", *,
                        budget: int = ENUM_BUDGET_DEFAULT,
                        seed: int = DEFAULT_SEED) -> ImageTable:
     """Image orders for the d-th tensor power action, N = 1..n_max."""
-    if mode not in ("brute", "formula", "both"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode != "formula" and unit_count(spec.q, n_max) > budget:
-        raise BudgetExceeded(
-            f"row N={n_max} needs {unit_count(spec.q, n_max)} units, over budget {budget}"
-        )
-    e, dp = tensor_decompose(d, spec.p)
-    w = tensor_unit_part(spec.q, dp)
-    rows = []
-    for n in range(1, n_max + 1):
-        brute = formula = None
-        if mode in ("formula", "both"):
-            formula = tensor_image_order_formula(spec, d, n)
-        if mode in ("brute", "both"):
-            brute = tensor_image_order_brute(spec, d, n, budget=budget)
-        if mode == "both" and brute != formula:
-            raise CrossCheckMismatch(n, brute, formula)
-        rows.append(_table_row(n, 1, spec.q, w, brute, formula))
-    return ImageTable(
-        kind="tensor", q=spec.q, p=spec.p, e=spec.e, param=d,
-        mode=mode, seed=seed, dim=1, unit=w, rows=rows,
+    return _build_table(
+        spec, "tensor", d, n_max, mode, budget, seed,
+        units=lambda n: unit_count(spec.q, n),
+        brute=lambda n: tensor_image_order_brute(spec, d, n, budget=budget),
+        formula=lambda n: tensor_image_order_formula(spec, d, n),
+        dim=1, unit=tensor_unit_part(spec.q, tensor_decompose(d, spec.p)[1]),
     )
 
 

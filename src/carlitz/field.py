@@ -227,34 +227,7 @@ class FqSpec:
     # -- tables --------------------------------------------------------------
 
     def _build_tables(self):
-        p, e, q = self.p, self.e, self.q
-        # coefficient rows of x^d mod defining_poly for d in [e, 2e-1)
-        xd_rows = []
-        cur = [(-c) % p for c in self.defining_poly[:e]]
-        for _ in range(e - 1):
-            xd_rows.append(tuple(cur))
-            carry = cur[-1]
-            cur = [0] + cur[:-1]
-            if carry:
-                for m in range(e):
-                    cur[m] = (cur[m] + carry * xd_rows[0][m]) % p
-
-        def raw_mul(r1, r2):
-            a, b = self.decode(r1), self.decode(r2)
-            tmp = [0] * (2 * e - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        tmp[i + j] = (tmp[i + j] + x * y) % p
-            res = list(tmp[:e])
-            for d in range(e, 2 * e - 1):
-                c = tmp[d]
-                if c:
-                    row = xd_rows[d - e]
-                    for m in range(e):
-                        res[m] = (res[m] + c * row[m]) % p
-            return self.encode(res)
-
+        p, q, poly = self.p, self.q, self.defining_poly
         add = [[0] * q for _ in range(q)]
         for r1 in range(q):
             a = self.decode(r1)
@@ -265,8 +238,9 @@ class FqSpec:
                 add[r2][r1] = s
         mul = [[0] * q for _ in range(q)]
         for r1 in range(1, q):
+            a = self.decode(r1)
             for r2 in range(r1, q):
-                v = raw_mul(r1, r2)
+                v = self.encode(_pmod(_pmul(a, self.decode(r2), p), poly, p))
                 mul[r1][r2] = v
                 mul[r2][r1] = v
         neg = [self.encode((-c) % p for c in self.decode(r)) for r in range(q)]

@@ -60,6 +60,12 @@ def test_large_prime_builds_no_digit_table():
     assert got == [math.comb(l, j) % p for l, j in cases]
     assert m == 5
     assert peak < 1 << 20
+    # a seven-digit prime, one base-p digit: C(p-1, j) = (-1)^j mod p, and
+    # j = (p-1)/2 costs (p-1)/2 factors, not an exact binomial of p digits
+    p = 1000003
+    js = [0, 1, 2, (p - 1) // 2, (p + 1) // 2, p - 2, p - 1]
+    js += [rng.randrange(p) for _ in range(3)]
+    assert [binom_mod_p(p - 1, j, p) for j in js] == [(-1) ** j % p for j in js]
 
 
 def test_nonprime_rejected():

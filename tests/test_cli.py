@@ -237,3 +237,101 @@ def test_golden_files(tmp_path, capsys):
         assert code == EX_OK
         want = open(os.path.join(golden_dir, name), "rb").read()
         assert out.read_bytes() == want, f"golden mismatch for {name}"
+
+
+# stdout bytes of the JSON commands, recorded before the encoder was merged
+FROZEN_STDOUT = [
+    (["rep", "--q", "9", "--k", "2", "--n", "3", "--unit", "1+2*t+t^3"],
+     '{"N":3,"k":2,"q":9,"rows":["[1,0]+[2,0]*t","[2,0]","0"],'
+     '"unit":"[1,0]+[2,0]*t+t^3"}\n'),
+    (["torsion-level", "--p", "3", "--n", "0", "--k", "2"],
+     '{"k":2,"m":2,"n":0,"p":3}\n'),
+    (["zariski", "--q", "2", "--k", "1", "--deg", "2", "--tdeg", "1", "--n", "4"],
+     '{"N":4,"columns":12,"deg_bound":2,"full_rank":true,"k":1,"q":2,"rank":12,'
+     '"sampled":false,"seed":1729,"tdeg_bound":1,"units":16}\n'),
+    (["tensor", "--q", "2", "--d", "2", "--nmax", "3", "--mode", "both",
+      "--format", "json"],
+     '{"header":{"d":2,"e":1,"mode":"both","p":2,"q":2,"seed":1729},"rows":['
+     '{"D_brute":1,"D_formula":1,"N":1,"delta_hat_den":1,"delta_hat_num":0,'
+     '"delta_hat_real":0.0,"extra_m":0},'
+     '{"D_brute":1,"D_formula":1,"N":2,"delta_hat_den":2,"delta_hat_num":0,'
+     '"delta_hat_real":0.0,"extra_m":-1},'
+     '{"D_brute":2,"D_formula":2,"N":3,"delta_hat_den":3,"delta_hat_num":1,'
+     '"delta_hat_real":0.3333333333333333,"extra_m":-1}]}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,want", FROZEN_STDOUT,
+                         ids=[argv[0] for argv, _ in FROZEN_STDOUT])
+def test_json_stdout_bytes_frozen(capsys, argv, want):
+    code, out, err = run(capsys, *argv)
+    assert code == EX_OK and err == ""
+    assert out == want
+
+
+# one valid argv per command, and each bounded flag with its lower bound
+VALID_ARGV = {
+    "density": ["--q", "2", "--k", "1", "--nmax", "2", "--threads", "1"],
+    "tensor": ["--q", "2", "--d", "2", "--nmax", "2"],
+    "omega-verify": ["--q", "2", "--k", "0", "--tprec", "2", "--uprec", "8"],
+    "rep": ["--q", "2", "--k", "1", "--n", "2", "--unit", "1+t"],
+    "torsion-level": ["--p", "2", "--n", "1", "--k", "1"],
+    "zariski": ["--q", "2", "--k", "0", "--deg", "1", "--tdeg", "0", "--n", "1"],
+}
+FLAG_BOUNDS = [
+    ("density", "--k", 0), ("density", "--nmax", 1), ("density", "--threads", 1),
+    ("tensor", "--d", 1), ("tensor", "--nmax", 1),
+    ("omega-verify", "--k", 0), ("omega-verify", "--tprec", 1),
+    ("omega-verify", "--uprec", 1),
+    ("rep", "--k", 0), ("rep", "--n", 1),
+    ("torsion-level", "--n", 0), ("torsion-level", "--k", 0),
+    ("zariski", "--k", 0), ("zariski", "--deg", 0), ("zariski", "--tdeg", 0),
+    ("zariski", "--n", 1),
+]
+
+
+def _with_flag(command, flag, value):
+    argv = list(VALID_ARGV[command])
+    argv[argv.index(flag) + 1] = str(value)
+    return [command, *argv]
+
+
+@pytest.mark.parametrize("command,flag,bound", FLAG_BOUNDS)
+def test_flag_one_below_bound_exits_64(capsys, command, flag, bound):
+    code, out, err = run(capsys, *_with_flag(command, flag, bound - 1))
+    assert code == EX_USAGE and out == ""
+    assert f"argument {flag}: must be >= {bound}" in err
+    # the bound itself is accepted by the parser
+    assert run(capsys, *_with_flag(command, flag, bound))[0] != EX_USAGE
+
+
+def test_torsion_level_n0_accepted(capsys):
+    code, out, _ = run(capsys, "torsion-level", "--p", "5", "--n", "0", "--k", "0")
+    assert code == EX_OK and json.loads(out)["m"] == 0
+
+
+def _one_error_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("carlitz: error: ")
+
+
+def test_missing_config_file_exits_64(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CARLITZ_CONFIG", str(tmp_path / "missing.cfg"))
+    code, out, err = run(capsys, "density", "--q", "2", "--k", "1", "--nmax", "2")
+    assert code == EX_USAGE and out == ""
+    _one_error_line(err)
+    assert "missing.cfg" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--q", "2", "--k", "1", "--nmax", "3", "--out"],
+    ["zariski", "--q", "2", "--k", "0", "--deg", "1", "--tdeg", "0", "--n", "2", "--out"],
+    ["omega-verify", "--q", "2", "--k", "0", "--tprec", "2", "--uprec", "8",
+     "--dump-omega"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_exits_64(tmp_path, capsys, argv):
+    target = tmp_path / "no-such-dir" / "out.txt"
+    code, out, err = run(capsys, *argv, str(target))
+    assert code == EX_USAGE and out == ""
+    _one_error_line(err)
+    assert str(target) in err
