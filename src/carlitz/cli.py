@@ -6,6 +6,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -62,12 +63,9 @@ def _resolve_spec(q):
     return spec_for_order(q, os.environ.get(CONFIG_ENV))
 
 
-def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(text, out):
+    """Write a command's whole output at once, to its opened file or stdout."""
+    (out or sys.stdout).write(text)
 
 
 def _json_text(obj):
@@ -247,7 +245,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EX_USAGE
     try:
-        return args.func(args)
+        with contextlib.ExitStack() as files:
+            # output paths are opened before any work, so a bad one fails at once
+            for name in ("out", "dump_omega"):
+                path = getattr(args, name, None)
+                if path:
+                    setattr(args, name, files.enter_context(
+                        open(path, "w", encoding="utf-8", newline="")))
+            return args.func(args)
     except (OSError, ParseError, UnsupportedOrder, InvalidCharacteristic,
             NonUnit) as exc:
         # OSError: an unreadable CARLITZ_CONFIG or an unwritable output path

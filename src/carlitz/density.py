@@ -5,8 +5,11 @@ rows (a, D^(1)a, ..., D^(k)a); reducing mod t^N gives a finite image whose
 order D(N) is counted two independent ways: a literal enumeration of all
 units mod t^(N+k) (entries of the jet mod t^N read nothing beyond that),
 and a closed form counting which coefficients of a beyond t^(N-1) the jet
-still pins down.  D(N) is always of the structural form unit * q^E and is
-kept that way; only display ever touches a floating-point logarithm.
+still pins down; the d-th tensor power a -> a^d is counted the same two
+ways.  Both enumerations are one keyed count: each unit to a^d (d = 1 for
+jets), then its distinct order-k jets (k = 0 for tensor powers).  D(N) is
+always of the structural form unit * q^E and is kept that way; only display
+ever touches a floating-point logarithm.
 """
 
 from __future__ import annotations
@@ -67,15 +70,6 @@ def galois_rep(a, k: int, n: int) -> JetMatrix:
 # ---------------------------------------------------------------------------
 # brute-force image counting (vectorized enumeration core)
 # ---------------------------------------------------------------------------
-
-def _unit_ranks(q, m, index):
-    """The coefficient ranks of unit number `index` in unit_enumerate order."""
-    ranks = [0] * m
-    for j in range(m - 1, 0, -1):
-        index, ranks[j] = divmod(index, q)
-    ranks[0] = index + 1
-    return ranks
-
 
 def _digit_block(q, m, start, stop):
     """Coefficient ranks of units start..stop-1, one row per coefficient.
@@ -143,31 +137,44 @@ def _count_distinct_keys(keys_of, total, words, chunk_size, threads=1):
     return int(merged.shape[1])
 
 
-def image_order_brute(spec: FqSpec, k: int, n: int, *,
-                      budget: int = ENUM_BUDGET_DEFAULT, threads: int = 1,
-                      chunk_size: int = 1 << 16,
-                      enum_precision: int | None = None) -> int:
-    """Count distinct jet images mod t^n over every unit mod t^(n+k).
+def _mul_block(tables, x, y):
+    """Batched truncated product: column c is the product of columns c of x, y.
 
-    The count is a literal deduplication: every unit's full jet, all
-    (k+1)*n entries, is packed into one integer key of (q-1).bit_length()
-    bits per entry (several uint64 words past 64 bits), and the keys are
-    counted by _count_distinct_keys in chunks of `chunk_size` units over
-    `threads` threads; the answer is independent of both.
-    `enum_precision` may raise the enumeration precision above n+k to
-    double-check sufficiency.
+    x and y are (n, units) rank arrays; row i of the result is the t^i
+    coefficient, gathered from the field's add and mul tables.
     """
-    if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
-    m = n + k if enum_precision is None else enum_precision
-    if m < n + k:
-        raise InsufficientPrecision(f"enumeration precision {m} below n+k={n + k}")
+    add, mul = tables.add_np, tables.mul_np
+    out = mul[x[0], y]
+    for i in range(1, len(x)):
+        out[i:] = add[out[i:], mul[x[i], y[:-i]]]
+    return out
+
+
+def _power_block(tables, block, d):
+    """Column c of block to the d-th power by binary powering; at d = 1, block."""
+    power = None
+    while True:
+        if d & 1:
+            power = block if power is None else _mul_block(tables, power, block)
+        d >>= 1
+        if not d:
+            return power
+        block = _mul_block(tables, block, block)
+
+
+def _image_count(spec, k, d, n, m, budget, threads, chunk_size):
+    """The number of distinct jet_k(a^d) mod t^n over every unit a mod t^m.
+
+    Each chunk of units is decoded by _digit_block, raised to the d-th
+    power by _power_block, and its order-k jets are packed into integer keys
+    that _count_distinct_keys counts: every jet, all (k+1)*n entries, takes
+    (q-1).bit_length() bits per entry (several uint64 words past 64 bits).
+    """
     q = spec.q
     total = unit_count(q, m)
     if total > budget:
         raise BudgetExceeded(f"{total} units exceed budget {budget}")
-    # row c is multiplication by the prime-field constant c
-    scal = spec.tables.mul_np[:spec.p].astype(np.uint64)
+    tables = spec.tables
     bits = (q - 1).bit_length()
     per_word = 64 // bits
     words = -(-(k + 1) * n // per_word)
@@ -180,17 +187,37 @@ def image_order_brute(spec: FqSpec, k: int, n: int, *,
         row = binom_row(spec.p, j, n)
         for i in range(n):
             word, pos = divmod(j * n + i, per_word)
-            table = scal[row[i]] << np.uint64(pos * bits)
+            # row i of mul_np is multiplication by the prime-field constant i
+            table = tables.mul_np[row[i]].astype(np.uint64) << np.uint64(pos * bits)
             lut[word, i + j] = lut.get((word, i + j), 0) | table
 
     def keys_of(start, stop):
-        block = _digit_block(q, m, start, stop)
+        block = _power_block(tables, _digit_block(q, m, start, stop), d)
         key = np.zeros((words, stop - start), dtype=np.uint64)
         for (word, digit), table in lut.items():
             key[word] |= table[block[digit]]
         return key
 
     return _count_distinct_keys(keys_of, total, words, chunk_size, threads)
+
+
+def image_order_brute(spec: FqSpec, k: int, n: int, *,
+                      budget: int = ENUM_BUDGET_DEFAULT, threads: int = 1,
+                      chunk_size: int = 1 << 16,
+                      enum_precision: int | None = None) -> int:
+    """Count distinct jet images mod t^n over every unit mod t^(n+k).
+
+    The count is a literal deduplication of packed jet keys (_image_count at
+    d = 1), in chunks of `chunk_size` units over `threads` threads; the
+    answer is independent of both.  `enum_precision` may raise the
+    enumeration precision above n+k to double-check sufficiency.
+    """
+    if n < 1 or k < 0:
+        raise ValueError("need n >= 1 and k >= 0")
+    m = n + k if enum_precision is None else enum_precision
+    if m < n + k:
+        raise InsufficientPrecision(f"enumeration precision {m} below n+k={n + k}")
+    return _image_count(spec, k, 1, n, m, budget, threads, chunk_size)
 
 
 # ---------------------------------------------------------------------------
@@ -320,58 +347,20 @@ def tensor_image_order_formula(spec: FqSpec, d: int, n: int) -> int:
     return w * spec.q ** ((n - 1) // spec.p ** e)
 
 
-def _mul_block(tables, x, y):
-    """Batched truncated product: column c is the product of columns c of x, y.
-
-    x and y are (n, units) rank arrays; row i of the result is the t^i
-    coefficient, gathered from the field's add and mul tables.
-    """
-    add, mul = tables.add_np, tables.mul_np
-    out = mul[x[0], y]
-    for i in range(1, len(x)):
-        out[i:] = add[out[i:], mul[x[i], y[:-i]]]
-    return out
-
-
 def tensor_image_order_brute(spec: FqSpec, d: int, n: int, *,
                              budget: int = ENUM_BUDGET_DEFAULT) -> int:
     """Count distinct d-th powers a^d mod t^n over all units mod t^n.
 
-    The brute route for the closed form: every unit is raised to the d-th
-    power by binary powering, a block of units at a time with batched
-    truncated products, and the n ranks of each power are packed into one
-    key and counted by _count_distinct_keys.  Its oracle in the tests is
+    The brute route for the closed form: _image_count at k = 0, which
+    raises each block of units to the d-th power with batched truncated
+    products and counts the distinct powers.  Its oracle in the tests is
     the object-level set of (a ** d).ranks.
     """
     if d < 1:
         raise ValueError("tensor degree must be >= 1")
     if n < 1:
         raise ValueError("precision must be >= 1")
-    q = spec.q
-    total = unit_count(q, n)
-    if total > budget:
-        raise BudgetExceeded(f"{total} units exceed budget {budget}")
-    tables = spec.tables
-    bits = (q - 1).bit_length()
-    per_word = 64 // bits
-    words = -(-n // per_word)
-
-    def keys_of(start, stop):
-        base, power, e = _digit_block(q, n, start, stop), None, d
-        while True:
-            if e & 1:
-                power = base if power is None else _mul_block(tables, power, base)
-            e >>= 1
-            if not e:
-                break
-            base = _mul_block(tables, base, base)
-        key = np.zeros((words, stop - start), dtype=np.uint64)
-        for i, row in enumerate(power):
-            word, pos = divmod(i, per_word)
-            key[word] |= row.astype(np.uint64) << np.uint64(pos * bits)
-        return key
-
-    return _count_distinct_keys(keys_of, total, words, _TENSOR_CHUNK)
+    return _image_count(spec, 0, d, n, n, budget, 1, _TENSOR_CHUNK)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +570,8 @@ def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: i
         n_units = unit_count(q, prec)
         order = list(range(n_units))
         random.Random(seed).shuffle(order)
-        unit_list = (TruncSeries.from_ranks(spec, _unit_ranks(q, prec, i)) for i in order)
+        block = _digit_block(q, prec, 0, n_units)
+        unit_list = (TruncSeries.from_ranks(spec, block[:, i].tolist()) for i in order)
     else:
         sampled = True
         rng = random.Random(seed)

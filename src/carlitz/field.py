@@ -9,6 +9,7 @@ hot enumeration loops free of object overhead.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -81,64 +82,18 @@ def _pmod(a, m, p):
     return a
 
 
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _ppowmod(base, n, m, p):
-    result = [1]
-    base = _pmod(base, m, p)
-    while n:
-        if n & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
-        n >>= 1
-    return result
-
-
 def _is_irreducible(poly, p):
-    """Rabin's test for a monic polynomial over F_p."""
-    e = len(poly) - 1
-    if e < 1 or poly[-1] != 1:
-        return False
-    if e == 1:
-        return True
-    x = [0, 1]
-    # x^(p^d) mod poly, iterating the p-power map d times
-    def xq_power(d):
-        r = list(x)
-        for _ in range(d):
-            r = _ppowmod(r, p, poly, p)
-        return r
+    """Whether a monic polynomial over F_p is irreducible, by trial division.
 
-    prime_divs = set()
-    m = e
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            prime_divs.add(d)
-            m //= d
-        d += 1
-    if m > 1:
-        prime_divs.add(m)
-    for r in prime_divs:
-        h = xq_power(e // r)
-        diff = list(h)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        g = _pgcd(_ptrim(diff), poly, p)
-        if len(g) != 1:
-            return False
-    h = xq_power(e)
-    diff = list(h)
-    while len(diff) < 2:
-        diff.append(0)
-    diff[1] = (diff[1] - 1) % p
-    return not _ptrim(diff)
+    A monic polynomial of degree e is reducible exactly when some monic
+    polynomial of degree 1..e/2 divides it.
+    """
+    e = len(poly) - 1
+    return all(
+        _pmod(poly, [*low, 1], p)
+        for d in range(1, e // 2 + 1)
+        for low in itertools.product(range(p), repeat=d)
+    )
 
 
 # ---------------------------------------------------------------------------

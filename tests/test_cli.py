@@ -335,3 +335,17 @@ def test_unwritable_output_exits_64(tmp_path, capsys, argv):
     assert code == EX_USAGE and out == ""
     _one_error_line(err)
     assert str(target) in err
+
+
+def test_unwritable_output_fails_before_the_work(tmp_path, capsys, monkeypatch):
+    import carlitz.density as dmod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the table was computed")
+
+    monkeypatch.setattr(dmod, "build_density_table", no_work)
+    target = tmp_path / "no-such-dir" / "x.csv"
+    code, out, err = run(capsys, "density", "--q", "4", "--k", "3", "--nmax", "8",
+                         "--out", str(target))
+    assert code == EX_USAGE and out == ""
+    _one_error_line(err)

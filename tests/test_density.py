@@ -388,11 +388,12 @@ def test_zariski_rank_progression_q2_k3(f2):
     assert [zariski_rank_certificate(f2, 3, 3, 2, n).rank for n in (7, 8, 9)] == [99, 104, 105]
 
 
-def test_unit_ranks_follow_enumeration(f2, f3, f4):
+def test_digit_block_columns_follow_enumeration(f2, f3, f4):
+    # the order both brute counts and the rank certificate rely on
     for spec, m in [(f2, 5), (f3, 4), (f4, 3)]:
-        decoded = [tuple(density_mod._unit_ranks(spec.q, m, i))
-                   for i in range(unit_count(spec.q, m))]
-        assert decoded == [u.ranks for u in unit_enumerate(spec, m)]
+        block = density_mod._digit_block(spec.q, m, 0, unit_count(spec.q, m))
+        assert [tuple(col) for col in block.T.tolist()] == \
+            [u.ranks for u in unit_enumerate(spec, m)]
 
 
 def _digit_block_divmod(q, m, start, stop):

@@ -105,6 +105,38 @@ def test_reducible_polynomial_rejected():
         FqSpec(2, 2, [1, 0, 1])  # x^2 + 1 = (x+1)^2 over F_2
 
 
+def _monics(p, e):
+    """Every monic polynomial of degree e over F_p, low-to-high coefficients."""
+    return [(*low, 1) for low in itertools.product(range(p), repeat=e)]
+
+
+def _product(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+PRIMES_TO_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+
+
+@pytest.mark.parametrize("p, e", [
+    (p, e) for p in PRIMES_TO_64 for e in range(1, 7) if p ** e <= 64
+])
+def test_reducible_monics_are_exactly_the_products(p, e):
+    # the oracle multiplies: a monic of degree e is reducible exactly when
+    # it is a product of two monics of lower positive degree
+    reducible = {_product(a, b, p)
+                 for i in range(1, e) for a in _monics(p, i) for b in _monics(p, e - i)}
+    for poly in _monics(p, e):
+        if poly in reducible:
+            with pytest.raises(ValueError):
+                FqSpec(p, e, poly)
+        else:
+            assert FqSpec(p, e, poly).defining_poly == poly
+
+
 def test_nonprime_characteristic_rejected():
     with pytest.raises(InvalidCharacteristic):
         FqSpec(4, 1)

@@ -51,6 +51,19 @@ def test_counter_sees_the_certify_stages(monkeypatch):
     assert counter.counts["density.zariski_rank_certificate.columns"] == report.n_columns
 
 
+def test_counter_sees_the_jet_image_stages(monkeypatch):
+    # the jet-image workload's per-layer counts come from the arguments of
+    # image_order_brute, so the table must reach the count through it
+    import carlitz.density as density
+
+    tracing = _load_tracing(monkeypatch)
+    with tracing.Counter() as counter:
+        density.build_density_table(carlitz.spec_for_order(4), 3, 3, mode="brute")
+    assert counter.calls["density.image_order_brute"] == 3
+    assert counter.counts["density.image_order_brute.units"] == \
+        sum(carlitz.unit_count(4, n + 3) for n in range(1, 4))
+
+
 def test_seen_hyperderivative_makes_no_binomial_calls(monkeypatch):
     # the calculus workload's binomials.binom_mod_p count: once a (p, n) row
     # is built, hyperderivatives of that order read it without a call
