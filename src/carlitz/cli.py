@@ -64,8 +64,13 @@ def _resolve_spec(q):
 
 
 def _emit(text, out):
-    """Write a command's whole output at once, to its opened file or stdout."""
-    (out or sys.stdout).write(text)
+    """Write a command's whole output at once: to stdout, or over the bytes
+    of its output file, which keeps them until then."""
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        out.truncate(0)
+        out.write(text)
 
 
 def _json_text(obj):
@@ -246,12 +251,13 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EX_USAGE
     try:
         with contextlib.ExitStack() as files:
-            # output paths are opened before any work, so a bad one fails at once
+            # output paths are opened before any work, so a bad one fails at
+            # once; appending keeps an existing file's bytes if the work fails
             for name in ("out", "dump_omega"):
                 path = getattr(args, name, None)
                 if path:
                     setattr(args, name, files.enter_context(
-                        open(path, "w", encoding="utf-8", newline="")))
+                        open(path, "a", encoding="utf-8", newline="")))
             return args.func(args)
     except (OSError, ParseError, UnsupportedOrder, InvalidCharacteristic,
             NonUnit) as exc:

@@ -548,10 +548,11 @@ def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: i
     unit, so full column rank certifies that no relation within the bounds
     exists.  Unit sets are exhaustive below `exhaustive_limit`, else sampled
     reproducibly from `seed`.  The exhaustive set is evaluated in an order
-    drawn from `seed`, each unit decoded from its number only when reached:
-    units near each other in lexicographic order give nearly dependent rows,
-    and the rank of a row set does not depend on its order, so the report
-    is the same for every seed.
+    drawn from `seed`: units near each other in lexicographic order give
+    nearly dependent rows, and the rank of a row set does not depend on its
+    order, so the report is the same for every seed.  Each unit is decoded
+    from its number by _digit_block only when the loop reaches it, since
+    the loop stops at full rank.
     """
     if min(k, deg_bound, tdeg_bound) < 0:
         raise ValueError("need k, deg_bound and tdeg_bound >= 0")
@@ -570,8 +571,10 @@ def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: i
         n_units = unit_count(q, prec)
         order = list(range(n_units))
         random.Random(seed).shuffle(order)
-        block = _digit_block(q, prec, 0, n_units)
-        unit_list = (TruncSeries.from_ranks(spec, block[:, i].tolist()) for i in order)
+        unit_list = (
+            TruncSeries.from_ranks(spec, _digit_block(q, prec, i, i + 1)[:, 0].tolist())
+            for i in order
+        )
     else:
         sampled = True
         rng = random.Random(seed)

@@ -349,3 +349,18 @@ def test_unwritable_output_fails_before_the_work(tmp_path, capsys, monkeypatch):
                          "--out", str(target))
     assert code == EX_USAGE and out == ""
     _one_error_line(err)
+
+
+def test_failed_run_keeps_existing_output(tmp_path, capsys):
+    target = tmp_path / "d.csv"
+    old = "an earlier table, longer than the next one\n" * 100
+    target.write_text(old)
+    code, _, err = run(capsys, "density", "--q", "2", "--k", "0", "--nmax", "40",
+                       "--mode", "brute", "--out", str(target))
+    assert code == EX_BUDGET and "budget" in err
+    assert target.read_text() == old
+    code, out, _ = run(capsys, "density", "--q", "2", "--k", "0", "--nmax", "2",
+                       "--out", str(target))
+    assert code == EX_OK and out == ""
+    code, stdout, _ = run(capsys, "density", "--q", "2", "--k", "0", "--nmax", "2")
+    assert target.read_text() == stdout

@@ -118,11 +118,8 @@ def _product(a, b, p):
     return tuple(out)
 
 
-PRIMES_TO_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
-
-
 @pytest.mark.parametrize("p, e", [
-    (p, e) for p in PRIMES_TO_64 for e in range(1, 7) if p ** e <= 64
+    (p, e) for p in (2, 3, 5, 7) for e in range(2, 7) if p ** e <= 64
 ])
 def test_reducible_monics_are_exactly_the_products(p, e):
     # the oracle multiplies: a monic of degree e is reducible exactly when
