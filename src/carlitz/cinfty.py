@@ -34,7 +34,7 @@ from .errors import (
     WindowEmpty,
 )
 from .field import FqElem, FqSpec
-from .series import inv_ranks, mul_ranks, scalar_rank
+from .series import add_ranks, inv_ranks, mul_ranks, neg_ranks, scale_ranks, scalar_rank
 
 
 def _umin(a, b):
@@ -78,9 +78,10 @@ class UInftyElem:
         """An element from trusted ranks starting at u^val: the ranks are fitted
         to the window [val, uprec), then zero ends are stripped so the leading
         stored rank is nonzero (and, when exact, the last one too)."""
+        ranks = tuple(ranks)
         if uprec is not None:
             width = max(uprec - val, 0)
-            ranks = ranks[:width] + [0] * (width - len(ranks))
+            ranks = ranks[:width] + (0,) * (width - len(ranks))
         lo, hi = 0, len(ranks)
         while lo < hi and not ranks[lo]:
             lo += 1
@@ -89,7 +90,7 @@ class UInftyElem:
         if uprec is None:
             while not ranks[hi - 1]:
                 hi -= 1
-        return cls._make(spec, val + lo, tuple(ranks[lo:hi]), uprec)
+        return cls._make(spec, val + lo, ranks[lo:hi], uprec)
 
     @classmethod
     def zero(cls, spec, uprec=None):
@@ -150,23 +151,21 @@ class UInftyElem:
     def __add__(self, other):
         self._check(other)
         uprec = _umin(self.uprec, other.uprec)
-        terms = [e for e in (self, other) if not e.is_zero]
+        terms = sorted((e for e in (self, other) if not e.is_zero), key=lambda e: e.val)
         if not terms:
             return UInftyElem.zero(self.spec, uprec)
-        lo = min(e.val for e in terms)
+        lo = terms[0].val
         hi = max(e.val + len(e.ranks) for e in terms) if uprec is None else uprec
-        add = self.spec.tables.add
-        out = [0] * (hi - lo)
-        for e in terms:
-            for i, r in enumerate(e.ranks[:max(hi - e.val, 0)], e.val - lo):
-                if r:
-                    out[i] = add[out[i]][r]
+        if len(terms) == 1:
+            out = terms[0].ranks
+        else:
+            x, y = terms
+            out = add_ranks(self.spec, x.ranks, y.ranks, y.val - lo, hi - lo)
         return UInftyElem._normal(self.spec, lo, out, uprec)
 
     def __neg__(self):
-        neg = self.spec.tables.neg
         return UInftyElem._make(
-            self.spec, self.val, tuple(neg[r] for r in self.ranks), self.uprec
+            self.spec, self.val, neg_ranks(self.spec, self.ranks), self.uprec
         )
 
     def __sub__(self, other):
@@ -196,9 +195,8 @@ class UInftyElem:
         rank = scalar_rank(self.spec, c)
         if rank == 0:
             return UInftyElem.zero(self.spec, None)
-        row = self.spec.tables.mul[rank]
         return UInftyElem._make(
-            self.spec, self.val, tuple(row[r] for r in self.ranks), self.uprec
+            self.spec, self.val, scale_ranks(self.spec, rank, self.ranks), self.uprec
         )
 
     def frobenius(self) -> "UInftyElem":

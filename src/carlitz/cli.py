@@ -109,6 +109,17 @@ def _cmd_tensor(args):
 def _cmd_omega_verify(args):
     spec = _resolve_spec(args.q)
     omega = cinfty.compute_omega(spec, args.tprec, args.uprec)
+    checks = [("carlitz-equation", cinfty.verify_carlitz_equation(omega))]
+    checks.append(
+        (f"prolongation-trivialization[k={args.k}]",
+         cinfty.verify_prolongation_trivialization(omega, args.k))
+    )
+    for j, col in enumerate(cinfty.jet_columns(omega, args.k)):
+        checks.append(
+            (f"hhat-membership[column {j}]", cinfty.verify_hhat_membership(args.k, col))
+        )
+    # the dump is written only once every check has returned, PASS or FAIL,
+    # so a check that raises leaves an existing dump's bytes as they were
     if args.dump_omega:
         payload = {
             "q": spec.q,
@@ -124,15 +135,6 @@ def _cmd_omega_verify(args):
             ],
         }
         _emit(_json_text(payload), args.dump_omega)
-    checks = [("carlitz-equation", cinfty.verify_carlitz_equation(omega))]
-    checks.append(
-        (f"prolongation-trivialization[k={args.k}]",
-         cinfty.verify_prolongation_trivialization(omega, args.k))
-    )
-    for j, col in enumerate(cinfty.jet_columns(omega, args.k)):
-        checks.append(
-            (f"hhat-membership[column {j}]", cinfty.verify_hhat_membership(args.k, col))
-        )
     all_ok = True
     for name, ok in checks:
         sys.stdout.write(f"{name}: {'PASS' if ok else 'FAIL'}\n")

@@ -100,13 +100,33 @@ def _is_irreducible(poly, p):
 # field spec
 # ---------------------------------------------------------------------------
 
+class PackedTables(NamedTuple):
+    """`bytes.translate` tables for the packed rank kernels of `carlitz.series`.
+
+    Each table has 256 bytes and is indexed by a byte: `mul[a]` maps a rank
+    r to the rank of a*r, `digits[i]` a rank to its i-th base-p digit and
+    `mod_p` a byte b to b mod p.  A product digit block (d_0, ..., d_{2e-2})
+    is read in chunks of `block_digits` digits, the most whose base-p key
+    fits in a byte: `blocks[c]` maps the key sum_i d_{s+i} p^i of the chunk
+    at s = c * block_digits to the rank of sum_i d_{s+i} x^(s+i) reduced
+    mod the defining polynomial.
+    """
+
+    mul: tuple
+    digits: tuple
+    mod_p: bytes
+    block_digits: int
+    blocks: tuple
+
+
 class FieldTables(NamedTuple):
     """Per-field lookup tables, indexed by rank.
 
     `add`, `mul`, `neg` and `inv` are nested lists for the pure-Python
     loops (inv[0] is 0); `add_np` and `mul_np` are the same two tables as
     q x q arrays of the smallest unsigned dtype that holds a rank, for
-    batched gathers in `density`.
+    batched gathers in `density`.  `packed` is None when q > 256, where a
+    rank does not fit in a byte.
     """
 
     add: list
@@ -115,6 +135,7 @@ class FieldTables(NamedTuple):
     inv: list
     add_np: np.ndarray
     mul_np: np.ndarray
+    packed: PackedTables | None
 
 
 class FqSpec:
@@ -214,8 +235,34 @@ class FqSpec:
             add=add, mul=mul, neg=neg, inv=inv,
             add_np=np.array(add, dtype=rank_dtype),
             mul_np=np.array(mul, dtype=rank_dtype),
+            packed=self._packed_tables(mul) if q <= 256 else None,
         )
         return self._tables
+
+    def _packed_tables(self, mul):
+        p, e, q = self.p, self.e, self.q
+        pad = bytes(256 - q)
+        slots = 2 * e - 1
+        g = 1
+        while g < slots and p ** (g + 1) <= 256:
+            g += 1
+        blocks = []
+        for s in range(0, slots, g):
+            n = min(g, slots - s)
+            ranks = [
+                self.encode(_pmod([0] * s + [key // p ** i % p for i in range(n)],
+                                  self.defining_poly, p))
+                for key in range(p ** n)
+            ]
+            blocks.append(bytes(ranks) + bytes(256 - len(ranks)))
+        return PackedTables(
+            mul=tuple(bytes(row) + pad for row in mul),
+            digits=tuple(bytes(r // p ** i % p for r in range(q)) + pad
+                         for i in range(e)),
+            mod_p=bytes(b % p for b in range(256)),
+            block_digits=g,
+            blocks=tuple(blocks),
+        )
 
     @property
     def tables(self) -> FieldTables:

@@ -113,27 +113,25 @@ class TruncSeries:
 
     def __add__(self, other):
         prec = self._common(other)
-        add = self.spec.tables.add
         return TruncSeries.from_ranks(
-            self.spec, [add[a][b] for a, b in zip(self._ranks[:prec], other._ranks[:prec])]
+            self.spec, add_ranks(self.spec, self._ranks, other._ranks, 0, prec)
         )
 
     def __sub__(self, other):
         prec = self._common(other)
-        add, neg = self.spec.tables.add, self.spec.tables.neg
+        neg = neg_ranks(self.spec, other._ranks[:prec])
         return TruncSeries.from_ranks(
-            self.spec,
-            [add[a][neg[b]] for a, b in zip(self._ranks[:prec], other._ranks[:prec])],
+            self.spec, add_ranks(self.spec, self._ranks, neg, 0, prec)
         )
 
     def __neg__(self):
-        neg = self.spec.tables.neg
-        return TruncSeries.from_ranks(self.spec, [neg[a] for a in self._ranks])
+        return TruncSeries.from_ranks(self.spec, neg_ranks(self.spec, self._ranks))
 
     def scale(self, c) -> "TruncSeries":
         """Multiply by a scalar (an FqElem, or an int residue mod p)."""
-        row = self.spec.tables.mul[scalar_rank(self.spec, c)]
-        return TruncSeries.from_ranks(self.spec, [row[a] for a in self._ranks])
+        return TruncSeries.from_ranks(
+            self.spec, scale_ranks(self.spec, scalar_rank(self.spec, c), self._ranks)
+        )
 
     def __mul__(self, other):
         if isinstance(other, (FqElem, int)):
@@ -184,7 +182,14 @@ class TruncSeries:
 
 
 # Rank-sequence kernels shared by TruncSeries and UInftyElem.  They trust their
-# input ranks; the callers own the precision and window bookkeeping.
+# input ranks; the callers own the precision and window bookkeeping.  Each
+# returns a tuple of ints.
+#
+# While q <= 256 a rank fits in a byte, and the kernels work on rank
+# sequences packed into one Python int, one byte-aligned lane per slot
+# (Kronecker substitution: Harvey, J. Symb. Comput. 2009), and unpack them
+# with `bytes.translate` through the field's PackedTables.  Past q = 256
+# they fall back to loops over the rank tables.
 
 def scalar_rank(spec, c) -> int:
     """The rank of a scalar: an FqElem of `spec`, or an int residue mod p."""
@@ -195,45 +200,156 @@ def scalar_rank(spec, c) -> int:
     return c % spec.p
 
 
+def scale_ranks(spec, c, ranks):
+    """Each rank times the field element of rank c."""
+    packed = spec.tables.packed
+    if packed is None:
+        row = spec.tables.mul[c]
+        return tuple(row[r] for r in ranks)
+    return tuple(bytearray(ranks).translate(packed.mul[c]))
+
+
+def neg_ranks(spec, ranks):
+    """Each rank negated: times -1, whose rank is p - 1."""
+    return scale_ranks(spec, spec.p - 1, ranks)
+
+
+def add_ranks(spec, xr, yr, shift, width):
+    """The first `width` ranks of x + t^shift y, for shift >= 0."""
+    if width <= 0:
+        return ()
+    xr, yr = xr[:width], yr[:max(width - shift, 0)]
+    if spec.tables.packed is None:
+        add = spec.tables.add
+        out = list(xr) + [0] * (width - len(xr))
+        for i, r in enumerate(yr, shift):
+            out[i] = add[out[i]][r]
+        return tuple(out)
+    return tuple(_add_bytes(spec, bytearray(xr), bytearray(yr), shift, width))
+
+
 def mul_ranks(spec, xr, yr, width):
     """The first `width` ranks of the product of two rank sequences.
 
-    A schoolbook loop over the rows of the shorter operand; past the end
-    of the full product the ranks are zero.
+    Past the end of the full product the ranks are zero.  A monomial
+    operand c*t^i, such as every u-power omega multiplies by, is a single
+    `translate` through the row of c in the multiplication table.  Otherwise each operand becomes one int, with 2e-1 slots per
+    t-position that hold the e base-p digits of its rank (slot i is the
+    coefficient of x^i), and the two ints are multiplied once.  A slot of
+    the product sums at most min(len)*e digit products, each at most
+    (p-1)^2, so lanes of b bytes hold it exactly while
+    min(len)*e*(p-1)^2 < 2^(8b).  The product's lanes are reduced mod p,
+    and each block of 2e-1 digits to a rank by tables of the reductions mod
+    the defining polynomial.
     """
+    if width <= 0:
+        return ()
     if len(xr) > len(yr):
         xr, yr = yr, xr
-    add, mul = spec.tables.add, spec.tables.mul
-    out = [0] * width
-    for i, a in enumerate(xr[:width]):
-        if a:
+    xr, yr = xr[:width], yr[:width]
+    t = spec.tables
+    packed = t.packed
+    if packed is None:
+        add, mul = t.add, t.mul
+        out = [0] * width
+        for i, a in enumerate(xr):
             row = mul[a]
-            k = i
-            for b in yr[:width - i]:
-                if b:
-                    out[k] = add[out[k]][row[b]]
-                k += 1
-    return out
+            for k, b in enumerate(yr[:width - i], i):
+                out[k] = add[out[k]][row[b]]
+        return tuple(out)
+    x = bytearray(xr)
+    lead = x.lstrip(b"\0")
+    if len(lead.rstrip(b"\0")) <= 1:
+        # zero or a monomial c*t^i: one translate through the row of c
+        if not lead:
+            return (0,) * width
+        i = len(x) - len(lead)
+        out = bytearray(i) + bytearray(yr[:width - i]).translate(packed.mul[lead[0]])
+        return tuple(out.ljust(width, b"\0"))
+    p, e = spec.p, spec.e
+    slots = 2 * e - 1
+    lane = ((len(xr) * e * (p - 1) ** 2).bit_length() + 7) // 8
+    step = slots * lane
+    prod = 1
+    for r in (x, bytearray(yr)):
+        if step > 1:
+            spread = bytearray(len(r) * step)
+            for i, digit in enumerate(packed.digits):
+                spread[i * lane::step] = r.translate(digit)
+            r = spread
+        prod *= int.from_bytes(r, "little")
+    n = width * slots
+    data = prod.to_bytes(max(n, (len(xr) + len(yr) - 1) * slots) * lane, "little")
+    # each lane mod p by Horner's rule from its top byte down, so that every
+    # step adds two residues; a residue times 256 is its image under the
+    # multiplication row of 256 mod p
+    digits = data[lane - 1:n * lane:lane].translate(packed.mod_p)
+    for j in reversed(range(lane - 1)):
+        digits = _add_mod_p(spec, digits.translate(packed.mul[256 % p]),
+                            data[j:n * lane:lane].translate(packed.mod_p), 0, n)
+    if e == 1:
+        return tuple(digits)
+    # each block of slots maps to a rank chunk by chunk (see PackedTables)
+    g, out = packed.block_digits, None
+    for c, table in enumerate(packed.blocks):
+        key = 0
+        for i in reversed(range(c * g, min(c * g + g, slots))):
+            key = key * p + int.from_bytes(digits[i::slots], "little")
+        part = key.to_bytes(width, "little").translate(table)
+        out = part if out is None else _add_bytes(spec, out, part, 0, width)
+    return tuple(out)
 
 
 def inv_ranks(spec, xr, width):
-    """The first `width` ranks of 1/x; the leading rank of x is nonzero."""
+    """The first `width` ranks of 1/x; the leading rank of x is nonzero.
+
+    Newton's iteration y <- y - y(xy - 1), which doubles the precision of
+    y at each step.
+    """
     if width < 1:
-        return []
-    t = spec.tables
-    add, mul = t.add, t.mul
-    c = spec.inv_rank(xr[0])
-    times_minus_c = mul[t.neg[c]]
-    out = [c]
-    for n in range(1, width):
-        acc = 0
-        k = n
-        for a in xr[1:n + 1]:
-            k -= 1
-            if a:
-                acc = add[acc][mul[a][out[k]]]
-        out.append(times_minus_c[acc])
+        return ()
+    out = (spec.inv_rank(xr[0]),)
+    n = 1
+    while n < width:
+        n = min(2 * n, width)
+        err = (0,) + mul_ranks(spec, xr, out, n)[1:]
+        out = add_ranks(spec, out, neg_ranks(spec, mul_ranks(spec, out, err, n)), 0, n)
     return out
+
+
+def _add_bytes(spec, x, y, shift, width):
+    """Rank bytes of x + t^shift y, `width` of them; x and y fit in that."""
+    if spec.p == 2:
+        s = int.from_bytes(x, "little") ^ (int.from_bytes(y, "little") << 8 * shift)
+        return s.to_bytes(width, "little")
+    if spec.e == 1:
+        return _add_mod_p(spec, x, y, shift, width)
+    out = 0
+    for i, digit in enumerate(spec.tables.packed.digits):
+        plane = _add_mod_p(spec, x.translate(digit), y.translate(digit), shift, width)
+        out += spec.p ** i * int.from_bytes(plane, "little")
+    return out.to_bytes(width, "little")
+
+
+def _add_mod_p(spec, x, y, shift, width):
+    """Bytes of residues mod p: x + t^shift y, reduced lane by lane."""
+    p = spec.p
+    if 2 * (p - 1) < 256:
+        s = int.from_bytes(x, "little") + (int.from_bytes(y, "little") << 8 * shift)
+        return s.to_bytes(width, "little").translate(spec.tables.packed.mod_p)
+    # a sum of two residues can pass a byte: add in two-byte lanes, where
+    # bit 15 of lane + 2^15 - p flags the lanes to take p from
+    ones = _two_byte_lanes(b"\1" * width)
+    s = _two_byte_lanes(x) + (_two_byte_lanes(y) << 16 * shift)
+    s -= p * (((s + (0x8000 - p) * ones) >> 15) & ones)
+    return s.to_bytes(2 * width, "little")[::2]
+
+
+def _two_byte_lanes(data):
+    """The bytes as one int, each in the low byte of a two-byte lane."""
+    wide = bytearray(2 * len(data))
+    wide[::2] = data
+    return int.from_bytes(wide, "little")
 
 
 def unit_count(q: int, prec: int) -> int:

@@ -430,18 +430,79 @@ from hypothesis import strategies as st
 
 @st.composite
 def windowed_elems(draw):
-    spec = spec_for_order(3)
+    # q = 2 adds by XOR, q = 3 by an add mod p, q = 4 and q = 9 through
+    # digit planes in both characteristics
+    spec = spec_for_order(draw(st.sampled_from([2, 3, 4, 9])))
 
     def one():
         val = draw(st.integers(-5, 5))
         n = draw(st.integers(min_value=1, max_value=8))
-        ranks = [draw(st.integers(0, 2)) for _ in range(n)]
+        ranks = [draw(st.integers(0, spec.q - 1)) for _ in range(n)]
         if draw(st.booleans()):
             return UInftyElem(spec, val, ranks, None)
         width = draw(st.integers(min_value=1, max_value=10))
         return UInftyElem(spec, val, ranks, val + width)
 
     return one(), one(), one()
+
+
+def assert_rankwise(result, expected_uprec, coeff, exps):
+    """result has window expected_uprec, the coefficient coeff(n) at each
+    exponent n in exps and zero elsewhere, and is stored in normal form."""
+    assert result.uprec == expected_uprec
+    for n in exps:
+        assert result.coeff_rank(n) == coeff(n)
+    if result.is_zero:
+        assert result.val == 0
+    else:
+        assert result.ranks[0] != 0 and min(exps) <= result.val
+        assert expected_uprec is not None or result.ranks[-1] != 0
+        assert expected_uprec is None or result.val + len(result.ranks) <= expected_uprec
+    assert all(type(r) is int for r in result.ranks)
+
+
+def window_exps(*elems):
+    """Every exponent in which an operand or a result could differ from 0."""
+    uprec = min((e.uprec for e in elems if e.uprec is not None), default=None)
+    lo = min([e.val for e in elems] + [-1])
+    hi = max(e.val + len(e.ranks) for e in elems) + 2 if uprec is None else uprec
+    return range(lo, hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(windowed_elems())
+def test_add_neg_scale_match_rankwise_loop(triple):
+    # the packed kernels against one table lookup per coefficient
+    x, y, _ = triple
+    spec = x.spec
+    t = spec.tables
+    uprec = min((e.uprec for e in (x, y) if e.uprec is not None), default=None)
+    exps = window_exps(x, y)
+    assert_rankwise(x + y, uprec, lambda n: t.add[x.coeff_rank(n)][y.coeff_rank(n)], exps)
+    assert_rankwise(x - y, uprec,
+                    lambda n: t.add[x.coeff_rank(n)][t.neg[y.coeff_rank(n)]], exps)
+    assert_rankwise(-x, x.uprec, lambda n: t.neg[x.coeff_rank(n)], window_exps(x))
+    for c in range(1, spec.q):
+        assert_rankwise(x.scale(spec.from_rank(c)), x.uprec,
+                        lambda n: t.mul[c][x.coeff_rank(n)], window_exps(x))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_add_window_ending_at_or_below_other_valuation(q):
+    spec = spec_for_order(q)
+    top = spec.q - 1
+    x = UInftyElem(spec, 0, [1, top], 3)
+    for y_val in (3, 5):  # the window of x ends at, then below, y's valuation
+        y = UInftyElem(spec, y_val, [top, 1], None)
+        assert x + y == y + x == x
+        assert x - y == x
+    # the window ends below the lower term's valuation: nothing is left
+    far = UInftyElem(spec, 5, [top], 9)
+    for z in (UInftyElem.zero(spec, 2), UInftyElem(spec, 0, [top], 2)):
+        s = far + z
+        assert s == z + far
+        assert s.uprec == 2 and (s.is_zero or s.val < 2)
+    assert far + UInftyElem.zero(spec, 2) == UInftyElem.zero(spec, 2)
 
 
 @settings(max_examples=150, deadline=None)

@@ -364,3 +364,19 @@ def test_failed_run_keeps_existing_output(tmp_path, capsys):
     assert code == EX_OK and out == ""
     code, stdout, _ = run(capsys, "density", "--q", "2", "--k", "0", "--nmax", "2")
     assert target.read_text() == stdout
+
+
+def test_failed_omega_verify_keeps_existing_dump(tmp_path, capsys):
+    # k = 5 needs t-precision 6: the prolongation check raises after omega
+    # is computed, and the dump is written only once the checks return
+    dump = tmp_path / "omega.json"
+    old = "an earlier dump\n"
+    dump.write_text(old)
+    code, out, err = run(capsys, "omega-verify", "--q", "2", "--k", "5", "--tprec", "3",
+                         "--uprec", "16", "--dump-omega", str(dump))
+    assert code == EX_BUDGET and out == "" and "precision" in err
+    assert dump.read_text() == old
+    code, out, _ = run(capsys, "omega-verify", "--q", "2", "--k", "0", "--tprec", "3",
+                       "--uprec", "16", "--dump-omega", str(dump))
+    assert code == EX_OK and out.count("PASS") == 3
+    assert json.loads(dump.read_text())["tprec"] == 3

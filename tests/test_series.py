@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from carlitz import TruncSeries, parse_series, render_series, unit_enumerate
 from carlitz import FqSpec, UInftyElem, spec_for_order, unit_count
 from carlitz.errors import BudgetExceeded, NonUnit, ParseError, SpecMismatch
-from carlitz.series import mul_ranks
+from carlitz.series import add_ranks, mul_ranks
 
 from conftest import random_series
 
@@ -162,39 +163,125 @@ def test_ring_axioms(triple):
     assert a - a == TruncSeries.zero(a.spec, a.prec)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 27])
-def test_numpy_mul_matches_scalar_path(q):
-    """mul_ranks, the one series product kernel, against a schoolbook oracle."""
-    spec = spec_for_order(q)
+# Fields for the packed-kernel oracles: prime fields whose sum of two
+# residues fits a byte (p <= 127) and two that need wider lanes (131, 251),
+# extension fields of characteristic 2 and odd characteristic, two explicit
+# defining polynomials of large degree, and q = 257, past the packed form.
+KERNEL_FIELDS = [2, 3, 4, 5, 8, 9, 16, 25, 27, 127, 131, 251, "2^8", "3^5", 257]
+
+
+@functools.cache
+def kernel_spec(name):
+    if name == "2^8":
+        return FqSpec(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1))  # x^8+x^4+x^3+x+1
+    if name == "3^5":
+        return FqSpec(3, 5, (1, 0, 0, 0, 2, 1))  # x^5+2x^4+1
+    return spec_for_order(name, order_bound=300)
+
+
+def schoolbook(spec, xr, yr, width):
+    """The product's first `width` ranks, one table lookup per rank pair."""
     add, mul = spec.tables.add, spec.tables.mul
+    out = [0] * width
+    for i, a in enumerate(xr[:width]):
+        for k, b in enumerate(yr[:width - i], i):
+            out[k] = add[out[k]][mul[a][b]]
+    return tuple(out)
 
-    def schoolbook(xr, yr, width):
-        out = [0] * width
-        for i, a in enumerate(xr):
-            for j, b in enumerate(yr):
-                if i + j < width:
-                    out[i + j] = add[out[i + j]][mul[a][b]]
-        return out
 
+def slot_edges(spec, longest=1100):
+    """Operand lengths on both sides of each change in mul_ranks' lane width.
+
+    A product slot sums at most min(len)*e digit products of at most
+    (p-1)^2, and lanes grow by a byte when that bound reaches 2^(8b).
+    """
+    per_rank = spec.e * (spec.p - 1) ** 2
+    edges = set()
+    for bits in (8, 16, 24):
+        first = -(-2 ** bits // per_rank)  # the first length at the bound
+        edges |= {first - 1, first, first + 1}
+    return sorted(n for n in edges if 1 <= n <= longest)
+
+
+@pytest.mark.parametrize("q", KERNEL_FIELDS)
+def test_mul_ranks_matches_schoolbook(q):
+    """mul_ranks, the one series product kernel, against a schoolbook oracle."""
+    spec = kernel_spec(q)
     rng = random.Random(3)
     for _ in range(25):
         prec = rng.randrange(2, 40)
         a = random_series(rng, spec, prec)
         b = random_series(rng, spec, prec)
-        assert (a * b).ranks == tuple(schoolbook(a.ranks, b.ranks, prec))
-    # unequal operands in both orders, with windows of one rank, the shorter
-    # length, the full product length and past it
+        assert (a * b).ranks == schoolbook(spec, a.ranks, b.ranks, prec)
+    # unequal operands in both orders, with windows of nothing, one rank, the
+    # shorter length, the full product length and past it
     for na, nb in [(1, 1), (1, 40), (5, 9), (15, 16), (16, 16), (16, 33),
                    (3, 64), (40, 64), (64, 64)]:
-        xr = [rng.randrange(q) for _ in range(na)]
-        yr = [rng.randrange(q) for _ in range(nb)]
-        for width in (1, min(na, nb), na + nb - 1, na + nb + 3):
-            slow = schoolbook(xr, yr, width)
+        xr = [rng.randrange(spec.q) for _ in range(na)]
+        yr = [rng.randrange(spec.q) for _ in range(nb)]
+        for width in (0, 1, min(na, nb), na + nb - 1, na + nb + 3):
+            slow = schoolbook(spec, xr, yr, width)
             for fast in (mul_ranks(spec, xr, yr, width), mul_ranks(spec, yr, xr, width)):
                 assert fast == slow and all(type(v) is int for v in fast)
+    # all-(q-1) operands fill every slot to its bound: lengths on both sides
+    # of each lane boundary, at the operands' length and the full product
+    top = spec.q - 1
+    for n in slot_edges(spec):
+        xr, yr = (top,) * n, (top,) * (n + 3)
+        for width in (n, 2 * n + 2) if n <= 300 else (n,):
+            slow = schoolbook(spec, xr, yr, width)
+            assert mul_ranks(spec, xr, yr, width) == slow
+            assert mul_ranks(spec, yr, xr, width) == slow
 
 
-@pytest.mark.parametrize("q", [3, 4, 9])
+def test_slot_edges_cover_the_named_boundaries():
+    assert slot_edges(spec_for_order(2)) == [255, 256, 257]
+    assert slot_edges(spec_for_order(3)) == [63, 64, 65]
+    assert slot_edges(spec_for_order(9)) == [31, 32, 33]
+    assert 1057 in slot_edges(spec_for_order(127))  # three-byte lanes
+
+
+def rankwise_add(spec, xr, yr, shift, width):
+    """x + t^shift y, one add-table lookup per rank."""
+    add = spec.tables.add
+    out = list(xr[:width]) + [0] * (width - len(xr[:width]))
+    for i, r in enumerate(yr[:max(width - shift, 0)], shift):
+        out[i] = add[out[i]][r]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("q", KERNEL_FIELDS)
+def test_add_neg_scale_match_rankwise_loop(q):
+    """The packed add, neg and scale kernels against per-rank table loops."""
+    spec = kernel_spec(q)
+    t = spec.tables
+    rng = random.Random(5)
+    top = spec.q - 1
+    for prec in (1, 2, 7, 33, 300):
+        for a, b in [(random_series(rng, spec, prec), random_series(rng, spec, prec)),
+                     (TruncSeries.from_ranks(spec, (top,) * prec),) * 2]:
+            ar, br = a.ranks, b.ranks
+            assert (a + b).ranks == rankwise_add(spec, ar, br, 0, prec)
+            assert (a - b).ranks == tuple(t.add[x][t.neg[y]] for x, y in zip(ar, br))
+            assert (-a).ranks == tuple(t.neg[x] for x in ar)
+            c = rng.randrange(spec.q)
+            assert a.scale(spec.from_rank(c)).ranks == tuple(t.mul[c][x] for x in ar)
+            assert all(type(v) is int for v in (a + b).ranks)
+    # unequal lengths, offsets inside, at and past the window
+    for na, nb in [(0, 3), (5, 9), (40, 7), (300, 300)]:
+        xr = [rng.randrange(spec.q) for _ in range(na)]
+        yr = [rng.randrange(spec.q) for _ in range(nb)]
+        for shift in (0, 1, 4, na, na + nb):
+            for width in (0, 1, na, na + nb, na + nb + 5):
+                assert (add_ranks(spec, xr, yr, shift, width)
+                        == rankwise_add(spec, xr, yr, shift, width))
+    # precision is the smaller one
+    a, b = random_series(rng, spec, 9), random_series(rng, spec, 4)
+    assert (a + b).ranks == rankwise_add(spec, a.ranks, b.ranks, 0, 4)
+    assert (b - a).prec == 4
+
+
+@pytest.mark.parametrize("q", [3, 4, 9, 2, 131, 251])
 def test_inverse_round_trip_both_types(q):
     spec = spec_for_order(q)
     rng = random.Random(q)
