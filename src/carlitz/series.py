@@ -231,11 +231,13 @@ def add_ranks(spec, xr, yr, shift, width):
 def mul_ranks(spec, xr, yr, width):
     """The first `width` ranks of the product of two rank sequences.
 
-    Past the end of the full product the ranks are zero.  A monomial
-    operand c*t^i, such as every u-power omega multiplies by, is a single
-    `translate` through the row of c in the multiplication table.  Otherwise each operand becomes one int, with 2e-1 slots per
-    t-position that hold the e base-p digits of its rank (slot i is the
-    coefficient of x^i), and the two ints are multiplied once.  A slot of
+    Past the end of the full product the ranks are zero.  When the shorter
+    operand is a monomial c*t^i, such as every u-power omega multiplies by,
+    the product is one `translate` through the row of c in the
+    multiplication table.  Otherwise each operand becomes one int, with
+    2e-1 slots per t-position that hold the e base-p digits of its rank
+    (slot i is the coefficient of x^i), and the two ints are multiplied
+    once.  A slot of
     the product sums at most min(len)*e digit products, each at most
     (p-1)^2, so lanes of b bytes hold it exactly while
     min(len)*e*(p-1)^2 < 2^(8b).  The product's lanes are reduced mod p,
