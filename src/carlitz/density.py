@@ -14,6 +14,7 @@ ever touches a floating-point logarithm.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -80,9 +81,8 @@ def _digit_block(q, m, start, stop):
     repeated for its run, entered at the offset of `start` into its run.
     """
     size = stop - start
-    dtype = np.min_scalar_type(q - 1)
-    out = np.empty((m, size), dtype=dtype)
-    cycle = np.arange(q, dtype=dtype)
+    out = np.empty((m, size), dtype=np.uint8)
+    cycle = np.arange(q, dtype=np.uint8)
     run = 1
     for j in range(m - 1, -1, -1):
         first, offset = divmod(start, run)
@@ -342,6 +342,8 @@ def tensor_unit_part(q: int, d_prime: int) -> int:
 
 def tensor_image_order_formula(spec: FqSpec, d: int, n: int) -> int:
     """D(N) = w * q^floor((N-1)/p^e) for the d-th tensor power action."""
+    if n < 1:
+        raise ValueError("precision must be >= 1")
     e, dp = tensor_decompose(d, spec.p)
     w = tensor_unit_part(spec.q, dp)
     return w * spec.q ** ((n - 1) // spec.p ** e)
@@ -522,14 +524,19 @@ class ZariskiReport:
 
 
 def _monomials(n_vars, deg_bound):
-    """Exponent vectors with total degree <= deg_bound, lexicographic."""
-    if n_vars == 0:
-        return [()]
-    return [
-        (a,) + rest
-        for a in range(deg_bound + 1)
-        for rest in _monomials(n_vars - 1, deg_bound - a)
-    ]
+    """Exponent vectors with total degree <= deg_bound, lexicographic.
+
+    A vector is a multiset of deg_bound picks from the variables and a slack
+    index n_vars.  Sorted picks come in lexicographic order, which is the
+    reverse order of their vectors.
+    """
+    out = []
+    for picks in itertools.combinations_with_replacement(range(n_vars + 1), deg_bound):
+        v = [0] * (n_vars + 1)
+        for i in picks:
+            v[i] += 1
+        out.append(tuple(v[:n_vars]))
+    return out[::-1]
 
 
 def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: int,
@@ -551,8 +558,8 @@ def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: i
     drawn from `seed`: units near each other in lexicographic order give
     nearly dependent rows, and the rank of a row set does not depend on its
     order, so the report is the same for every seed.  Each unit is decoded
-    from its number by _digit_block only when the loop reaches it, since
-    the loop stops at full rank.
+    from its number by _digit_block, or drawn from the seeded generator,
+    only when the loop reaches it, since the loop stops at full rank.
     """
     if min(k, deg_bound, tdeg_bound) < 0:
         raise ValueError("need k, deg_bound and tdeg_bound >= 0")
@@ -578,12 +585,12 @@ def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: i
     else:
         sampled = True
         rng = random.Random(seed)
-        unit_list = [
+        unit_list = (
             TruncSeries.from_ranks(
                 spec, [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(prec - 1)]
             )
             for _ in range(sample_count)
-        ]
+        )
         n_units = sample_count
 
     t = spec.tables

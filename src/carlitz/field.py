@@ -22,7 +22,9 @@ from .errors import (
     UnsupportedOrder,
 )
 
-ORDER_BOUND_DEFAULT = 256
+# every rank fits in one byte, which the packed kernels of carlitz.series
+# and the uint8 tables of carlitz.density rely on
+ORDER_BOUND = 256
 
 # Built-in monic irreducible defining polynomials, low-to-high coefficients.
 _BUILTIN_POLYS = {
@@ -124,9 +126,7 @@ class FieldTables(NamedTuple):
 
     `add`, `mul`, `neg` and `inv` are nested lists for the pure-Python
     loops (inv[0] is 0); `add_np` and `mul_np` are the same two tables as
-    q x q arrays of the smallest unsigned dtype that holds a rank, for
-    batched gathers in `density`.  `packed` is None when q > 256, where a
-    rank does not fit in a byte.
+    q x q uint8 arrays, for batched gathers in `density`.
     """
 
     add: list
@@ -135,25 +135,25 @@ class FieldTables(NamedTuple):
     inv: list
     add_np: np.ndarray
     mul_np: np.ndarray
-    packed: PackedTables | None
+    packed: PackedTables
 
 
 class FqSpec:
     """Description of F_q, q = p^e: characteristic, degree, defining polynomial.
 
     The defining polynomial must be monic of degree e over F_p and
-    irreducible; both are checked at construction.
+    irreducible; both are checked at construction.  q is at most
+    ORDER_BOUND, so that a rank fits in a byte.
     """
 
-    def __init__(self, p: int, e: int, defining_poly: Sequence[int] | None = None,
-                 *, order_bound: int = ORDER_BOUND_DEFAULT):
+    def __init__(self, p: int, e: int, defining_poly: Sequence[int] | None = None):
         if not is_prime(p):
             raise InvalidCharacteristic(f"p={p} is not prime")
         if e < 1:
             raise ValueError(f"extension degree must be >= 1, got {e}")
         q = p ** e
-        if q > order_bound:
-            raise UnsupportedOrder(f"q={q} exceeds the configured bound {order_bound}")
+        if q > ORDER_BOUND:
+            raise UnsupportedOrder(f"q={q} exceeds the bound {ORDER_BOUND}")
         if defining_poly is None:
             if e == 1:
                 defining_poly = (0, 1)
@@ -230,12 +230,11 @@ class FqSpec:
                     inv[r] = s
                     inv[s] = r
                     break
-        rank_dtype = np.min_scalar_type(q - 1)
         self._tables = FieldTables(
             add=add, mul=mul, neg=neg, inv=inv,
-            add_np=np.array(add, dtype=rank_dtype),
-            mul_np=np.array(mul, dtype=rank_dtype),
-            packed=self._packed_tables(mul) if q <= 256 else None,
+            add_np=np.array(add, dtype=np.uint8),
+            mul_np=np.array(mul, dtype=np.uint8),
+            packed=self._packed_tables(mul),
         )
         return self._tables
 
@@ -472,21 +471,29 @@ def parse_fq_config(path: str) -> dict[int, tuple[int, tuple[int, ...]]]:
     return entries
 
 
-def spec_for_order(q: int, config_path: str | None = None,
-                   *, order_bound: int = ORDER_BOUND_DEFAULT) -> FqSpec:
-    """Resolve q to a spec: config entries first, then built-ins and primes."""
+def spec_for_order(q: int, config_path: str | None = None) -> FqSpec:
+    """Resolve q to a spec: config entries first, then built-ins and primes.
+
+    A config polynomial that is not monic of degree e or is reducible
+    raises ParseError naming the file and q.
+    """
+    # checked before the config and any factoring, so a huge q fails at once
+    if q > ORDER_BOUND:
+        raise UnsupportedOrder(f"q={q} exceeds the bound {ORDER_BOUND}")
     custom = None
     if config_path:
         entries = parse_fq_config(config_path)
         if q in entries:
             custom = entries[q][1]
-    # checked before the cache, which holds specs built under any bound
-    if q > order_bound:
-        raise UnsupportedOrder(f"q={q} exceeds the configured bound {order_bound}")
     cache_key = (q, custom)
     if cache_key in _SPEC_CACHE:
         return _SPEC_CACHE[cache_key]
     p, e = _factor_prime_power(q)
-    spec = FqSpec(p, e, custom, order_bound=order_bound)
+    try:
+        spec = FqSpec(p, e, custom)
+    except ValueError as exc:
+        if custom is None:  # UnsupportedOrder: no built-in polynomial
+            raise
+        raise ParseError(f"{config_path}: q={q}: {exc}") from exc
     _SPEC_CACHE[cache_key] = spec
     return spec

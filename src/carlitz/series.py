@@ -65,8 +65,8 @@ class TruncSeries:
 
     @classmethod
     def monomial(cls, spec, i, prec, coeff=1):
-        if i >= prec:
-            raise ValueError("monomial degree beyond precision")
+        if not 0 <= i < prec:
+            raise ValueError(f"monomial degree {i} outside [0, {prec})")
         ranks = [0] * prec
         ranks[i] = spec.element(coeff).rank
         return cls.from_ranks(spec, ranks)
@@ -185,11 +185,10 @@ class TruncSeries:
 # input ranks; the callers own the precision and window bookkeeping.  Each
 # returns a tuple of ints.
 #
-# While q <= 256 a rank fits in a byte, and the kernels work on rank
-# sequences packed into one Python int, one byte-aligned lane per slot
-# (Kronecker substitution: Harvey, J. Symb. Comput. 2009), and unpack them
-# with `bytes.translate` through the field's PackedTables.  Past q = 256
-# they fall back to loops over the rank tables.
+# A rank fits in a byte (q <= 256), and the kernels work on rank sequences
+# packed into one Python int, one byte-aligned lane per slot (Kronecker
+# substitution: Harvey, J. Symb. Comput. 2009), and unpack them with
+# `bytes.translate` through the field's PackedTables.
 
 def scalar_rank(spec, c) -> int:
     """The rank of a scalar: an FqElem of `spec`, or an int residue mod p."""
@@ -202,11 +201,7 @@ def scalar_rank(spec, c) -> int:
 
 def scale_ranks(spec, c, ranks):
     """Each rank times the field element of rank c."""
-    packed = spec.tables.packed
-    if packed is None:
-        row = spec.tables.mul[c]
-        return tuple(row[r] for r in ranks)
-    return tuple(bytearray(ranks).translate(packed.mul[c]))
+    return tuple(bytearray(ranks).translate(spec.tables.packed.mul[c]))
 
 
 def neg_ranks(spec, ranks):
@@ -219,12 +214,6 @@ def add_ranks(spec, xr, yr, shift, width):
     if width <= 0:
         return ()
     xr, yr = xr[:width], yr[:max(width - shift, 0)]
-    if spec.tables.packed is None:
-        add = spec.tables.add
-        out = list(xr) + [0] * (width - len(xr))
-        for i, r in enumerate(yr, shift):
-            out[i] = add[out[i]][r]
-        return tuple(out)
     return tuple(_add_bytes(spec, bytearray(xr), bytearray(yr), shift, width))
 
 
@@ -249,16 +238,7 @@ def mul_ranks(spec, xr, yr, width):
     if len(xr) > len(yr):
         xr, yr = yr, xr
     xr, yr = xr[:width], yr[:width]
-    t = spec.tables
-    packed = t.packed
-    if packed is None:
-        add, mul = t.add, t.mul
-        out = [0] * width
-        for i, a in enumerate(xr):
-            row = mul[a]
-            for k, b in enumerate(yr[:width - i], i):
-                out[k] = add[out[k]][row[b]]
-        return tuple(out)
+    packed = spec.tables.packed
     x = bytearray(xr)
     lead = x.lstrip(b"\0")
     if len(lead.rstrip(b"\0")) <= 1:

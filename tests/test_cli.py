@@ -323,6 +323,29 @@ def test_missing_config_file_exits_64(tmp_path, capsys, monkeypatch):
     assert "missing.cfg" in err
 
 
+@pytest.mark.parametrize("poly", [
+    "2,0,1",  # x^2 + 2 = (x + 1)(x + 2) over F_3
+    "1,1",    # degree 1, not 2
+    "1,0,2",  # leading coefficient 2
+])
+def test_bad_config_polynomial_exits_64(tmp_path, capsys, monkeypatch, poly):
+    cfg = tmp_path / "fields.cfg"
+    cfg.write_text(f"q=9 poly={poly}\n")
+    monkeypatch.setenv("CARLITZ_CONFIG", str(cfg))
+    code, out, err = run(capsys, "rep", "--q", "9", "--k", "1", "--n", "2",
+                         "--unit", "1+t")
+    assert code == EX_USAGE and out == ""
+    _one_error_line(err)
+    assert "fields.cfg" in err and "q=9" in err
+
+
+def test_q_past_a_byte_exits_64(capsys):
+    code, out, err = run(capsys, "rep", "--q", "257", "--k", "1", "--n", "2",
+                         "--unit", "1+t")
+    assert code == EX_USAGE and out == ""
+    _one_error_line(err)
+
+
 @pytest.mark.parametrize("argv", [
     ["density", "--q", "2", "--k", "1", "--nmax", "3", "--out"],
     ["zariski", "--q", "2", "--k", "0", "--deg", "1", "--tdeg", "0", "--n", "2", "--out"],

@@ -7,6 +7,7 @@ import pytest
 import carlitz.density as density_mod
 
 from carlitz import (
+    FqSpec,
     JetMatrix,
     TruncSeries,
     build_density_table,
@@ -347,6 +348,11 @@ def test_monomials_are_the_filtered_product_in_order():
             )
             assert density_mod._monomials(v, d) == ref
     assert len(density_mod._monomials(21, 2)) == 253
+    # one entry per variable, past the interpreter's recursion limit
+    wide = density_mod._monomials(1500, 1)
+    assert len(wide) == 1501
+    assert wide[0] == (0,) * 1500 and wide[1] == (0,) * 1499 + (1,)
+    assert wide[-1] == (1,) + (0,) * 1499
 
 
 @pytest.mark.parametrize("q, k, deg, tdeg, n, rank", [
@@ -405,7 +411,7 @@ def _digit_block_divmod(q, m, start, stop):
     return out
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 9, 257])
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 256])
 def test_digit_block_matches_divmod(q):
     for m in (1, 2, 3, 6):
         total = unit_count(q, m)
@@ -422,15 +428,31 @@ def test_digit_block_matches_divmod(q):
 
 
 def test_image_order_past_byte_ranks():
-    # ranks of F_257 do not fit in a byte
-    spec = spec_for_order(257, order_bound=300)
-    assert image_order_brute(spec, 1, 1) == image_order_formula(spec, 1, 1) == 256 * 257
+    # the ranks of F_256 fill a byte, and the order D = 255 * 256 passes it
+    spec = FqSpec(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1))  # x^8+x^4+x^3+x+1
+    assert image_order_brute(spec, 1, 1) == image_order_formula(spec, 1, 1) == 255 * 256
 
 
 def test_zariski_sampling_is_deterministic(f2):
     a = zariski_rank_certificate(f2, 1, 2, 1, 4, exhaustive_limit=1, sample_count=40)
     b = zariski_rank_certificate(f2, 1, 2, 1, 4, exhaustive_limit=1, sample_count=40)
     assert a.sampled and a == b
+
+
+def test_zariski_draws_sampled_units_lazily(f2, monkeypatch):
+    # one column reaches full rank on the first unit, so only that unit's
+    # 50 coefficients are drawn, not all 512 units'
+    draws = []
+
+    class CountingRandom(random.Random):
+        def randrange(self, *args):
+            draws.append(args)
+            return super().randrange(*args)
+
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    report = zariski_rank_certificate(f2, 0, 0, 0, 50, exhaustive_limit=1)
+    assert report.sampled and report.full_rank and report.n_units == 512
+    assert len(draws) == 50
 
 
 def test_density_band_general_q():

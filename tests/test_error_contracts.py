@@ -17,6 +17,7 @@ from carlitz import (
     parse_series,
     jet_columns,
     spec_for_order,
+    tensor_image_order_formula,
     theta,
     torsion_generators,
 )
@@ -63,6 +64,10 @@ def test_config_parse_errors(tmp_path):
     bad3.write_text("q=12 poly=1,0,1\n")  # 12 is not a prime power
     with pytest.raises(UnsupportedOrder):
         parse_fq_config(str(bad3))
+    bad4 = tmp_path / "b4.cfg"
+    bad4.write_text("q=9 poly=2,0,1\n")  # reducible over F_3
+    with pytest.raises(ParseError, match="b4.cfg: q=9"):
+        spec_for_order(9, str(bad4))
 
 
 def test_series_constructor_guards(f3):
@@ -70,6 +75,8 @@ def test_series_constructor_guards(f3):
         TruncSeries(f3, [1], 0)
     with pytest.raises(ValueError):
         TruncSeries.monomial(f3, 5, 3)
+    with pytest.raises(ValueError):
+        TruncSeries.monomial(f3, -1, 4)
     with pytest.raises(ValueError):
         TruncSeries.one(f3, 3).truncate(5)
 
@@ -146,11 +153,13 @@ def test_compute_omega_guards(f3):
         compute_omega(f3, 4, 0)
 
 
-def test_density_arg_guards(f2):
+def test_density_arg_guards(f2, f3):
     with pytest.raises(ValueError):
         image_order_brute(f2, -1, 3)
     with pytest.raises(ValueError):
         image_order_brute(f2, 1, 0)
+    with pytest.raises(ValueError):
+        tensor_image_order_formula(f3, 2, 0)
     from carlitz import build_density_table
 
     with pytest.raises(ValueError):

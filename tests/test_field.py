@@ -144,11 +144,14 @@ def test_order_bound():
         FqSpec(2, 9)  # q = 512 > 256
 
 
-def test_spec_for_order_checks_bound_on_cache_hit():
-    # a spec cached under a raised bound must not pass the default bound
-    assert spec_for_order(257, order_bound=300).q == 257
+def test_q_257_is_rejected():
+    # a rank must fit in a byte, and no keyword lifts the bound
+    with pytest.raises(UnsupportedOrder):
+        FqSpec(257, 1)
     with pytest.raises(UnsupportedOrder):
         spec_for_order(257)
+    with pytest.raises(TypeError):
+        spec_for_order(257, order_bound=300)
 
 
 def test_zero_inverse_raises(f3):

@@ -1,15 +1,19 @@
 """The benchmark's tracer names functions of the package by string.
 
 It skips a name it cannot resolve, so a rename in the package would
-silently zero a per-layer figure; these checks fail instead.
+silently zero a per-layer figure; these checks fail instead.  The last
+check keeps the README's CLI synopsis in step with the parser.
 """
 
+import argparse
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
 import carlitz
 import carlitz.binomials
+import carlitz.cli
 import carlitz.jets
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -88,3 +92,32 @@ def test_omega_makes_one_product_per_factor_and_entry(monkeypatch):
         carlitz.compute_omega(spec, 32, 1024)
     factors = 10  # (q-1) q^i < 1024 exactly for i < 10
     assert counter.calls["cinfty.UInftyElem.mul"] == factors * (32 - 1) == 310
+
+
+def _readme_synopses():
+    """The README's CLI synopsis, one text per command, continuation lines joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    synopses = {}
+    command = None
+    for line in block.splitlines():
+        if line.startswith("carlitz "):
+            command = line.split()[1]
+            synopses[command] = line
+        elif line.strip() and command:
+            synopses[command] += " " + line.strip()
+    return synopses
+
+
+def test_readme_synopsis_lists_every_option():
+    sub = next(a for a in carlitz.cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    synopses = _readme_synopses()
+    assert set(synopses) == set(sub.choices)
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            for option in action.option_strings:
+                if option in ("-h", "--help"):
+                    continue
+                assert re.search(re.escape(option) + r"(?![\w-])", synopses[command]), \
+                    f"{command} {option}"
