@@ -7,9 +7,12 @@ units mod t^(N+k) (entries of the jet mod t^N read nothing beyond that),
 and a closed form counting which coefficients of a beyond t^(N-1) the jet
 still pins down; the d-th tensor power a -> a^d is counted the same two
 ways.  Both enumerations are one keyed count: each unit to a^d (d = 1 for
-jets), then its distinct order-k jets (k = 0 for tensor powers).  D(N) is
-always of the structural form unit * q^E and is kept that way; only display
-ever touches a floating-point logarithm.
+jets), then its distinct order-k jets (k = 0 for tensor powers).  The power
+a^d is (a^d')^(p^f) for d = p^f d' with d' prime to p: products give a^d',
+and the p^f-th power, being additive, only moves coefficient i to place
+i p^f through x -> x^(p^f), the collapse behind the tensor closed form.
+D(N) is always of the structural form unit * q^E and is kept that way;
+only display ever touches a floating-point logarithm.
 """
 
 from __future__ import annotations
@@ -150,25 +153,51 @@ def _mul_block(tables, x, y):
     return out
 
 
-def _power_block(tables, block, d):
-    """Column c of block to the d-th power by binary powering; at d = 1, block."""
+def _power_block(spec, block, d):
+    """Column c of block to the d-th power; at d = 1, block itself.
+
+    Write d = P * d' with P = p^f the p-part of d (tensor_decompose).  Then
+    a^d = (a^d')^P, and the P-th power is additive: it sends sum b_i t^i to
+    sum b_i^P t^(iP).  So only the first ceil(n/P) rows of the block are
+    raised to the d'-th power, by binary powering with _mul_block, and row i
+    of the result, mapped through x -> x^P, becomes row iP of a zero block.
+    The Frobenius x -> x^p has order e on F_q, so x^P = x^(p^(f mod e)).
+    """
+    f, d = tensor_decompose(d, spec.p)
+    tables = spec.tables
+    n, big_p = len(block), spec.p ** f
+    if f:
+        block = block[:-(-n // big_p)]
     power = None
     while True:
         if d & 1:
             power = block if power is None else _mul_block(tables, power, block)
         d >>= 1
         if not d:
-            return power
+            break
         block = _mul_block(tables, block, block)
+    if not f:
+        return power
+    # the rank table of x -> x^P: x -> x^p applied f mod e times
+    frob = np.arange(spec.q, dtype=np.uint8)
+    for _ in range(f % spec.e):
+        x = frob
+        for _ in range(spec.p - 1):
+            frob = tables.mul_np[frob, x]
+    out = np.zeros((n, power.shape[1]), dtype=np.uint8)
+    out[::big_p] = frob[power]
+    return out
 
 
 def _image_count(spec, k, d, n, m, budget, threads, chunk_size):
     """The number of distinct jet_k(a^d) mod t^n over every unit a mod t^m.
 
     Each chunk of units is decoded by _digit_block, raised to the d-th
-    power by _power_block, and its order-k jets are packed into integer keys
-    that _count_distinct_keys counts: every jet, all (k+1)*n entries, takes
-    (q-1).bit_length() bits per entry (several uint64 words past 64 bits).
+    power by _power_block (products for the part of d prime to p, a
+    Frobenius row spread for its p-part), and its order-k jets are packed
+    into integer keys that _count_distinct_keys counts: every jet, all
+    (k+1)*n entries, takes (q-1).bit_length() bits per entry (several
+    uint64 words past 64 bits).
     """
     q = spec.q
     total = unit_count(q, m)
@@ -192,7 +221,7 @@ def _image_count(spec, k, d, n, m, budget, threads, chunk_size):
             lut[word, i + j] = lut.get((word, i + j), 0) | table
 
     def keys_of(start, stop):
-        block = _power_block(tables, _digit_block(q, m, start, stop), d)
+        block = _power_block(spec, _digit_block(q, m, start, stop), d)
         key = np.zeros((words, stop - start), dtype=np.uint64)
         for (word, digit), table in lut.items():
             key[word] |= table[block[digit]]
@@ -354,9 +383,11 @@ def tensor_image_order_brute(spec: FqSpec, d: int, n: int, *,
     """Count distinct d-th powers a^d mod t^n over all units mod t^n.
 
     The brute route for the closed form: _image_count at k = 0, which
-    raises each block of units to the d-th power with batched truncated
-    products and counts the distinct powers.  Its oracle in the tests is
-    the object-level set of (a ** d).ranks.
+    raises each block of units to the d-th power by _power_block (batched
+    truncated products for a^d', then the additive p-part of d spreads the
+    result over every p^f-th coefficient) and counts the distinct powers.
+    Its oracles in the tests are the object-level set of (a ** d).ranks
+    and product-only powering of the same blocks.
     """
     if d < 1:
         raise ValueError("tensor degree must be >= 1")
@@ -539,6 +570,20 @@ def _monomials(n_vars, deg_bound):
     return out[::-1]
 
 
+def _shuffled_range(n, rng):
+    """0..n-1 in a random order, drawn lazily by Fisher-Yates.
+
+    Step i swaps a uniform pick from places i..n-1 into place i and yields
+    it.  Only the places whose entry moved are stored, so drawing the first
+    j numbers takes j draws and O(j) memory, whatever n is.
+    """
+    moved = {}
+    for i in range(n):
+        j = rng.randrange(i, n)
+        yield moved.get(j, j)
+        moved[j] = moved.pop(i, i)
+
+
 def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: int,
                              n: int, *, seed: int = DEFAULT_SEED,
                              exhaustive_limit: int = EXHAUSTIVE_LIMIT_DEFAULT,
@@ -576,11 +621,9 @@ def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: i
         n_units = len(unit_list)
     elif unit_count(q, prec) <= exhaustive_limit:
         n_units = unit_count(q, prec)
-        order = list(range(n_units))
-        random.Random(seed).shuffle(order)
         unit_list = (
             TruncSeries.from_ranks(spec, _digit_block(q, prec, i, i + 1)[:, 0].tolist())
-            for i in order
+            for i in _shuffled_range(n_units, random.Random(seed))
         )
     else:
         sampled = True

@@ -448,7 +448,10 @@ def _factor_prime_power(q):
 
 
 def parse_fq_config(path: str) -> dict[int, tuple[int, tuple[int, ...]]]:
-    """Read `q=<int> poly=<c0,...,ce>` lines; '#' starts a comment."""
+    """Read `q=<int> poly=<c0,...,ce>` lines; '#' starts a comment.
+
+    An entry with q past ORDER_BOUND raises ParseError naming the line.
+    """
     entries = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -466,6 +469,9 @@ def parse_fq_config(path: str) -> dict[int, tuple[int, tuple[int, ...]]]:
                 poly = tuple(int(c) for c in fields["poly"].split(","))
             except (KeyError, ValueError) as exc:
                 raise ParseError(f"{path}:{lineno}: malformed entry") from exc
+            # checked before factoring, which is trial division up to sqrt(q)
+            if q > ORDER_BOUND:
+                raise ParseError(f"{path}:{lineno}: q={q} exceeds the bound {ORDER_BOUND}")
             p, _ = _factor_prime_power(q)
             entries[q] = (p, poly)
     return entries

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import carlitz
 from carlitz.cli import EX_BUDGET, EX_MISMATCH, EX_OK, EX_USAGE, main
 
 
@@ -337,6 +340,23 @@ def test_bad_config_polynomial_exits_64(tmp_path, capsys, monkeypatch, poly):
     assert code == EX_USAGE and out == ""
     _one_error_line(err)
     assert "fields.cfg" in err and "q=9" in err
+
+
+def test_config_q_past_the_bound_exits_64_at_once(tmp_path):
+    # 2^61 - 1 is prime: factoring it by trial division would take minutes,
+    # and the entry is read even though the run asks for q = 2
+    cfg = tmp_path / "fields.cfg"
+    cfg.write_text("q=9 poly=1,0,1\nq=2305843009213693951 poly=1,1\n")
+    src = os.path.dirname(os.path.dirname(carlitz.__file__))
+    env = {**os.environ, "CARLITZ_CONFIG": str(cfg), "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "carlitz", "density", "--q", "2", "--k", "0",
+         "--nmax", "2", "--mode", "formula"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == EX_USAGE and proc.stdout == ""
+    _one_error_line(proc.stderr)
+    assert "fields.cfg:2" in proc.stderr
 
 
 def test_q_past_a_byte_exits_64(capsys):

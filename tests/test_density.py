@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -241,7 +242,7 @@ def test_tensor_squares_q2_n3(f2):
 
 def test_tensor_brute_equals_formula(f2, f3):
     for spec in (f2, f3):
-        for d in (2, 3, 4, 6):
+        for d in (2, 3, 4, 6, 9, 12):
             for n in range(1, 6):
                 assert tensor_image_order_brute(spec, d, n) == \
                     tensor_image_order_formula(spec, d, n)
@@ -389,6 +390,24 @@ def test_zariski_seeded_order_reaches_rank_in_few_units(monkeypatch):
     assert len({u.ranks for u in calls}) == len(calls)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 100, 13122])
+def test_shuffled_range_is_a_permutation(n):
+    for seed in (0, 1, 7, 1729):
+        assert sorted(density_mod._shuffled_range(n, random.Random(seed))) == list(range(n))
+
+
+def test_shuffled_range_draws_lazily():
+    draws = []
+
+    class CountingRandom(random.Random):
+        def randrange(self, *args):
+            draws.append(args)
+            return super().randrange(*args)
+
+    head = list(itertools.islice(density_mod._shuffled_range(13122, CountingRandom(1729)), 40))
+    assert len(set(head)) == 40 and len(draws) == 40
+
+
 def test_zariski_rank_progression_q2_k3(f2):
     # a relation mod t^7 that the certificate loses one more coefficient at a time
     assert [zariski_rank_certificate(f2, 3, 3, 2, n).rank for n in (7, 8, 9)] == [99, 104, 105]
@@ -512,12 +531,58 @@ def test_tensor_brute_matches_formula(q, d):
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
 def test_tensor_brute_matches_object_path(q):
     spec = spec_for_order(q)
-    for d in (2, 3, 4, 6):
+    for d in (2, 3, 4, 6, 9, 12):
         n = 1
         while unit_count(q, n) <= 1000:
             powers = {(a ** d).ranks for a in unit_enumerate(spec, n)}
             assert tensor_image_order_brute(spec, d, n) == len(powers), (d, n)
             n += 1
+
+
+def _power_block_by_products(tables, block, d):
+    """Column c of block to the d-th power by binary powering with _mul_block alone."""
+    power = None
+    while True:
+        if d & 1:
+            power = block if power is None else density_mod._mul_block(tables, power, block)
+        d >>= 1
+        if not d:
+            return power
+        block = density_mod._mul_block(tables, block, block)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 25, 27])
+def test_power_block_matches_products(q):
+    # d = 6, 10, 12, 18 put a p-part P > 1 beside a d' > 1; in the
+    # extension fields f mod e runs over every Frobenius x -> x^(p^g)
+    spec = spec_for_order(q)
+    for n in range(1, 11):
+        total = unit_count(q, n)
+        if total > 1 << 15:
+            break
+        block = density_mod._digit_block(q, n, 0, total)
+        assert density_mod._power_block(spec, block, 1) is block
+        for d in (1, 2, 3, 4, 6, 9, 10, 12, 18, 25, 27):
+            got = density_mod._power_block(spec, block, d)
+            want = _power_block_by_products(spec.tables, block, d)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (d, n)
+    assert n > 3
+
+
+def test_tensor_brute_takes_the_p_part_by_frobenius(f3, monkeypatch):
+    rows = []
+    mul_block = density_mod._mul_block
+
+    def spy(tables, x, y):
+        rows.append((len(x), len(y)))
+        return mul_block(tables, x, y)
+
+    monkeypatch.setattr(density_mod, "_mul_block", spy)
+    assert tensor_image_order_brute(f3, 3, 10) == tensor_image_order_formula(f3, 3, 10)
+    assert rows == []
+    # d = 3 * 2: only the first ceil(10/3) = 4 coefficients are squared
+    assert tensor_image_order_brute(f3, 6, 10) == tensor_image_order_formula(f3, 6, 10)
+    assert rows and set(rows) == {(4, 4)}
 
 
 def test_tensor_brute_guards_before_work(monkeypatch, f2):

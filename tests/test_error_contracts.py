@@ -68,6 +68,10 @@ def test_config_parse_errors(tmp_path):
     bad4.write_text("q=9 poly=2,0,1\n")  # reducible over F_3
     with pytest.raises(ParseError, match="b4.cfg: q=9"):
         spec_for_order(9, str(bad4))
+    bad5 = tmp_path / "b5.cfg"
+    bad5.write_text("q=9 poly=1,0,1\nq=65537 poly=1,1\n")  # a prime past 256
+    with pytest.raises(ParseError, match="b5.cfg:2: q=65537"):
+        parse_fq_config(str(bad5))
 
 
 def test_series_constructor_guards(f3):
