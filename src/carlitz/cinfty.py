@@ -20,6 +20,9 @@ a declared window is never wider than what the inputs justify:
 
 The q-power Frobenius fixes F_q coefficientwise, so x -> x^q just spreads
 exponents by a factor of q.
+
+The coefficient ranks from u^val on are stored as one `bytes` object, a
+rank per byte, as in carlitz.series.
 """
 
 from __future__ import annotations
@@ -78,23 +81,21 @@ class UInftyElem:
         """An element from trusted ranks starting at u^val: the ranks are fitted
         to the window [val, uprec), then zero ends are stripped so the leading
         stored rank is nonzero (and, when exact, the last one too)."""
-        ranks = tuple(ranks)
+        ranks = bytes(ranks)
         if uprec is not None:
             width = max(uprec - val, 0)
-            ranks = ranks[:width] + (0,) * (width - len(ranks))
-        lo, hi = 0, len(ranks)
-        while lo < hi and not ranks[lo]:
-            lo += 1
-        if lo == hi:
-            return cls._make(spec, 0, (), uprec)
+            ranks = ranks[:width].ljust(width, b"\0")
+        body = ranks.lstrip(b"\0")
+        if not body:
+            return cls._make(spec, 0, b"", uprec)
+        val += len(ranks) - len(body)
         if uprec is None:
-            while not ranks[hi - 1]:
-                hi -= 1
-        return cls._make(spec, val + lo, ranks[lo:hi], uprec)
+            body = body.rstrip(b"\0")
+        return cls._make(spec, val, body, uprec)
 
     @classmethod
     def zero(cls, spec, uprec=None):
-        return cls._make(spec, 0, (), uprec)
+        return cls._make(spec, 0, b"", uprec)
 
     @classmethod
     def monomial(cls, spec, exp, coeff=1, uprec=None):
@@ -103,7 +104,7 @@ class UInftyElem:
             return cls.zero(spec, uprec)
         if uprec is not None and exp >= uprec:
             return cls.zero(spec, uprec)
-        e = cls._make(spec, exp, (rank,), None)
+        e = cls._make(spec, exp, bytes((rank,)), None)
         return e.truncate_to(uprec) if uprec is not None else e
 
     # -- structure ---------------------------------------------------------------
@@ -137,7 +138,7 @@ class UInftyElem:
         if new_uprec <= self.val:
             raise ValueError("truncation would discard the leading term")
         width = new_uprec - self.val
-        ranks = self.ranks[:width] + (0,) * (width - len(self.ranks))
+        ranks = self.ranks[:width].ljust(width, b"\0")
         return UInftyElem._make(self.spec, self.val, ranks, new_uprec)
 
     # -- arithmetic -----------------------------------------------------------------
@@ -151,17 +152,18 @@ class UInftyElem:
     def __add__(self, other):
         self._check(other)
         uprec = _umin(self.uprec, other.uprec)
-        terms = sorted((e for e in (self, other) if not e.is_zero), key=lambda e: e.val)
-        if not terms:
-            return UInftyElem.zero(self.spec, uprec)
-        lo = terms[0].val
-        hi = max(e.val + len(e.ranks) for e in terms) if uprec is None else uprec
-        if len(terms) == 1:
-            out = terms[0].ranks
+        if self.is_zero or other.is_zero:
+            x = other if self.is_zero else self
+            if x.is_zero:
+                return UInftyElem.zero(self.spec, uprec)
+            return UInftyElem._normal(self.spec, x.val, x.ranks, uprec)
+        x, y = (self, other) if self.val <= other.val else (other, self)
+        if uprec is None:
+            hi = max(x.val + len(x.ranks), y.val + len(y.ranks))
         else:
-            x, y = terms
-            out = add_ranks(self.spec, x.ranks, y.ranks, y.val - lo, hi - lo)
-        return UInftyElem._normal(self.spec, lo, out, uprec)
+            hi = uprec
+        out = add_ranks(self.spec, x.ranks, y.ranks, y.val - x.val, hi - x.val)
+        return UInftyElem._normal(self.spec, x.val, out, uprec)
 
     def __neg__(self):
         return UInftyElem._make(
@@ -205,7 +207,7 @@ class UInftyElem:
         new_uprec = None if self.uprec is None else q * self.uprec
         if self.is_zero:
             return UInftyElem.zero(self.spec, new_uprec)
-        out = [0] * ((len(self.ranks) - 1) * q + 1)
+        out = bytearray((len(self.ranks) - 1) * q + 1)
         out[::q] = self.ranks
         return UInftyElem._normal(self.spec, q * self.val, out, new_uprec)
 
@@ -216,7 +218,7 @@ class UInftyElem:
         if self.uprec is None:
             if len(self.ranks) == 1:
                 inv = UInftyElem._make(
-                    self.spec, -v, (self.spec.inv_rank(self.ranks[0]),), None
+                    self.spec, -v, bytes((self.spec.inv_rank(self.ranks[0]),)), None
                 )
                 return inv.truncate_to(uprec) if uprec is not None else inv
             if uprec is None:
@@ -288,8 +290,8 @@ def equal_on_overlap(x: UInftyElem, y: UInftyElem) -> bool:
 
     def window(e):
         # the ranks of e at u^lo .. u^(upper-1), zero-padded
-        head = (0,) * min(e.val - lo, width) + e.ranks[:max(upper - e.val, 0)]
-        return head + (0,) * (width - len(head))
+        head = bytes(min(e.val - lo, width)) + e.ranks[:max(upper - e.val, 0)]
+        return head.ljust(width, b"\0")
 
     return window(x) == window(y)
 

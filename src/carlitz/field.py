@@ -172,11 +172,8 @@ class FqSpec:
         self.e = e
         self.q = q
         self.defining_poly = poly
+        self.key = (p, e, poly)
         self._tables = None
-
-    @property
-    def key(self):
-        return (self.p, self.e, self.defining_poly)
 
     def __eq__(self, other):
         return isinstance(other, FqSpec) and self.key == other.key

@@ -31,11 +31,12 @@ def hyperderiv(n: int, f: TruncSeries) -> TruncSeries:
     if n == 0:
         return f
     if n >= f.prec:
-        return TruncSeries.from_ranks(f.spec, (0,), exhausted=True)
+        return TruncSeries.from_ranks(f.spec, b"\0", exhausted=True)
     mul = f.spec.tables.mul
     row = binom_row(f.spec.p, n, f.prec - n)
-    out = [mul[c][r] for c, r in zip(row, f.ranks[n:])]
-    return TruncSeries.from_ranks(f.spec, out)
+    return TruncSeries.from_ranks(
+        f.spec, bytes([mul[c][r] for c, r in zip(row, f.ranks[n:])])
+    )
 
 
 class JetMatrix:

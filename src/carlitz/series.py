@@ -2,7 +2,8 @@
 
 Coefficients are exact; the only approximation is the truncation order T,
 and the precision of any binary operation is the min of the operand
-precisions.  Series hash and compare by (spec, precision, coefficients),
+precisions.  A series stores its coefficient ranks as one `bytes` object,
+a rank per byte.  Series hash and compare by (spec, precision, ranks),
 which is the canonical deduplication key used by the image counting.
 """
 
@@ -35,7 +36,7 @@ class TruncSeries:
             raise ValueError("precision must be >= 1")
         self.spec = spec
         self.prec = prec
-        self._ranks = tuple(ranks[:prec]) + (0,) * (prec - len(ranks))
+        self._ranks = bytes(ranks[:prec]).ljust(prec, b"\0")
         self.exhausted = exhausted
 
     # -- constructors ---------------------------------------------------------
@@ -45,7 +46,7 @@ class TruncSeries:
         obj = object.__new__(cls)
         obj.spec = spec
         obj.prec = len(ranks)
-        obj._ranks = tuple(ranks)
+        obj._ranks = bytes(ranks)
         obj.exhausted = exhausted
         return obj
 
@@ -61,13 +62,13 @@ class TruncSeries:
     def _constant(cls, spec, rank, prec):
         if prec < 1:
             raise ValueError("precision must be >= 1")
-        return cls.from_ranks(spec, (rank,) + (0,) * (prec - 1))
+        return cls.from_ranks(spec, bytes((rank,)).ljust(prec, b"\0"))
 
     @classmethod
     def monomial(cls, spec, i, prec, coeff=1):
         if not 0 <= i < prec:
             raise ValueError(f"monomial degree {i} outside [0, {prec})")
-        ranks = [0] * prec
+        ranks = bytearray(prec)
         ranks[i] = spec.element(coeff).rank
         return cls.from_ranks(spec, ranks)
 
@@ -183,7 +184,8 @@ class TruncSeries:
 
 # Rank-sequence kernels shared by TruncSeries and UInftyElem.  They trust their
 # input ranks; the callers own the precision and window bookkeeping.  Each
-# returns a tuple of ints.
+# takes any sequence of ranks (bytes, tuple or list) and returns `bytes`, the
+# one form of a rank sequence in the package.
 #
 # A rank fits in a byte (q <= 256), and the kernels work on rank sequences
 # packed into one Python int, one byte-aligned lane per slot (Kronecker
@@ -201,7 +203,7 @@ def scalar_rank(spec, c) -> int:
 
 def scale_ranks(spec, c, ranks):
     """Each rank times the field element of rank c."""
-    return tuple(bytearray(ranks).translate(spec.tables.packed.mul[c]))
+    return bytes(ranks).translate(spec.tables.packed.mul[c])
 
 
 def neg_ranks(spec, ranks):
@@ -212,9 +214,8 @@ def neg_ranks(spec, ranks):
 def add_ranks(spec, xr, yr, shift, width):
     """The first `width` ranks of x + t^shift y, for shift >= 0."""
     if width <= 0:
-        return ()
-    xr, yr = xr[:width], yr[:max(width - shift, 0)]
-    return tuple(_add_bytes(spec, bytearray(xr), bytearray(yr), shift, width))
+        return b""
+    return _add_bytes(spec, xr[:width], yr[:max(width - shift, 0)], shift, width)
 
 
 def mul_ranks(spec, xr, yr, width):
@@ -234,26 +235,25 @@ def mul_ranks(spec, xr, yr, width):
     the defining polynomial.
     """
     if width <= 0:
-        return ()
+        return b""
     if len(xr) > len(yr):
         xr, yr = yr, xr
-    xr, yr = xr[:width], yr[:width]
+    x, y = bytes(xr[:width]), bytes(yr[:width])
     packed = spec.tables.packed
-    x = bytearray(xr)
     lead = x.lstrip(b"\0")
     if len(lead.rstrip(b"\0")) <= 1:
         # zero or a monomial c*t^i: one translate through the row of c
         if not lead:
-            return (0,) * width
+            return bytes(width)
         i = len(x) - len(lead)
-        out = bytearray(i) + bytearray(yr[:width - i]).translate(packed.mul[lead[0]])
-        return tuple(out.ljust(width, b"\0"))
+        out = bytes(i) + y[:width - i].translate(packed.mul[lead[0]])
+        return out.ljust(width, b"\0")
     p, e = spec.p, spec.e
     slots = 2 * e - 1
-    lane = ((len(xr) * e * (p - 1) ** 2).bit_length() + 7) // 8
+    lane = ((len(x) * e * (p - 1) ** 2).bit_length() + 7) // 8
     step = slots * lane
     prod = 1
-    for r in (x, bytearray(yr)):
+    for r in (x, y):
         if step > 1:
             spread = bytearray(len(r) * step)
             for i, digit in enumerate(packed.digits):
@@ -261,7 +261,7 @@ def mul_ranks(spec, xr, yr, width):
             r = spread
         prod *= int.from_bytes(r, "little")
     n = width * slots
-    data = prod.to_bytes(max(n, (len(xr) + len(yr) - 1) * slots) * lane, "little")
+    data = prod.to_bytes(max(n, (len(x) + len(y) - 1) * slots) * lane, "little")
     # each lane mod p by Horner's rule from its top byte down, so that every
     # step adds two residues; a residue times 256 is its image under the
     # multiplication row of 256 mod p
@@ -270,7 +270,7 @@ def mul_ranks(spec, xr, yr, width):
         digits = _add_mod_p(spec, digits.translate(packed.mul[256 % p]),
                             data[j:n * lane:lane].translate(packed.mod_p), 0, n)
     if e == 1:
-        return tuple(digits)
+        return digits
     # each block of slots maps to a rank chunk by chunk (see PackedTables)
     g, out = packed.block_digits, None
     for c, table in enumerate(packed.blocks):
@@ -279,7 +279,7 @@ def mul_ranks(spec, xr, yr, width):
             key = key * p + int.from_bytes(digits[i::slots], "little")
         part = key.to_bytes(width, "little").translate(table)
         out = part if out is None else _add_bytes(spec, out, part, 0, width)
-    return tuple(out)
+    return out
 
 
 def inv_ranks(spec, xr, width):
@@ -289,18 +289,19 @@ def inv_ranks(spec, xr, width):
     y at each step.
     """
     if width < 1:
-        return ()
-    out = (spec.inv_rank(xr[0]),)
+        return b""
+    out = bytes((spec.inv_rank(xr[0]),))
     n = 1
     while n < width:
         n = min(2 * n, width)
-        err = (0,) + mul_ranks(spec, xr, out, n)[1:]
+        err = b"\0" + mul_ranks(spec, xr, out, n)[1:]
         out = add_ranks(spec, out, neg_ranks(spec, mul_ranks(spec, out, err, n)), 0, n)
     return out
 
 
 def _add_bytes(spec, x, y, shift, width):
     """Rank bytes of x + t^shift y, `width` of them; x and y fit in that."""
+    x, y = bytes(x), bytes(y)
     if spec.p == 2:
         s = int.from_bytes(x, "little") ^ (int.from_bytes(y, "little") << 8 * shift)
         return s.to_bytes(width, "little")

@@ -519,3 +519,104 @@ def test_window_algebra_laws(triple):
         assert equal_on_overlap((x * y).frobenius(), x.frobenius() * y.frobenius())
     except WindowEmpty:
         assume(False)
+
+
+def _wide(spec, rng, val, exact, pad=300, body=1024):
+    """An element whose given ranks are `pad` zeros, `body` ranks with zero runs
+    inside and nonzero ends, then `pad` zeros; exact or windowed to the end."""
+    q = spec.q
+    mid = [rng.randrange(q) if rng.random() < 0.4 else 0 for _ in range(body - 2)]
+    mid[100:400] = [0] * 300
+    ranks = [0] * pad + [rng.randrange(1, q)] + mid + [rng.randrange(1, q)] + [0] * pad
+    return UInftyElem(spec, val, ranks, None if exact else val + len(ranks)), ranks
+
+
+def _check_normal(e, uprec, coeff, exps):
+    """e has window uprec, coefficient coeff(n) at each n in exps, and is in
+    normal form with its ranks stored as bytes."""
+    assert type(e.ranks) is bytes and e.uprec == uprec
+    for n in exps:
+        assert e.coeff_rank(n) == coeff(n), n
+    if e.is_zero:
+        assert e.val == 0
+        return
+    assert e.ranks[0] and min(exps) <= e.val
+    if uprec is None:
+        assert e.ranks[-1]
+    else:
+        assert e.val + len(e.ranks) == uprec
+
+
+def _outcome(fn, x, y):
+    try:
+        return fn(x, y)
+    except WindowEmpty:
+        return WindowEmpty
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_wide_windows_keep_normal_form(q):
+    # windows of 1624 exponents with zero runs of 300 at both ends, against a
+    # per-exponent coeff_rank oracle
+    spec = spec_for_order(q)
+    t = spec.tables
+    rng = random.Random(q)
+    elems = []
+    for val, exact in [(-7, True), (40, True), (-300, False), (5, False)]:
+        e, ranks = _wide(spec, rng, val, exact)
+        hi = val + len(ranks)
+        _check_normal(e, e.uprec, lambda n: ranks[n - val] if val <= n < hi else 0,
+                      range(val - 3, hi + (3 if exact else 0)))
+        assert e.val == val + 300 and len(e.ranks) == (1024 if exact else 1324)
+        elems.append(e)
+
+    def span(*es):
+        uprec = min((e.uprec for e in es if e.uprec is not None), default=None)
+        lo = min(e.val for e in es) - 3
+        return uprec, range(lo, max(e.val + len(e.ranks) for e in es) + 3
+                            if uprec is None else uprec)
+
+    for x in elems:
+        for y in elems:
+            uprec, exps = span(x, y)
+            _check_normal(x + y, uprec,
+                          lambda n: t.add[x.coeff_rank(n)][y.coeff_rank(n)], exps)
+        # the first 700 known ranks cancel, so the sum's valuation moves past them
+        head = UInftyElem(spec, x.val, x.ranks[:700], None)
+        d = x - head
+        uprec, exps = span(x)
+        _check_normal(d, uprec, lambda n: x.coeff_rank(n) if n >= x.val + 700 else 0, exps)
+        assert d.val >= x.val + 700
+        _check_normal(x - x, x.uprec, lambda n: 0, exps)
+        # products by a sparse wide factor: three terms over 1000 exponents
+        terms = {0: 1, 400: rng.randrange(1, q), 999: rng.randrange(1, q)}
+        sparse = UInftyElem(spec, 3, [terms.get(i, 0) for i in range(1000)], None)
+        for y in (sparse, UInftyElem(spec, 3, sparse.ranks, 1303)):
+            prod = x * y
+            ends = [e.uprec + f.val for e, f in ((x, y), (y, x)) if e.uprec is not None]
+            uprec = min(ends, default=None)
+            hi = x.val + len(x.ranks) + 1002 if uprec is None else uprec
+
+            def coeff(n, x=x):
+                acc = 0
+                for i, c in terms.items():
+                    acc = t.add[acc][t.mul[c][x.coeff_rank(n - 3 - i)]]
+                return acc
+
+            _check_normal(prod, uprec, coeff, range(x.val - 3, hi))
+        # truncation inside, at the end of, and (exact only) past the ranks
+        for width in (1, 700, len(x.ranks), len(x.ranks) + 50):
+            if x.uprec is not None and x.val + width > x.uprec:
+                continue
+            tr = x.truncate_to(x.val + width)
+            _check_normal(tr, x.val + width, x.coeff_rank, range(x.val - 3, x.val + width))
+        fr = x.frobenius()
+        uprec = None if x.uprec is None else q * x.uprec
+        hi = q * (x.val + len(x.ranks)) + 3 if uprec is None else uprec
+        _check_normal(fr, uprec, lambda n: 0 if n % q else x.coeff_rank(n // q),
+                      range(q * x.val - 3, hi))
+        # overlap comparisons against one coeff_rank call per exponent
+        last = UInftyElem.monomial(spec, x.val + len(x.ranks) - 1, 1)
+        for y in [x, x + last, x.truncate_to(x.val + 500), head] + elems:
+            assert (_outcome(equal_on_overlap, x, y)
+                    == _outcome(_overlap_per_exponent, x, y))

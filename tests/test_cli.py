@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -132,6 +133,27 @@ def test_omega_dump(tmp_path, capsys):
     obj = json.loads(dump.read_text())
     assert obj["q"] == 2 and len(obj["entries"]) == 4
     assert obj["entries"][0]["val"] == -1
+
+
+EXPECTED_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "expected")
+
+
+@pytest.mark.parametrize("q,tprec,uprec", [(2, 32, 1024), (9, 4, 300)])
+def test_omega_verify_matches_recorded_bytes(tmp_path, capsys, q, tprec, uprec):
+    # the stdout and dump bytes recorded for the benchmark, read and not written
+    stem = f"omega_q{q}_k2_t{tprec}_u{uprec}"
+    dump = tmp_path / f"{stem}.json"
+    code, out, _ = run(capsys, "omega-verify", "--q", str(q), "--k", "2",
+                       "--tprec", str(tprec), "--uprec", str(uprec),
+                       "--dump-omega", str(dump))
+    assert code == EX_OK
+    with open(os.path.join(EXPECTED_DIR, f"{stem}.txt"), encoding="utf-8") as fh:
+        assert out == fh.read()
+    with open(os.path.join(EXPECTED_DIR, f"{stem}.dump.sha256"), encoding="utf-8") as fh:
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == fh.read().split()[0]
+    for entry in json.loads(dump.read_text())["entries"]:
+        assert type(entry["coeffs"]) is list
+        assert all(type(c) is int for c in entry["coeffs"])
 
 
 def test_rep_example(capsys):

@@ -47,7 +47,7 @@ def test_galois_rep_examples(f2):
 
     u = parse_series(f2, "1+t+t^2", 3)
     m = galois_rep(u, 1, 2)
-    assert [r.ranks for r in m.rows] == [(1, 1), (1, 0)]
+    assert [r.ranks for r in m.rows] == [bytes((1, 1)), bytes((1, 0))]
     # k = 0 is the 1x1 unit itself
     m0 = galois_rep(parse_series(f2, "1+t", 4), 0, 4)
     assert m0.k == 0 and m0.rows[0] == parse_series(f2, "1+t", 4)
@@ -237,7 +237,7 @@ def test_tensor_order_examples(f2, f3):
 
 def test_tensor_squares_q2_n3(f2):
     squares = {(u ** 2).ranks for u in unit_enumerate(f2, 3)}
-    assert squares == {(1, 0, 0), (1, 0, 1)}  # {1, 1 + t^2}
+    assert squares == {bytes((1, 0, 0)), bytes((1, 0, 1))}  # {1, 1 + t^2}
 
 
 def test_tensor_brute_equals_formula(f2, f3):
@@ -417,7 +417,7 @@ def test_digit_block_columns_follow_enumeration(f2, f3, f4):
     # the order both brute counts and the rank certificate rely on
     for spec, m in [(f2, 5), (f3, 4), (f4, 3)]:
         block = density_mod._digit_block(spec.q, m, 0, unit_count(spec.q, m))
-        assert [tuple(col) for col in block.T.tolist()] == \
+        assert [bytes(col) for col in block.T.tolist()] == \
             [u.ranks for u in unit_enumerate(spec, m)]
 
 

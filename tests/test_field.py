@@ -154,6 +154,14 @@ def test_q_257_is_rejected():
         spec_for_order(257, order_bound=300)
 
 
+def test_spec_key_is_stored_once():
+    a, b = FqSpec(3, 2, (2, 2, 1)), FqSpec(3, 2, [5, -1, 1])  # x^2+2x+2 both
+    assert a.key is a.key and a.key == (3, 2, (2, 2, 1))
+    assert a == b and hash(a) == hash(b) == hash((3, 2, (2, 2, 1)))
+    assert a != FqSpec(3, 2, (1, 0, 1)) and a != spec_for_order(3)
+    assert (a == (3, 2, (2, 2, 1))) is False
+
+
 def test_zero_inverse_raises(f3):
     with pytest.raises(DivisionByZero):
         f3.zero().inverse()

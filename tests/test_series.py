@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from carlitz import TruncSeries, parse_series, render_series, unit_enumerate
 from carlitz import FqSpec, UInftyElem, spec_for_order, unit_count
 from carlitz.errors import BudgetExceeded, NonUnit, ParseError, SpecMismatch
-from carlitz.series import add_ranks, mul_ranks
+from carlitz.series import (
+    _add_bytes, add_ranks, inv_ranks, mul_ranks, neg_ranks, scale_ranks,
+)
 
 from conftest import random_series
 
@@ -215,7 +217,7 @@ def test_mul_ranks_matches_schoolbook(q):
         prec = rng.randrange(2, 40)
         a = random_series(rng, spec, prec)
         b = random_series(rng, spec, prec)
-        assert (a * b).ranks == schoolbook(spec, a.ranks, b.ranks, prec)
+        assert (a * b).ranks == bytes(schoolbook(spec, a.ranks, b.ranks, prec))
     # unequal operands in both orders, with windows of nothing, one rank, the
     # shorter length, the full product length and past it
     for na, nb in [(1, 1), (1, 40), (5, 9), (15, 16), (16, 16), (16, 33),
@@ -223,16 +225,16 @@ def test_mul_ranks_matches_schoolbook(q):
         xr = [rng.randrange(spec.q) for _ in range(na)]
         yr = [rng.randrange(spec.q) for _ in range(nb)]
         for width in (0, 1, min(na, nb), na + nb - 1, na + nb + 3):
-            slow = schoolbook(spec, xr, yr, width)
+            slow = bytes(schoolbook(spec, xr, yr, width))
             for fast in (mul_ranks(spec, xr, yr, width), mul_ranks(spec, yr, xr, width)):
-                assert fast == slow and all(type(v) is int for v in fast)
+                assert fast == slow and type(fast) is bytes
     # all-(q-1) operands fill every slot to its bound: lengths on both sides
     # of each lane boundary, at the operands' length and the full product
     top = spec.q - 1
     for n in slot_edges(spec):
         xr, yr = (top,) * n, (top,) * (n + 3)
         for width in (n, 2 * n + 2) if n <= 300 else (n,):
-            slow = schoolbook(spec, xr, yr, width)
+            slow = bytes(schoolbook(spec, xr, yr, width))
             assert mul_ranks(spec, xr, yr, width) == slow
             assert mul_ranks(spec, yr, xr, width) == slow
 
@@ -264,12 +266,12 @@ def test_add_neg_scale_match_rankwise_loop(q):
         for a, b in [(random_series(rng, spec, prec), random_series(rng, spec, prec)),
                      (TruncSeries.from_ranks(spec, (top,) * prec),) * 2]:
             ar, br = a.ranks, b.ranks
-            assert (a + b).ranks == rankwise_add(spec, ar, br, 0, prec)
-            assert (a - b).ranks == tuple(t.add[x][t.neg[y]] for x, y in zip(ar, br))
-            assert (-a).ranks == tuple(t.neg[x] for x in ar)
+            assert (a + b).ranks == bytes(rankwise_add(spec, ar, br, 0, prec))
+            assert (a - b).ranks == bytes(t.add[x][t.neg[y]] for x, y in zip(ar, br))
+            assert (-a).ranks == bytes(t.neg[x] for x in ar)
             c = rng.randrange(spec.q)
-            assert a.scale(spec.from_rank(c)).ranks == tuple(t.mul[c][x] for x in ar)
-            assert all(type(v) is int for v in (a + b).ranks)
+            assert a.scale(spec.from_rank(c)).ranks == bytes(t.mul[c][x] for x in ar)
+            assert type((a + b).ranks) is bytes
     # unequal lengths, offsets inside, at and past the window
     for na, nb in [(0, 3), (5, 9), (40, 7), (300, 300)]:
         xr = [rng.randrange(spec.q) for _ in range(na)]
@@ -277,11 +279,86 @@ def test_add_neg_scale_match_rankwise_loop(q):
         for shift in (0, 1, 4, na, na + nb):
             for width in (0, 1, na, na + nb, na + nb + 5):
                 assert (add_ranks(spec, xr, yr, shift, width)
-                        == rankwise_add(spec, xr, yr, shift, width))
+                        == bytes(rankwise_add(spec, xr, yr, shift, width)))
     # precision is the smaller one
     a, b = random_series(rng, spec, 9), random_series(rng, spec, 4)
-    assert (a + b).ranks == rankwise_add(spec, a.ranks, b.ranks, 0, 4)
+    assert (a + b).ranks == bytes(rankwise_add(spec, a.ranks, b.ranks, 0, 4))
     assert (b - a).prec == 4
+
+
+def rankwise_inverse(spec, xr, width):
+    """The first `width` ranks of 1/x by long division, one lookup per product."""
+    t = spec.tables
+    c = spec.inv_rank(xr[0])
+    out = []
+    for n in range(width):
+        acc = 1 if n == 0 else 0
+        for i in range(1, min(n, len(xr) - 1) + 1):
+            acc = t.add[acc][t.neg[t.mul[xr[i]][out[n - i]]]]
+        out.append(t.mul[c][acc])
+    return tuple(out)
+
+
+@pytest.mark.parametrize("q", KERNEL_FIELDS)
+def test_kernels_return_bytes_for_every_input_form(q):
+    """Each kernel takes ranks as a tuple, a list or bytes and returns bytes."""
+    spec = kernel_spec(q)
+    t = spec.tables
+    rng = random.Random(7)
+    for na, nb in [(1, 1), (3, 8), (17, 17), (40, 65)]:
+        xr = [rng.randrange(1, spec.q)] + [rng.randrange(spec.q) for _ in range(na - 1)]
+        yr = [rng.randrange(spec.q) for _ in range(nb)]
+        c = rng.randrange(spec.q)
+        shift, width = min(2, na), na + nb
+        want = {
+            "scale": bytes(t.mul[c][r] for r in xr),
+            "neg": bytes(t.neg[r] for r in xr),
+            "add": bytes(rankwise_add(spec, xr, yr, shift, width)),
+            "add_bytes": bytes(rankwise_add(spec, xr, yr, shift, width)),
+            "mul": bytes(schoolbook(spec, xr, yr, width)),
+            "inv": bytes(rankwise_inverse(spec, xr, width)),
+        }
+        for form in (tuple, list, bytes):
+            x, y = form(xr), form(yr)
+            got = {
+                "scale": scale_ranks(spec, c, x),
+                "neg": neg_ranks(spec, x),
+                "add": add_ranks(spec, x, y, shift, width),
+                "add_bytes": _add_bytes(spec, x, y, shift, width),
+                "mul": mul_ranks(spec, x, y, width),
+                "inv": inv_ranks(spec, x, width),
+            }
+            for name, out in got.items():
+                assert type(out) is bytes and out == want[name], (name, form)
+            for empty in (add_ranks(spec, x, y, 0, 0), mul_ranks(spec, x, y, 0),
+                          inv_ranks(spec, x, 0)):
+                assert empty == b"" and type(empty) is bytes
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_series_from_every_constructor_compare_and_hash_equal(q):
+    spec = spec_for_order(q)
+    prec = 3
+    for u in unit_enumerate(spec, prec):
+        r = tuple(u.ranks)
+        elems = [spec.from_rank(x) for x in r]
+        built = [
+            TruncSeries(spec, elems),
+            TruncSeries(spec, elems + [spec.one()] * 2, prec),
+            # padded by __init__ to prec, then added
+            TruncSeries(spec, elems[:1], prec) + TruncSeries(spec, [0] + elems[1:]),
+            TruncSeries.from_ranks(spec, r),
+            TruncSeries.from_ranks(spec, list(r)),
+            TruncSeries.from_ranks(spec, bytes(r)),
+            parse_series(spec, render_series(u), prec),
+            u * TruncSeries.one(spec, prec),
+        ]
+        for s in built:
+            assert type(s.ranks) is bytes and s.ranks is s.ranks
+            assert s == u and hash(s) == hash(u) and s.key() == u.key()
+        assert len(set(built) | {u}) == 1
+        # the same ranks at another precision are another series
+        assert TruncSeries.from_ranks(spec, r + (0,)) != u
 
 
 @pytest.mark.parametrize("q", [3, 4, 9, 2, 131, 251])
