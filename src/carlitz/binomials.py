@@ -6,7 +6,8 @@ integer: Lucas computes only the digit binomials C(l_d, j_d), both digits
 below p, as products of min(j_d, l_d - j_d) factors mod p with one inverse
 per call, so a digit costs at most p/2 products and no table is built.
 Callers that read many coefficients C(i+n, n) take them from binom_row, one
-Lucas row per (p, n) built once and then shared.
+Lucas row per (p, n) built once and then shared; binom_masks turns the same
+row into one byte mask per nonzero value, for the hyperderivative kernel.
 """
 
 from .errors import InvalidCharacteristic
@@ -14,6 +15,7 @@ from .field import is_prime
 
 _PASCAL_ROWS: dict[int, list[tuple[int, ...]]] = {}
 _ROWS: dict[tuple[int, int], tuple[int, ...]] = {}
+_MASKS: dict[tuple[int, int], tuple[int, tuple]] = {}
 
 
 def _check_args(l, j, p):
@@ -59,6 +61,33 @@ def binom_row(p: int, n: int, length: int) -> tuple[int, ...]:
         row += tuple(binom_mod_p(i + n, n, p) for i in range(len(row), size))
         _ROWS[p, n] = row
     return row
+
+
+def binom_masks(p: int, n: int, length: int) -> tuple[int, tuple]:
+    """The row of (p, n) as byte masks: (mask_1, ((c, mask_c), ...)).
+
+    mask_c is a little-endian int whose byte i is 0xff where entry i of
+    binom_row(p, n, ...) equals c, and 0 elsewhere.  mask_1 is never empty,
+    since entry 0 is C(n, n) = 1; the pairs hold each other nonzero value
+    c of the row in increasing order, so there are none for p = 2.  Byte i of
+
+        (ranks & mask_1) | OR over the pairs of ((c * ranks) & mask_c),
+
+    with the ranks r_0, ..., r_(L-1) read as a little-endian int, is the
+    rank of C(i+n, n) r_i for every L up to the masks' length; mask bytes
+    past L meet zeros.  The masks are cached per (p, n) with the length
+    they cover and rebuilt from binom_row when a longer one is asked for,
+    so p and n are checked before anything is stored.
+    """
+    hit = _MASKS.get((p, n))
+    if hit is not None and hit[0] >= length:
+        return hit[1]
+    row = binom_row(p, n, length)
+    by_value = {c: int.from_bytes(bytes(0xff * (v == c) for v in row), "little")
+                for c in set(row) - {0}}
+    masks = (by_value.pop(1), tuple(sorted(by_value.items())))
+    _MASKS[p, n] = (len(row), masks)
+    return masks
 
 
 def _pascal_rows(p, upto):

@@ -337,6 +337,8 @@ class UPowerSeries:
         return self.entries[n]
 
     def truncate_t(self, tprec: int) -> "UPowerSeries":
+        if tprec < 1:
+            raise ValueError("t-precision must be >= 1")
         if tprec > self.tprec:
             raise InsufficientPrecision("cannot raise t-precision")
         return UPowerSeries(self.spec, self.entries[:tprec])

@@ -97,6 +97,8 @@ class TruncSeries:
         return (self.spec.key, self.prec, self._ranks)
 
     def truncate(self, prec: int) -> "TruncSeries":
+        if prec < 1:
+            raise ValueError("precision must be >= 1")
         if prec > self.prec:
             raise ValueError("cannot raise precision by truncation")
         if prec == self.prec:

@@ -1,8 +1,11 @@
+import functools
 import random
 
 import pytest
 
-from carlitz import TruncSeries, UInftyElem, UPowerSeries, compute_omega, spec_for_order
+from carlitz import (
+    FqSpec, TruncSeries, UInftyElem, UPowerSeries, compute_omega, spec_for_order,
+)
 
 
 @pytest.fixture(scope="session")
@@ -18,6 +21,25 @@ def f3():
 @pytest.fixture(scope="session")
 def f4():
     return spec_for_order(4)
+
+
+# Fields for the packed-kernel oracles: prime fields whose sum of two
+# residues fits a byte (p <= 127) and two that need wider lanes (131, 251),
+# extension fields of characteristic 2 and odd characteristic, two explicit
+# defining polynomials of large degree, and F_49 from an explicit quadratic,
+# whose product digit blocks take two chunks of two base-7 digits.
+KERNEL_FIELDS = [2, 3, 4, 5, 8, 9, 16, 25, 27, 127, 131, 251, "2^8", "3^5", "7^2"]
+
+
+@functools.cache
+def kernel_spec(name):
+    if name == "2^8":
+        return FqSpec(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1))  # x^8+x^4+x^3+x+1
+    if name == "3^5":
+        return FqSpec(3, 5, (1, 0, 0, 0, 2, 1))  # x^5+2x^4+1
+    if name == "7^2":
+        return FqSpec(7, 2, (3, 1, 1))  # x^2+x+3
+    return spec_for_order(name)
 
 
 _OMEGA_CACHE = {}

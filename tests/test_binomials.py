@@ -17,7 +17,10 @@ from carlitz import (
     spec_for_order,
     torsion_level_m,
 )
+from carlitz.binomials import binom_masks
 from carlitz.errors import InvalidCharacteristic
+
+from conftest import KERNEL_FIELDS, kernel_spec
 
 
 def test_frozen_values():
@@ -140,21 +143,37 @@ def test_row_guards():
         binom_row(1, 0, 0)
     with pytest.raises(ValueError):
         binom_row(3, -1, 4)
-    assert (6, 2) not in binomials._ROWS and (3, -1) not in binomials._ROWS
+    with pytest.raises(InvalidCharacteristic):
+        binom_masks(6, 2, 4)
+    with pytest.raises(ValueError):
+        binom_masks(3, -1, 4)
+    for key in ((6, 2), (3, -1)):
+        assert key not in binomials._ROWS and key not in binomials._MASKS
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
-def test_hyperderivs_match_per_coefficient_formula(q):
-    # the formula as it stood before rows: one Pascal binomial per coefficient
-    spec = spec_for_order(q)
+def hyperderiv_by_rank(spec, n, ranks, prec):
+    """D^(n) by the formula, one Pascal binomial and one product per rank."""
     p, mul = spec.p, spec.tables.mul
+    return bytes(mul[binom_pascal_oracle(i + n, n, p)][ranks[i + n]]
+                 for i in range(prec))
+
+
+@pytest.mark.parametrize("q", KERNEL_FIELDS)
+def test_hyperderivs_match_per_coefficient_formula(q):
+    # the formula as it stood before rows: one Pascal binomial per
+    # coefficient, at every order below the precision and every output
+    # precision the order leaves
+    spec = kernel_spec(q)
+    q, p = spec.q, spec.p
     rng = random.Random(q)
-    for prec in (1, 2, 9, 33):
+    for prec in (1, 2, 9, 33, 64):
         f = TruncSeries.from_ranks(spec, [rng.randrange(q) for _ in range(prec)])
-        for n in range(1, prec):
-            want = [mul[binom_pascal_oracle(i + n, n, p)][f.ranks[i + n]]
-                    for i in range(prec - n)]
-            assert hyperderiv(n, f).ranks == bytes(want)
+        for n in range(prec):
+            want = hyperderiv_by_rank(spec, n, f.ranks, prec - n)
+            assert hyperderiv(n, f).ranks == want
+            for out in range(1, prec - n + 1):
+                got = hyperderiv(n, f, out)
+                assert got.prec == out and got.ranks == want[:out]
     entries = [UInftyElem(spec, v, [rng.randrange(q) for _ in range(4)], v + 6)
                for v in range(12)]
     s = UPowerSeries(spec, entries)
@@ -162,3 +181,26 @@ def test_hyperderivs_match_per_coefficient_formula(q):
         want = [entries[i + n].scale(binom_pascal_oracle(i + n, n, p))
                 for i in range(12 - n)]
         assert s.hyperderiv(n).entries == tuple(want)
+
+
+def test_masks_grow_with_the_row(monkeypatch):
+    monkeypatch.setattr(binomials, "_ROWS", {})
+    monkeypatch.setattr(binomials, "_MASKS", {})
+    short = binom_masks(5, 3, 2)
+    assert binomials._MASKS[5, 3][0] == 2
+    # a shorter request is answered from the cache, a longer one rebuilds
+    assert binom_masks(5, 3, 1) is short
+    longer = binom_masks(5, 3, 40)
+    assert binomials._MASKS[5, 3][0] == len(binom_row(5, 3, 40)) >= 40
+    row = binom_row(5, 3, 40)
+    ones, scaled = longer
+    assert [c for c, _ in scaled] == sorted(set(row) - {0, 1})
+    for c, m in ((1, ones),) + scaled:
+        assert [i for i in range(len(row)) if m >> (8 * i) & 0xff] == \
+            [i for i, v in enumerate(row) if v == c]
+        assert m < 1 << (8 * len(row))
+    # p = 2: one mask, the parity of C(i+n, n), odd exactly when i & n == 0
+    ones, scaled = binom_masks(2, 5, 40)
+    assert scaled == ()
+    assert [i for i in range(40) if ones >> (8 * i) & 0xff] == \
+        [i for i in range(40) if not i & 5]

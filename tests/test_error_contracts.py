@@ -2,6 +2,7 @@
 
 import pytest
 
+import carlitz.binomials as binomials
 from carlitz import (
     FqSpec,
     JetMatrix,
@@ -83,6 +84,10 @@ def test_series_constructor_guards(f3):
         TruncSeries.monomial(f3, -1, 4)
     with pytest.raises(ValueError):
         TruncSeries.one(f3, 3).truncate(5)
+    # a precision below 1 is rejected before it reaches a slice
+    for prec in (0, -2):
+        with pytest.raises(ValueError):
+            TruncSeries.one(f3, 4).truncate(prec)
 
 
 def test_series_scale_spec_mismatch(f2, f3, f4):
@@ -104,6 +109,8 @@ def test_jet_guards(f3):
     with pytest.raises(ValueError):
         hyperderiv(-1, TruncSeries.one(f3, 3))
     with pytest.raises(ValueError):
+        hyperderiv(-1, TruncSeries.one(f3, 3), 1)
+    with pytest.raises(ValueError):
         jet(-1, TruncSeries.one(f3, 3))
     with pytest.raises(ValueError):
         JetMatrix(())
@@ -111,6 +118,22 @@ def test_jet_guards(f3):
 
     with pytest.raises(ShapeMismatch):
         JetMatrix((TruncSeries.one(f3, 3), TruncSeries.one(f3, 4)))
+
+
+def test_hyperderiv_output_precision_guards(f3):
+    # both guards fire before the binomial row or its masks are built: the
+    # order 97 is used nowhere else, so no cache may hold it afterwards
+    f = TruncSeries.one(f3, 100)
+    with pytest.raises(InsufficientPrecision,
+                       match=r"D\^\(97\) at output precision 4 needs input precision >= 101, got 100"):
+        hyperderiv(97, f, 4)
+    for prec in (0, -1):
+        with pytest.raises(ValueError):
+            hyperderiv(97, f, prec)
+    with pytest.raises(ValueError):
+        hyperderiv(0, f, 0)
+    assert (3, 97) not in binomials._ROWS and (3, 97) not in binomials._MASKS
+    assert hyperderiv(97, f, 3).ranks == b"\0\0\0"
 
 
 def test_uinfty_constructor_guards(f3):
@@ -146,6 +169,10 @@ def test_upower_series_guards(f3):
         s.hyperderiv(-1)
     with pytest.raises(InsufficientPrecision):
         s.truncate_t(4)
+    omega = compute_omega(f3, 4, 32)
+    for tprec in (0, -1):
+        with pytest.raises(ValueError):
+            omega.truncate_t(tprec)
     with pytest.raises(ValueError):
         ProlongationAction(f3, 1).apply([s])
 

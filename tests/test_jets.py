@@ -45,7 +45,13 @@ def test_hyperderiv_linearity(f3):
 def test_precision_exhausted_flag(f2):
     out = hyperderiv(5, TruncSeries.one(f2, 3))
     assert out.exhausted and out.prec == 1 and out.ranks == b"\0"
+    assert hyperderiv(3, TruncSeries.one(f2, 3)).exhausted
     assert not hyperderiv(2, TruncSeries.one(f2, 3)).exhausted
+    # an explicit output precision is a request, never a flagged zero
+    assert not hyperderiv(2, TruncSeries.one(f2, 3), 1).exhausted
+    for n in (3, 5):
+        with pytest.raises(InsufficientPrecision):
+            hyperderiv(n, TruncSeries.one(f2, 3), 1)
 
 
 def test_jet_basic_shapes(f3):
@@ -158,6 +164,41 @@ def test_verify_taylor_reads_through_the_operator(f3, monkeypatch):
         carlitz.jets, "hyperderiv", lambda n, g: real(max(n - 1, 0), g)
     )
     assert not verify_taylor(f)
+
+
+def _count_series(monkeypatch):
+    """Count every TruncSeries built through from_ranks from here on."""
+    built = []
+    real = TruncSeries.__dict__["from_ranks"].__func__
+
+    def spy(cls, spec, ranks, **kw):
+        built.append(len(ranks))
+        return real(cls, spec, ranks, **kw)
+
+    monkeypatch.setattr(TruncSeries, "from_ranks", classmethod(spy))
+    return built
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_jet_builds_one_series_per_row(f3, monkeypatch, k):
+    # each row is made at the output precision, never made and then cut
+    f = random_series(random.Random(11), f3, 12)
+    want = jet(k, f, 5)
+    built = _count_series(monkeypatch)
+    assert jet(k, f, 5) == want
+    assert built == [5] * (k + 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_verify_leibniz_builds_one_series_per_factor(f3, monkeypatch, n):
+    # f*g, D^(n)(fg), the zero, and per i the two factors, their product
+    # and the running sum: each at its final precision
+    rng = random.Random(12)
+    f, g = random_series(rng, f3, 9), random_series(rng, f3, 9)
+    built = _count_series(monkeypatch)
+    assert verify_leibniz(n, f, g)
+    assert len(built) == 3 + 4 * (n + 1)
+    assert built.count(9) == 1 and built.count(9 - n) == len(built) - 1
 
 
 def test_verify_insufficient_precision(f3):

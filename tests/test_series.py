@@ -1,4 +1,3 @@
-import functools
 import random
 
 import pytest
@@ -12,7 +11,7 @@ from carlitz.series import (
     _add_bytes, add_ranks, inv_ranks, mul_ranks, neg_ranks, scale_ranks,
 )
 
-from conftest import random_series
+from conftest import KERNEL_FIELDS, kernel_spec, random_series
 
 
 def lit(q, text, prec):
@@ -163,25 +162,6 @@ def test_ring_axioms(triple):
     assert (a + b) * c == a * c + b * c
     assert (a * b) * c == a * (b * c)
     assert a - a == TruncSeries.zero(a.spec, a.prec)
-
-
-# Fields for the packed-kernel oracles: prime fields whose sum of two
-# residues fits a byte (p <= 127) and two that need wider lanes (131, 251),
-# extension fields of characteristic 2 and odd characteristic, two explicit
-# defining polynomials of large degree, and F_49 from an explicit quadratic,
-# whose product digit blocks take two chunks of two base-7 digits.
-KERNEL_FIELDS = [2, 3, 4, 5, 8, 9, 16, 25, 27, 127, 131, 251, "2^8", "3^5", "7^2"]
-
-
-@functools.cache
-def kernel_spec(name):
-    if name == "2^8":
-        return FqSpec(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1))  # x^8+x^4+x^3+x+1
-    if name == "3^5":
-        return FqSpec(3, 5, (1, 0, 0, 0, 2, 1))  # x^5+2x^4+1
-    if name == "7^2":
-        return FqSpec(7, 2, (3, 1, 1))  # x^2+x+3
-    return spec_for_order(name)
 
 
 def schoolbook(spec, xr, yr, width):
