@@ -43,6 +43,8 @@ from .jets import JetMatrix, jet
 from .series import (
     ENUM_BUDGET_DEFAULT,
     TruncSeries,
+    add_ranks,
+    scale_ranks,
     unit_count,
 )
 
@@ -612,7 +614,6 @@ def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: i
     if n_cols * n > budget:
         raise BudgetExceeded(f"{n_cols} columns x {n} rows exceeds budget {budget}")
     monos = _monomials(k + 1, deg_bound)
-    columns = [(m, s) for m in monos for s in range(tdeg_bound + 1)]
     q = spec.q
     prec = n + k
     sampled = False
@@ -636,10 +637,10 @@ def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: i
         )
         n_units = sample_count
 
-    t = spec.tables
-    add, mul, neg = t.add, t.mul, t.neg
-    pivots: dict[int, list[int]] = {}
+    inv, neg = spec.tables.inv, spec.tables.neg
+    pivots: dict[int, bytes] = {}
     rank = 0
+    pad = bytes(tdeg_bound)
     one_col = TruncSeries.one(spec, n)
     for a in unit_list:
         rows_jet = galois_rep(a, k, n).rows
@@ -655,32 +656,22 @@ def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: i
             for j, mj in enumerate(m):
                 if mj:
                     acc = acc * powers[j][mj]
-            evals.append(acc.ranks)
+            evals.append(pad + acc.ranks)
         for i in range(n):
-            row = [0] * n_cols
-            for c in range(n_cols):
-                s = columns[c][1]
-                if i >= s:
-                    row[c] = evals[c // (tdeg_bound + 1)][i - s]
-            # Gaussian reduction against current pivots
-            lead = None
-            for col in range(n_cols):
-                if row[col]:
-                    if col in pivots:
-                        f = neg[row[col]]
-                        prow = pivots[col]
-                        for cc in range(col, n_cols):
-                            if prow[cc]:
-                                row[cc] = add[row[cc]][mul[f][prow[cc]]]
-                    else:
-                        lead = col
-                        break
-            if lead is not None:
-                inv_lead = spec.inv_rank(row[lead])
-                pivots[lead] = [mul[inv_lead][x] for x in row]
-                rank += 1
-                if rank == n_cols:
+            # column (m, s) holds the t^(i-s) coefficient of monomial m
+            row = b"".join(e[i:i + tdeg_bound + 1][::-1] for e in evals)
+            # Gaussian reduction against the pivots, each scaled to lead with
+            # 1.  A row is kept from its lead column on, so its length names
+            # that column and the pivot that clears it.
+            while row := row.lstrip(b"\0"):
+                pivot = pivots.get(len(row))
+                if pivot is None:
+                    pivots[len(row)] = scale_ranks(spec, inv[row[0]], row)
+                    rank += 1
                     break
+                row = add_ranks(spec, row, scale_ranks(spec, neg[row[0]], pivot), 0, len(row))
+            if rank == n_cols:
+                break
         if rank == n_cols:
             break
     return ZariskiReport(

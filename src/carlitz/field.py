@@ -4,7 +4,11 @@ Elements are stored by their *rank*: the integer sum(c_i * p^i) over the
 polynomial-basis coefficients (c_0, ..., c_{e-1}).  Rank 0 is zero, ranks
 below p are the prime-field constants, and enumeration order is ascending
 rank.  All arithmetic runs through per-spec lookup tables, which keeps the
-hot enumeration loops free of object overhead.
+hot enumeration loops free of object overhead.  Each table is kept once, as
+`bytes`: a row of 256 bytes per left operand, which serves as a lookup for
+`FqElem` and literal parsing, as a `bytes.translate` table for the rank
+kernels of `carlitz.series`, and, viewed as a q x q uint8 array, for the
+batched gathers of `carlitz.density`.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from .errors import (
     UnsupportedOrder,
 )
 
-# every rank fits in one byte, which the packed kernels of carlitz.series
-# and the uint8 tables of carlitz.density rely on
+# every rank fits in one byte, which the 256-byte table rows, the packed
+# kernels of carlitz.series and the uint8 arrays of carlitz.density rely on
 ORDER_BOUND = 256
 
 # Built-in monic irreducible defining polynomials, low-to-high coefficients.
@@ -98,44 +102,45 @@ def _is_irreducible(poly, p):
     )
 
 
+def _square_view(rows, q):
+    """The first q entries of q table rows, as one read-only q x q uint8 array."""
+    return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(q, 256)[:, :q]
+
+
 # ---------------------------------------------------------------------------
 # field spec
 # ---------------------------------------------------------------------------
 
-class PackedTables(NamedTuple):
-    """`bytes.translate` tables for the packed rank kernels of `carlitz.series`.
+class FieldTables(NamedTuple):
+    """Per-field lookup tables, each kept once as `bytes`, indexed by rank.
 
-    Each table has 256 bytes and is indexed by a byte: `mul[a]` maps a rank
-    r to the rank of a*r, `digits[i]` a rank to its i-th base-p digit and
-    `mod_p` a byte b to b mod p.  A product digit block (d_0, ..., d_{2e-2})
-    is read in chunks of `block_digits` digits, the most whose base-p key
-    fits in a byte: `blocks[c]` maps the key sum_i d_{s+i} p^i of the chunk
-    at s = c * block_digits to the rank of sum_i d_{s+i} x^(s+i) reduced
-    mod the defining polynomial.
+    Every table row has 256 bytes, so it is both a lookup (`mul[a][b]` is
+    the rank of a*b) and a `bytes.translate` table for the rank kernels of
+    `carlitz.series`; entries past q are zero.  `add[a]` and `mul[a]` are
+    the rows of addition and multiplication by a, `neg` is the row
+    `mul[p-1]` and `inv` maps a rank to the rank of its inverse (inv[0] is
+    0).  `add_np` and `mul_np` are q x q uint8 views of the same rows,
+    joined once into one buffer, for the batched gathers of
+    `carlitz.density`.
+
+    `digits[i]` maps a rank to its i-th base-p digit and `mod_p` a byte b
+    to b mod p.  A product digit block (d_0, ..., d_{2e-2}) is read in
+    chunks of `block_digits` digits, the most whose base-p key fits in a
+    byte: `blocks[c]` maps the key sum_i d_{s+i} p^i of the chunk at
+    s = c * block_digits to the rank of sum_i d_{s+i} x^(s+i) reduced mod
+    the defining polynomial.
     """
 
+    add: tuple
     mul: tuple
+    neg: bytes
+    inv: bytes
+    add_np: np.ndarray
+    mul_np: np.ndarray
     digits: tuple
     mod_p: bytes
     block_digits: int
     blocks: tuple
-
-
-class FieldTables(NamedTuple):
-    """Per-field lookup tables, indexed by rank.
-
-    `add`, `mul`, `neg` and `inv` are nested lists for the pure-Python
-    loops (inv[0] is 0); `add_np` and `mul_np` are the same two tables as
-    q x q uint8 arrays, for batched gathers in `density`.
-    """
-
-    add: list
-    mul: list
-    neg: list
-    inv: list
-    add_np: np.ndarray
-    mul_np: np.ndarray
-    packed: PackedTables
 
 
 class FqSpec:
@@ -200,15 +205,16 @@ class FqSpec:
     # -- tables --------------------------------------------------------------
 
     def _build_tables(self):
-        p, q, poly = self.p, self.q, self.defining_poly
+        p, e, q, poly = self.p, self.e, self.q, self.defining_poly
+        pad = bytes(256 - q)
         add = [[0] * q for _ in range(q)]
         for r1 in range(q):
             a = self.decode(r1)
             for r2 in range(r1, q):
                 b = self.decode(r2)
-                s = self.encode((x + y) % p for x, y in zip(a, b))
-                add[r1][r2] = s
-                add[r2][r1] = s
+                v = self.encode((x + y) % p for x, y in zip(a, b))
+                add[r1][r2] = v
+                add[r2][r1] = v
         mul = [[0] * q for _ in range(q)]
         for r1 in range(1, q):
             a = self.decode(r1)
@@ -216,28 +222,8 @@ class FqSpec:
                 v = self.encode(_pmod(_pmul(a, self.decode(r2), p), poly, p))
                 mul[r1][r2] = v
                 mul[r2][r1] = v
-        neg = [self.encode((-c) % p for c in self.decode(r)) for r in range(q)]
-        inv = [0] * q
-        for r in range(1, q):
-            if inv[r]:
-                continue
-            row = mul[r]
-            for s in range(1, q):
-                if row[s] == 1:
-                    inv[r] = s
-                    inv[s] = r
-                    break
-        self._tables = FieldTables(
-            add=add, mul=mul, neg=neg, inv=inv,
-            add_np=np.array(add, dtype=np.uint8),
-            mul_np=np.array(mul, dtype=np.uint8),
-            packed=self._packed_tables(mul),
-        )
-        return self._tables
-
-    def _packed_tables(self, mul):
-        p, e, q = self.p, self.e, self.q
-        pad = bytes(256 - q)
+        add = tuple(bytes(row) + pad for row in add)
+        mul = tuple(bytes(row) + pad for row in mul)
         slots = 2 * e - 1
         g = 1
         while g < slots and p ** (g + 1) <= 256:
@@ -246,19 +232,21 @@ class FqSpec:
         for s in range(0, slots, g):
             n = min(g, slots - s)
             ranks = [
-                self.encode(_pmod([0] * s + [key // p ** i % p for i in range(n)],
-                                  self.defining_poly, p))
+                self.encode(_pmod([0] * s + [key // p ** i % p for i in range(n)], poly, p))
                 for key in range(p ** n)
             ]
             blocks.append(bytes(ranks) + bytes(256 - len(ranks)))
-        return PackedTables(
-            mul=tuple(bytes(row) + pad for row in mul),
+        self._tables = FieldTables(
+            add=add, mul=mul, neg=mul[p - 1],
+            inv=bytes([0] + [row.index(1) for row in mul[1:]]) + pad,
+            add_np=_square_view(add, q), mul_np=_square_view(mul, q),
             digits=tuple(bytes(r // p ** i % p for r in range(q)) + pad
                          for i in range(e)),
             mod_p=bytes(b % p for b in range(256)),
             block_digits=g,
             blocks=tuple(blocks),
         )
+        return self._tables
 
     @property
     def tables(self) -> FieldTables:

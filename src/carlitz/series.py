@@ -192,7 +192,7 @@ class TruncSeries:
 # A rank fits in a byte (q <= 256), and the kernels work on rank sequences
 # packed into one Python int, one byte-aligned lane per slot (Kronecker
 # substitution: Harvey, J. Symb. Comput. 2009), and unpack them with
-# `bytes.translate` through the field's PackedTables.
+# `bytes.translate` through the 256-byte rows of the field's FieldTables.
 
 def scalar_rank(spec, c) -> int:
     """The rank of a scalar: an FqElem of `spec`, or an int residue mod p."""
@@ -205,7 +205,7 @@ def scalar_rank(spec, c) -> int:
 
 def scale_ranks(spec, c, ranks):
     """Each rank times the field element of rank c."""
-    return bytes(ranks).translate(spec.tables.packed.mul[c])
+    return bytes(ranks).translate(spec.tables.mul[c])
 
 
 def neg_ranks(spec, ranks):
@@ -241,14 +241,14 @@ def mul_ranks(spec, xr, yr, width):
     if len(xr) > len(yr):
         xr, yr = yr, xr
     x, y = bytes(xr[:width]), bytes(yr[:width])
-    packed = spec.tables.packed
+    tables = spec.tables
     lead = x.lstrip(b"\0")
     if len(lead.rstrip(b"\0")) <= 1:
         # zero or a monomial c*t^i: one translate through the row of c
         if not lead:
             return bytes(width)
         i = len(x) - len(lead)
-        out = bytes(i) + y[:width - i].translate(packed.mul[lead[0]])
+        out = bytes(i) + y[:width - i].translate(tables.mul[lead[0]])
         return out.ljust(width, b"\0")
     p, e = spec.p, spec.e
     slots = 2 * e - 1
@@ -258,7 +258,7 @@ def mul_ranks(spec, xr, yr, width):
     for r in (x, y):
         if step > 1:
             spread = bytearray(len(r) * step)
-            for i, digit in enumerate(packed.digits):
+            for i, digit in enumerate(tables.digits):
                 spread[i * lane::step] = r.translate(digit)
             r = spread
         prod *= int.from_bytes(r, "little")
@@ -267,15 +267,15 @@ def mul_ranks(spec, xr, yr, width):
     # each lane mod p by Horner's rule from its top byte down, so that every
     # step adds two residues; a residue times 256 is its image under the
     # multiplication row of 256 mod p
-    digits = data[lane - 1:n * lane:lane].translate(packed.mod_p)
+    digits = data[lane - 1:n * lane:lane].translate(tables.mod_p)
     for j in reversed(range(lane - 1)):
-        digits = _add_mod_p(spec, digits.translate(packed.mul[256 % p]),
-                            data[j:n * lane:lane].translate(packed.mod_p), 0, n)
+        digits = _add_mod_p(spec, digits.translate(tables.mul[256 % p]),
+                            data[j:n * lane:lane].translate(tables.mod_p), 0, n)
     if e == 1:
         return digits
-    # each block of slots maps to a rank chunk by chunk (see PackedTables)
-    g, out = packed.block_digits, None
-    for c, table in enumerate(packed.blocks):
+    # each block of slots maps to a rank chunk by chunk (see FieldTables)
+    g, out = tables.block_digits, None
+    for c, table in enumerate(tables.blocks):
         key = 0
         for i in reversed(range(c * g, min(c * g + g, slots))):
             key = key * p + int.from_bytes(digits[i::slots], "little")
@@ -310,7 +310,7 @@ def _add_bytes(spec, x, y, shift, width):
     if spec.e == 1:
         return _add_mod_p(spec, x, y, shift, width)
     out = 0
-    for i, digit in enumerate(spec.tables.packed.digits):
+    for i, digit in enumerate(spec.tables.digits):
         plane = _add_mod_p(spec, x.translate(digit), y.translate(digit), shift, width)
         out += spec.p ** i * int.from_bytes(plane, "little")
     return out.to_bytes(width, "little")
@@ -321,7 +321,7 @@ def _add_mod_p(spec, x, y, shift, width):
     p = spec.p
     if 2 * (p - 1) < 256:
         s = int.from_bytes(x, "little") + (int.from_bytes(y, "little") << 8 * shift)
-        return s.to_bytes(width, "little").translate(spec.tables.packed.mod_p)
+        return s.to_bytes(width, "little").translate(spec.tables.mod_p)
     # a sum of two residues can pass a byte: add in two-byte lanes, where
     # bit 15 of lane + 2^15 - p flags the lanes to take p from
     ones = _two_byte_lanes(b"\1" * width)
@@ -423,6 +423,8 @@ def _parse_term(spec, term):
 
 def parse_series(spec: FqSpec, text: str, prec: int) -> TruncSeries:
     """Parse a series literal; terms at or beyond t^prec are discarded."""
+    if prec < 1:
+        raise ValueError("precision must be >= 1")
     s = text.replace(" ", "")
     if not s:
         raise ParseError("empty series literal")

@@ -413,6 +413,88 @@ def test_zariski_rank_progression_q2_k3(f2):
     assert [zariski_rank_certificate(f2, 3, 3, 2, n).rank for n in (7, 8, 9)] == [99, 104, 105]
 
 
+def _zariski_rank_by_entries(spec, k, deg, tdeg, n, units):
+    """Rank of the certificate's rows by one table lookup per matrix entry.
+
+    The monomials come in the order of the filtered product and each is a
+    power product of the jet rows; the row of unit a at t^i holds, in
+    column (m, s), the t^(i-s) coefficient of monomial m at a.  Column
+    order does not change the rank.
+    """
+    monos = [m for m in itertools.product(range(deg + 1), repeat=k + 1) if sum(m) <= deg]
+    n_cols = len(monos) * (tdeg + 1)
+    t = spec.tables
+    pivots, rank = {}, 0
+    for a in units:
+        rows_jet = galois_rep(a, k, n).rows
+        evals = []
+        for m in monos:
+            acc = TruncSeries.one(spec, n)
+            for v, mj in zip(rows_jet, m):
+                acc = acc * v ** mj
+            evals.append(acc.ranks)
+        for i in range(n):
+            row = [evals[c // (tdeg + 1)][i - c % (tdeg + 1)] if i >= c % (tdeg + 1) else 0
+                   for c in range(n_cols)]
+            lead = None
+            for col in range(n_cols):
+                if row[col]:
+                    if col not in pivots:
+                        lead = col
+                        break
+                    f, prow = t.neg[row[col]], pivots[col]
+                    for cc in range(col, n_cols):
+                        row[cc] = t.add[row[cc]][t.mul[f][prow[cc]]]
+            if lead is not None:
+                pivots[lead] = [t.mul[t.inv[row[lead]]][x] for x in row]
+                rank += 1
+                if rank == n_cols:
+                    return rank, n_cols
+    return rank, n_cols
+
+
+@pytest.mark.parametrize("q, k, deg, tdeg, n, how", [
+    (2, 2, 2, 1, 4, "exhaustive"),   # rank 19 of 20
+    (3, 1, 2, 1, 3, "exhaustive"),
+    (4, 0, 3, 2, 3, "exhaustive"),   # rank 11 of 12
+    (4, 1, 3, 2, 3, "exhaustive"),   # rank 28 of 30
+    (8, 1, 2, 1, 2, "exhaustive"),
+    (8, 0, 3, 2, 2, "exhaustive"),   # rank 8 of 12: the t^2 columns vanish
+    (9, 0, 2, 2, 2, "exhaustive"),   # rank 6 of 9, likewise
+    (9, 1, 2, 1, 2, "exhaustive"),
+    (4, 1, 3, 2, 3, "sampled"),      # rank 24 of 30 from 12 units
+    (8, 1, 2, 1, 2, "sampled"),
+    (9, 1, 2, 1, 2, "sampled"),
+    (4, 1, 3, 2, 3, "lex"),
+    (9, 1, 2, 1, 2, "lex"),
+])
+def test_zariski_rank_matches_entrywise_elimination(q, k, deg, tdeg, n, how, monkeypatch):
+    # the byte-row elimination against one table lookup per entry, on
+    # prime and extension fields, full-rank and rank-deficient cells
+    spec = spec_for_order(q)
+    if how == "exhaustive":
+        report = zariski_rank_certificate(spec, k, deg, tdeg, n)
+        units = unit_enumerate(spec, n + k)
+    elif how == "lex":
+        units = list(unit_enumerate(spec, n + k))
+        report = zariski_rank_certificate(spec, k, deg, tdeg, n, units=units)
+    else:
+        units = []
+        galois_rep_ = density_mod.galois_rep
+
+        def recording(a, k, n):
+            units.append(a)
+            return galois_rep_(a, k, n)
+
+        monkeypatch.setattr(density_mod, "galois_rep", recording)
+        report = zariski_rank_certificate(spec, k, deg, tdeg, n,
+                                          exhaustive_limit=1, sample_count=12)
+        monkeypatch.undo()
+        assert report.sampled
+    rank, n_cols = _zariski_rank_by_entries(spec, k, deg, tdeg, n, units)
+    assert (report.rank, report.full_rank, report.n_columns) == (rank, rank == n_cols, n_cols)
+
+
 def test_digit_block_columns_follow_enumeration(f2, f3, f4):
     # the order both brute counts and the rank certificate rely on
     for spec, m in [(f2, 5), (f3, 4), (f4, 3)]:

@@ -105,6 +105,15 @@ def test_literal_unterminated_bracket(f4):
         parse_series(f4, "[1,0+t", 3)
 
 
+def test_literal_precision_below_one_rejected(f3):
+    # as in TruncSeries(...): no series of precision 0 to fail later
+    for prec in (0, -1):
+        with pytest.raises(ValueError):
+            parse_series(f3, "1+t", prec)
+        with pytest.raises(ValueError):
+            parse_series(f3, "0", prec)
+
+
 def test_jet_guards(f3):
     with pytest.raises(ValueError):
         hyperderiv(-1, TruncSeries.one(f3, 3))

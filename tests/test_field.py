@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from carlitz import FqElem, FqSpec, spec_for_order
@@ -10,6 +11,8 @@ from carlitz.errors import (
     UnsupportedOrder,
 )
 from carlitz.field import parse_fq_config
+
+from conftest import KERNEL_FIELDS, kernel_spec
 
 ALL_Q = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27]
 
@@ -59,6 +62,24 @@ def test_distributivity_exhaustive(q):
     elems = list(spec.elements())
     for a, b, c in itertools.product(elems, repeat=3):
         assert a * (b + c) == a * b + a * c
+
+
+@pytest.mark.parametrize("q", KERNEL_FIELDS)
+def test_field_tables_are_byte_rows_with_square_views(q):
+    # every table is 256-byte rows (zero past q), and the numpy arrays are
+    # q x q views with the same entries
+    spec = kernel_spec(q)
+    q, t = spec.q, spec.tables
+    assert len(t.add) == len(t.mul) == q
+    for row in (*t.add, *t.mul, t.neg, t.inv):
+        assert type(row) is bytes and len(row) == 256 and not any(row[q:])
+    for table, view in ((t.add, t.add_np), (t.mul, t.mul_np)):
+        assert view.shape == (q, q) and view.dtype == np.uint8
+        assert view.tolist() == [list(row[:q]) for row in table]
+    for r in range(q):
+        assert t.add[r][t.neg[r]] == 0
+        if r:
+            assert t.mul[r][t.inv[r]] == 1
 
 
 def test_mul_against_log_table_oracle(f4):
