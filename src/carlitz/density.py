@@ -37,6 +37,7 @@ from .errors import (
     MalformedOrder,
     NonUnit,
     SegmentViolation,
+    SpecMismatch,
 )
 from .field import FqSpec
 from .jets import JetMatrix, jet
@@ -56,6 +57,7 @@ _MERGE_ROW_LIMIT = 1 << 21
 # units per block of the batched tensor count; larger blocks are no faster
 # past this size and raise the peak memory of the products
 _TENSOR_CHUNK = 1 << 13
+_CERT_BLOCK = 256  # the rank certificate's largest block of units
 
 
 def galois_rep(a, k: int, n: int) -> JetMatrix:
@@ -64,13 +66,19 @@ def galois_rep(a, k: int, n: int) -> JetMatrix:
     Needs a known to precision n+k; the result has unit diagonal, i.e. it
     lies in the Toeplitz group of the corresponding order.
     """
+    _unit_prefix(a.spec, a, n + k)
+    return jet(k, a, prec=n)
+
+
+def _unit_prefix(spec, a, m):
+    """The first m ranks of a, which must be a unit over spec known mod t^m."""
+    if a.spec.key != spec.key:
+        raise SpecMismatch("unit from a different field")
     if not a.is_unit:
         raise NonUnit("representation is defined on units only")
-    if a.prec < n + k:
-        raise InsufficientPrecision(
-            f"unit precision {a.prec} below required {n + k}"
-        )
-    return jet(k, a.truncate(n + k), prec=n)
+    if a.prec < m:
+        raise InsufficientPrecision(f"unit precision {a.prec} below required {m}")
+    return a.ranks[:m]
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +401,6 @@ def tensor_image_order_brute(spec: FqSpec, d: int, n: int, *,
     """
     if d < 1:
         raise ValueError("tensor degree must be >= 1")
-    if n < 1:
-        raise ValueError("precision must be >= 1")
     return _image_count(spec, 0, d, n, n, budget, 1, _TENSOR_CHUNK)
 
 
@@ -496,6 +502,11 @@ def build_tensor_table(spec: FqSpec, d: int, n_max: int, mode: str = "both", *,
 # group law sanity and the relation-freeness certificate
 # ---------------------------------------------------------------------------
 
+def _random_unit(rng, q, m):
+    """The ranks of a random unit mod t^m: a nonzero constant, then any."""
+    return bytes([rng.randrange(1, q)] + [rng.randrange(q) for _ in range(m - 1)])
+
+
 def motivic_group_check(spec: FqSpec, k: int, *, prec: int = 6, samples: int = 25,
                         seed: int = DEFAULT_SEED) -> bool:
     """Exercise the Toeplitz group law on random unit-diagonal jets.
@@ -508,14 +519,9 @@ def motivic_group_check(spec: FqSpec, k: int, *, prec: int = 6, samples: int = 2
     q = spec.q
 
     def random_jet():
-        rows = [TruncSeries.from_ranks(
-            spec, [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(prec - 1)]
-        )]
-        for _ in range(k):
-            rows.append(TruncSeries.from_ranks(
-                spec, [rng.randrange(q) for _ in range(prec)]
-            ))
-        return JetMatrix(rows)
+        rows = [_random_unit(rng, q, prec)]
+        rows += [bytes(rng.randrange(q) for _ in range(prec)) for _ in range(k)]
+        return JetMatrix([TruncSeries.from_ranks(spec, r) for r in rows])
 
     ident = JetMatrix.identity(spec, k, prec)
     mats = [random_jet() for _ in range(samples)]
@@ -530,13 +536,11 @@ def motivic_group_check(spec: FqSpec, k: int, *, prec: int = 6, samples: int = 2
     for i in range(0, samples - 2, 3):
         a, b, c = mats[i], mats[i + 1], mats[i + 2]
         ab = a * b
-        if not ab.is_invertible:
-            return False
-        if (ab) * c != a * (b * c):
+        if not ab.is_invertible or ab * c != a * (b * c):
             return False
     for _ in range(samples):
-        ranks = [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(prec + k - 1)]
-        img = galois_rep(TruncSeries.from_ranks(spec, ranks), k, prec)
+        unit = TruncSeries.from_ranks(spec, _random_unit(rng, q, prec + k))
+        img = galois_rep(unit, k, prec)
         if not img.is_invertible or len(img.rows) != k + 1:
             return False
     return True
@@ -586,6 +590,30 @@ def _shuffled_range(n, rng):
         moved[j] = moved.pop(i, i)
 
 
+def _certificate_rows(spec, k, n, monos, tdeg_bound, chunk):
+    """The certificate's rows for units mod t^(n+k), n rows per unit.
+
+    chunk joins the n+k rank bytes of each unit.  Row u*n + i is unit u at
+    t^i, and column (m, s) holds the t^(i-s) coefficient of monomial m at
+    its jet.  Jet row j is the gather C(i+j, j) * a_(i+j); monomial m is the
+    one lower in its last nonzero variable j (earlier in `monos`) times row j.
+    """
+    block = np.frombuffer(chunk, dtype=np.uint8).reshape(-1, n + k).T
+    tables, units = spec.tables, block.shape[1]
+    jets = [tables.mul_np[np.array(binom_row(spec.p, j, n)[:n])[:, None], block[j:j + n]]
+            for j in range(k + 1)]
+    at = {m: c for c, m in enumerate(monos)}
+    evals = np.zeros((len(monos), n, units), dtype=np.uint8)
+    evals[0, 0] = 1  # monos[0] is the constant monomial
+    for c, m in enumerate(monos[1:], 1):
+        j = max(i for i, mj in enumerate(m) if mj)
+        evals[c] = _mul_block(tables, evals[at[m[:j] + (m[j] - 1,) + m[j + 1:]]], jets[j])
+    rows = np.zeros((units, n, len(monos), tdeg_bound + 1), dtype=np.uint8)
+    for s in range(min(tdeg_bound + 1, n)):
+        rows[:, s:, :, s] = evals[:, :n - s].transpose(2, 1, 0)
+    return rows.reshape(units * n, -1)
+
+
 def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: int,
                              n: int, *, seed: int = DEFAULT_SEED,
                              exhaustive_limit: int = EXHAUSTIVE_LIMIT_DEFAULT,
@@ -601,65 +629,39 @@ def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: i
     vector of this map is exactly a relation vanishing on every sampled
     unit, so full column rank certifies that no relation within the bounds
     exists.  Unit sets are exhaustive below `exhaustive_limit`, else sampled
-    reproducibly from `seed`.  The exhaustive set is evaluated in an order
-    drawn from `seed`: units near each other in lexicographic order give
-    nearly dependent rows, and the rank of a row set does not depend on its
-    order, so the report is the same for every seed.  Each unit is decoded
-    from its number by _digit_block, or drawn from the seeded generator,
-    only when the loop reaches it, since the loop stops at full rank.
+    reproducibly from `seed`.  The exhaustive set is decoded once by
+    _digit_block and evaluated in an order drawn from `seed`: units near
+    each other in lexicographic order give nearly dependent rows, and the
+    rank of a row set does not depend on its order, so the report is the
+    same for every seed.  Units are evaluated in blocks of 1, 2, 4, ... up
+    to _CERT_BLOCK by _certificate_rows, and the loop stops at full rank.
     """
-    if min(k, deg_bound, tdeg_bound) < 0:
-        raise ValueError("need k, deg_bound and tdeg_bound >= 0")
+    if n < 1 or min(k, deg_bound, tdeg_bound) < 0:
+        raise ValueError("need n >= 1 and k, deg_bound, tdeg_bound >= 0")
     n_cols = math.comb(k + 1 + deg_bound, deg_bound) * (tdeg_bound + 1)
     if n_cols * n > budget:
         raise BudgetExceeded(f"{n_cols} columns x {n} rows exceeds budget {budget}")
     monos = _monomials(k + 1, deg_bound)
-    q = spec.q
-    prec = n + k
-    sampled = False
+    q, prec, sampled = spec.q, n + k, False
+    # each source yields the prec rank bytes of one unit
     if units is not None:
-        unit_list = list(units)
-        n_units = len(unit_list)
-    elif unit_count(q, prec) <= exhaustive_limit:
-        n_units = unit_count(q, prec)
-        unit_list = (
-            TruncSeries.from_ranks(spec, _digit_block(q, prec, i, i + 1)[:, 0].tolist())
-            for i in _shuffled_range(n_units, random.Random(seed))
-        )
+        source = [_unit_prefix(spec, a, prec) for a in units]
+        n_units, source = len(source), iter(source)
+    elif (n_units := unit_count(q, prec)) <= exhaustive_limit:
+        digits = _digit_block(q, prec, 0, n_units).T.tobytes()
+        source = (digits[i * prec:(i + 1) * prec]
+                  for i in _shuffled_range(n_units, random.Random(seed)))
     else:
-        sampled = True
-        rng = random.Random(seed)
-        unit_list = (
-            TruncSeries.from_ranks(
-                spec, [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(prec - 1)]
-            )
-            for _ in range(sample_count)
-        )
-        n_units = sample_count
+        sampled, n_units, rng = True, sample_count, random.Random(seed)
+        source = (_random_unit(rng, q, prec) for _ in range(sample_count))
 
     inv, neg = spec.tables.inv, spec.tables.neg
     pivots: dict[int, bytes] = {}
-    rank = 0
-    pad = bytes(tdeg_bound)
-    one_col = TruncSeries.one(spec, n)
-    for a in unit_list:
-        rows_jet = galois_rep(a, k, n).rows
-        powers = []
-        for v in rows_jet:
-            pw = [one_col, v]
-            for _ in range(2, deg_bound + 1):
-                pw.append(pw[-1] * v)
-            powers.append(pw)
-        evals = []
-        for m in monos:
-            acc = one_col
-            for j, mj in enumerate(m):
-                if mj:
-                    acc = acc * powers[j][mj]
-            evals.append(pad + acc.ranks)
-        for i in range(n):
-            # column (m, s) holds the t^(i-s) coefficient of monomial m
-            row = b"".join(e[i:i + tdeg_bound + 1][::-1] for e in evals)
+    rank, size = 0, 1
+    while rank < n_cols and (chunk := b"".join(itertools.islice(source, size))):
+        rows = _certificate_rows(spec, k, n, monos, tdeg_bound, chunk).tobytes()
+        for start in range(0, len(rows), n_cols):
+            row = rows[start:start + n_cols]
             # Gaussian reduction against the pivots, each scaled to lead with
             # 1.  A row is kept from its lead column on, so its length names
             # that column and the pivot that clears it.
@@ -672,8 +674,7 @@ def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: i
                 row = add_ranks(spec, row, scale_ranks(spec, neg[row[0]], pivot), 0, len(row))
             if rank == n_cols:
                 break
-        if rank == n_cols:
-            break
+        size = min(2 * size, _CERT_BLOCK)
     return ZariskiReport(
         full_rank=rank == n_cols, rank=rank, n_columns=n_cols,
         n_units=n_units, k=k, deg_bound=deg_bound,

@@ -229,9 +229,8 @@ def mul_ranks(spec, xr, yr, width):
     multiplication table.  Otherwise each operand becomes one int, with
     2e-1 slots per t-position that hold the e base-p digits of its rank
     (slot i is the coefficient of x^i), and the two ints are multiplied
-    once.  A slot of
-    the product sums at most min(len)*e digit products, each at most
-    (p-1)^2, so lanes of b bytes hold it exactly while
+    once.  A slot of the product sums at most min(len)*e digit products,
+    each at most (p-1)^2, so lanes of b bytes hold it exactly while
     min(len)*e*(p-1)^2 < 2^(8b).  The product's lanes are reduced mod p,
     and each block of 2e-1 digits to a rank by tables of the reductions mod
     the defining polynomial.
@@ -338,6 +337,8 @@ def _two_byte_lanes(data):
 
 
 def unit_count(q: int, prec: int) -> int:
+    if prec < 1:
+        raise ValueError("precision must be >= 1")
     return (q - 1) * q ** (prec - 1)
 
 
@@ -347,8 +348,6 @@ def unit_enumerate(spec: FqSpec, prec: int, *,
 
     The budget is checked at call time, before any unit is produced.
     """
-    if prec < 1:
-        raise ValueError("precision must be >= 1")
     total = unit_count(spec.q, prec)
     if total > budget:
         raise BudgetExceeded(f"{total} units exceed budget {budget}")

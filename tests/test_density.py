@@ -37,9 +37,10 @@ from carlitz.errors import (
     InsufficientPrecision,
     MalformedOrder,
     NonUnit,
+    SpecMismatch,
 )
 
-from conftest import random_series
+from conftest import kernel_spec, random_series
 
 
 def test_galois_rep_examples(f2):
@@ -334,9 +335,13 @@ def test_zariski_budget_before_monomials(f2, monkeypatch):
 
 
 def test_zariski_negative_bounds_rejected(f2):
-    for args in [(-1, 2, 1), (1, -1, 1), (1, 2, -1)]:
+    for args in [(-1, 2, 1, 4), (1, -1, 1, 4), (1, 2, -1, 4), (1, 2, 1, 0), (1, 2, 1, -1)]:
         with pytest.raises(ValueError):
-            zariski_rank_certificate(f2, *args, 4)
+            zariski_rank_certificate(f2, *args)
+    # n < 1 is an argument error, found before the budget check: n = 0
+    # needs 0 rows, over a budget of -1
+    with pytest.raises(ValueError):
+        zariski_rank_certificate(f2, 1, 2, 1, 0, budget=-1)
 
 
 def test_monomials_are_the_filtered_product_in_order():
@@ -373,21 +378,21 @@ def test_zariski_rank_independent_of_order(q, k, deg, tdeg, n, rank):
 
 
 def test_zariski_seeded_order_reaches_rank_in_few_units(monkeypatch):
-    # lexicographic order evaluates 5104 of the 13122 units before full rank
-    import carlitz.density as density
+    # lexicographic order evaluates 5104 of the 13122 units before full rank;
+    # the seeded order reaches it after 19, inside the blocks 1, 2, ..., 16
+    drawn = []
+    shuffled_range = density_mod._shuffled_range
 
-    calls = []
-    galois_rep_ = density.galois_rep
+    def recording(n, rng):
+        for i in shuffled_range(n, rng):
+            drawn.append(i)
+            yield i
 
-    def counting(a, k, n):
-        calls.append(a)
-        return galois_rep_(a, k, n)
-
-    monkeypatch.setattr(density, "galois_rep", counting)
+    monkeypatch.setattr(density_mod, "_shuffled_range", recording)
     r = zariski_rank_certificate(spec_for_order(3), 3, 3, 2, 6, seed=1729)
     assert r.full_rank and r.rank == 105 and r.n_units == 13122
-    assert len(calls) < 100
-    assert len({u.ranks for u in calls}) == len(calls)
+    assert 0 < len(drawn) < 100
+    assert len(set(drawn)) == len(drawn)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 100, 13122])
@@ -479,20 +484,110 @@ def test_zariski_rank_matches_entrywise_elimination(q, k, deg, tdeg, n, how, mon
         units = list(unit_enumerate(spec, n + k))
         report = zariski_rank_certificate(spec, k, deg, tdeg, n, units=units)
     else:
-        units = []
-        galois_rep_ = density_mod.galois_rep
+        # the sampled units are the seeded generator's draws, n+k per unit
+        draws = []
 
-        def recording(a, k, n):
-            units.append(a)
-            return galois_rep_(a, k, n)
+        class Recording(random.Random):
+            def randrange(self, *args):
+                draws.append(super().randrange(*args))
+                return draws[-1]
 
-        monkeypatch.setattr(density_mod, "galois_rep", recording)
+        monkeypatch.setattr(density_mod.random, "Random", Recording)
         report = zariski_rank_certificate(spec, k, deg, tdeg, n,
                                           exhaustive_limit=1, sample_count=12)
         monkeypatch.undo()
-        assert report.sampled
+        assert report.sampled and draws and len(draws) % (n + k) == 0
+        units = [TruncSeries.from_ranks(spec, draws[i:i + n + k])
+                 for i in range(0, len(draws), n + k)]
+        assert len(units) == 12 or report.full_rank
     rank, n_cols = _zariski_rank_by_entries(spec, k, deg, tdeg, n, units)
     assert (report.rank, report.full_rank, report.n_columns) == (rank, rank == n_cols, n_cols)
+
+
+def test_zariski_explicit_units(f2, f3):
+    k, deg, tdeg, n = 2, 2, 1, 4
+    # every other unit of the criterion-8 cell: 16 units, one more than the
+    # blocks 1, 2, 4, 8 hold, and never full rank, so every block is drawn
+    units = list(unit_enumerate(f2, n + k))[::2]
+    report = zariski_rank_certificate(f2, k, deg, tdeg, n, units=units)
+    rank, n_cols = _zariski_rank_by_entries(f2, k, deg, tdeg, n, units)
+    assert (report.rank, report.n_columns, report.n_units) == (rank, n_cols, 16)
+    assert not report.full_rank and not report.sampled
+    # a generator of the same units gives the same report
+    gen = zariski_rank_certificate(f2, k, deg, tdeg, n, units=(u for u in units))
+    assert gen == report
+    # units known past n+k give the report of their truncations
+    longer = [TruncSeries.from_ranks(f2, u.ranks + bytes([1, 1])) for u in units]
+    assert zariski_rank_certificate(f2, k, deg, tdeg, n, units=longer) == report
+    with pytest.raises(NonUnit):
+        zariski_rank_certificate(f2, k, deg, tdeg, n,
+                                 units=units[:3] + [TruncSeries.monomial(f2, 1, n + k)])
+    with pytest.raises(InsufficientPrecision):
+        zariski_rank_certificate(f2, k, deg, tdeg, n,
+                                 units=units[:3] + [TruncSeries.one(f2, n + k - 1)])
+    with pytest.raises(SpecMismatch):
+        zariski_rank_certificate(f2, k, deg, tdeg, n, units=[TruncSeries.one(f3, n + k)])
+
+
+def test_zariski_exhaustive_run_uses_no_series_kernels(monkeypatch):
+    # the block rows come from the numpy field tables alone: no series
+    # product and no hyperderivative, even when every unit is evaluated
+    import carlitz.jets as jets_mod
+    import carlitz.series as series_mod
+
+    calls = []
+    for mod, name in [(series_mod, "mul_ranks"), (jets_mod, "hyperderiv")]:
+        def spy(*args, _real=getattr(mod, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, spy)
+    spec = spec_for_order(2)
+    r = zariski_rank_certificate(spec, 2, 2, 1, 4)
+    assert (r.rank, r.n_columns, r.sampled) == (19, 20, False)
+    assert calls == []
+    # the spies do see the object path
+    galois_rep(TruncSeries.one(spec, 6), 2, 4).rows[1] * TruncSeries.one(spec, 4)
+    assert set(calls) == {"mul_ranks", "hyperderiv"}
+
+
+def _object_rows(spec, k, n, monos, tdeg, units):
+    """The certificate's rows through series objects, unit by unit.
+
+    The jet comes from galois_rep, each monomial is a TruncSeries product of
+    powers of its rows, and row i of a unit joins, monomial by monomial,
+    the coefficients at t^i, t^(i-1), ..., t^(i-tdeg) (zero below t^0).
+    """
+    pad, one, out = bytes(tdeg), TruncSeries.one(spec, n), []
+    for a in units:
+        rows_jet = galois_rep(a, k, n).rows
+        evals = []
+        for m in monos:
+            acc = one
+            for v, mj in zip(rows_jet, m):
+                acc = acc * v ** mj
+            evals.append(pad + acc.ranks)
+        out += [b"".join(e[i:i + tdeg + 1][::-1] for e in evals) for i in range(n)]
+    return out
+
+
+@pytest.mark.parametrize("name", [2, 3, 4, 5, 8, 9, 27, "7^2", 131])
+def test_certificate_rows_match_object_rows(name):
+    # the block rows against the object path, row for row, for every unit:
+    # all units where there are at most 200, else 40 seeded ones
+    spec = kernel_spec(name)
+    rng = random.Random(17)
+    for k, deg, tdeg, n in [(0, 3, 2, 3), (1, 2, 1, 3), (2, 2, 2, 2), (1, 3, 3, 2),
+                            (2, 0, 1, 2), (0, 1, 0, 1)]:
+        monos = density_mod._monomials(k + 1, deg)
+        if unit_count(spec.q, n + k) <= 200:
+            units = list(unit_enumerate(spec, n + k))
+        else:
+            units = [random_series(rng, spec, n + k, unit=True) for _ in range(40)]
+        rows = density_mod._certificate_rows(spec, k, n, monos, tdeg,
+                                             b"".join(u.ranks for u in units))
+        assert rows.shape == (len(units) * n, len(monos) * (tdeg + 1))
+        assert [r.tobytes() for r in rows] == _object_rows(spec, k, n, monos, tdeg, units)
 
 
 def test_digit_block_columns_follow_enumeration(f2, f3, f4):

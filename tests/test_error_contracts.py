@@ -21,6 +21,8 @@ from carlitz import (
     tensor_image_order_formula,
     theta,
     torsion_generators,
+    unit_count,
+    unit_enumerate,
 )
 from carlitz.errors import (
     InsufficientPrecision,
@@ -88,6 +90,17 @@ def test_series_constructor_guards(f3):
     for prec in (0, -2):
         with pytest.raises(ValueError):
             TruncSeries.one(f3, 4).truncate(prec)
+
+
+def test_unit_count_precision_below_one_rejected(f3):
+    # as in unit_enumerate: no fractional count (unit_count(2, 0) was 0.5)
+    for prec in (0, -1):
+        for q in (2, 3):
+            with pytest.raises(ValueError, match="precision must be >= 1"):
+                unit_count(q, prec)
+        with pytest.raises(ValueError, match="precision must be >= 1"):
+            unit_enumerate(f3, prec)
+    assert unit_count(2, 1) == 1 and unit_count(3, 2) == 6
 
 
 def test_series_scale_spec_mismatch(f2, f3, f4):
