@@ -11,8 +11,12 @@ jets), then its distinct order-k jets (k = 0 for tensor powers).  The power
 a^d is (a^d')^(p^f) for d = p^f d' with d' prime to p: products give a^d',
 and the p^f-th power, being additive, only moves coefficient i to place
 i p^f through x -> x^(p^f), the collapse behind the tensor closed form.
-D(N) is always of the structural form unit * q^E and is kept that way;
-only display ever touches a floating-point logarithm.
+When d' = 1 (every jet count) each coefficient of a thus lands in one
+place of a^d, so a unit's key is the OR of one table per coefficient, and
+the keys of consecutive units are one broadcast OR of the outer ORs of
+those tables, with no unit decoded; still every unit's key is formed and
+counted.  D(N) is always of the structural form unit * q^E and is kept
+that way; only display ever touches a floating-point logarithm.
 """
 
 from __future__ import annotations
@@ -128,7 +132,7 @@ def _count_distinct_keys(keys_of, total, words, chunk_size, threads=1):
     keys_of(start, stop) returns the (words, stop-start) uint64 keys of
     units start..stop-1.  Each chunk is deduplicated on its own, and the
     parts are merged by set union.  `threads` > 1 spreads the chunks over a
-    thread pool, which pays off because sorting and table gathers release
+    thread pool, which pays off because forming and sorting keys release
     the GIL; the count is independent of chunking and thread count.
     """
     def run(start):
@@ -171,7 +175,8 @@ def _power_block(spec, block, d):
     sum b_i^P t^(iP).  So only the first ceil(n/P) rows of the block are
     raised to the d'-th power, by binary powering with _mul_block, and row i
     of the result, mapped through x -> x^P, becomes row iP of a zero block.
-    The Frobenius x -> x^p has order e on F_q, so x^P = x^(p^(f mod e)).
+    The Frobenius x -> x^p has order e on F_q, so x^P = x^(p^(f mod e))
+    (_frobenius).
     """
     f, d = tensor_decompose(d, spec.p)
     tables = spec.tables
@@ -188,54 +193,108 @@ def _power_block(spec, block, d):
         block = _mul_block(tables, block, block)
     if not f:
         return power
-    # the rank table of x -> x^P: x -> x^p applied f mod e times
+    out = np.zeros((n, power.shape[1]), dtype=np.uint8)
+    out[::big_p] = _frobenius(spec, f)[power]
+    return out
+
+
+def _frobenius(spec, f):
+    """The rank table of x -> x^(p^f): x -> x^p applied f mod e times."""
     frob = np.arange(spec.q, dtype=np.uint8)
     for _ in range(f % spec.e):
         x = frob
         for _ in range(spec.p - 1):
-            frob = tables.mul_np[frob, x]
-    out = np.zeros((n, power.shape[1]), dtype=np.uint8)
-    out[::big_p] = frob[power]
-    return out
+            frob = spec.tables.mul_np[frob, x]
+    return frob
+
+
+def _outer_or(keys, tables):
+    """The OR of keys with one entry of each table, every combination.
+
+    keys is (words, r) and each table (words, q).  Combinations are listed
+    with the keys most significant and the last table least, so the result
+    is (words, r * q^len(tables)) in lexicographic order of the choices.
+    """
+    for table in tables:
+        keys = (keys[:, :, None] | table[:, None, :]).reshape(len(keys), -1)
+    return keys
+
+
+def _unit_keys(tables, q, chunk_size):
+    """keys_of(start, stop) for units whose key ORs one table per coefficient.
+
+    tables is (m, words, q): the key of unit a mod t^m is the OR of
+    tables[l][:, a_l] over l.  Units are numbered lexicographically with a_0
+    most significant, so the keys of all units are the rows of
+    hi[:, :, None] | lo[:, None, :] in turn: lo is the outer OR of the last
+    s tables, with q^s <= chunk_size, and hi that of tables[0] at ranks
+    1..q-1 and the tables between.  A chunk of units is a slice of the rows
+    of hi it meets, joined with all of lo by one broadcast OR; no array
+    outgrows max(3 chunk_size, U / q^s) keys for U units.
+    """
+    m, words = tables.shape[:2]
+    s = 0
+    while s < m - 1 and q ** (s + 1) <= chunk_size:
+        s += 1
+    lo = _outer_or(np.zeros((words, 1), dtype=np.uint64), tables[m - s:])
+    hi = _outer_or(tables[0][:, 1:], tables[1:m - s])
+    width = lo.shape[1]
+
+    def keys_of(start, stop):
+        first = start // width
+        keys = (hi[:, first:-(-stop // width), None] | lo[:, None, :]).reshape(words, -1)
+        return keys[:, start - first * width:stop - first * width]
+
+    return keys_of
 
 
 def _image_count(spec, k, d, n, m, budget, threads, chunk_size):
     """The number of distinct jet_k(a^d) mod t^n over every unit a mod t^m.
 
-    Each chunk of units is decoded by _digit_block, raised to the d-th
-    power by _power_block (products for the part of d prime to p, a
-    Frobenius row spread for its p-part), and its order-k jets are packed
-    into integer keys that _count_distinct_keys counts: every jet, all
-    (k+1)*n entries, takes (q-1).bit_length() bits per entry (several
-    uint64 words past 64 bits).
+    Every jet, all (k+1)*n entries, is packed into an integer key of
+    (q-1).bit_length() bits per entry (several uint64 words past 64 bits),
+    and _count_distinct_keys counts the keys of all units.  Write d = P*d'
+    with P = p^f (tensor_decompose).  When d' = 1 (every jet count, and
+    every p-power tensor degree) coefficient l of a moves, through
+    x -> x^P, to place lP of a^d and nowhere else, so a key is the OR of
+    one table per coefficient of a and _unit_keys forms the keys of a
+    chunk by one broadcast OR, with no decoding.  Otherwise each chunk of
+    units is decoded by _digit_block, raised to the d-th power by
+    _power_block, and each coefficient of a^d gathered from the same tables.
     """
     q = spec.q
     total = unit_count(q, m)
     if total > budget:
         raise BudgetExceeded(f"{total} units exceed budget {budget}")
-    tables = spec.tables
+    mul = spec.tables.mul_np
     bits = (q - 1).bit_length()
     per_word = 64 // bits
     words = -(-(k + 1) * n // per_word)
-    # entry (j, i) of the jet is C(i+j, j) * a_(i+j); it occupies bits
+    # lut[l] maps coefficient l of a^d to its bits in the key.  Entry (j, i)
+    # of the jet is C(i+j, j) * a_(i+j); it occupies bits
     # [pos*bits, (pos+1)*bits) of its word.  Entries never share bits, so
-    # the tables of entries in one word that read the same coefficient a_l
-    # are OR-ed into one, which packs all of them with a single gather.
-    lut = {}
+    # the tables of all entries that read the same coefficient are OR-ed.
+    lut = np.zeros((m, words, q), dtype=np.uint64)
     for j in range(k + 1):
         row = binom_row(spec.p, j, n)
         for i in range(n):
             word, pos = divmod(j * n + i, per_word)
             # row i of mul_np is multiplication by the prime-field constant i
-            table = tables.mul_np[row[i]].astype(np.uint64) << np.uint64(pos * bits)
-            lut[word, i + j] = lut.get((word, i + j), 0) | table
-
-    def keys_of(start, stop):
-        block = _power_block(spec, _digit_block(q, m, start, stop), d)
-        key = np.zeros((words, stop - start), dtype=np.uint64)
-        for (word, digit), table in lut.items():
-            key[word] |= table[block[digit]]
-        return key
+            lut[i + j, word] |= mul[row[i]].astype(np.uint64) << np.uint64(pos * bits)
+    f, d_prime = tensor_decompose(d, spec.p)
+    if d_prime == 1:
+        # coefficient l reads lut[lP] through the Frobenius; past t^m it is lost
+        spread = lut[::spec.p ** f][:, :, _frobenius(spec, f)]
+        tables = np.zeros_like(lut)
+        tables[:len(spread)] = spread
+        keys_of = _unit_keys(tables, q, chunk_size)
+    else:
+        def keys_of(start, stop):
+            block = _power_block(spec, _digit_block(q, m, start, stop), d)
+            key = np.zeros((words, stop - start), dtype=np.uint64)
+            for digit, table in enumerate(lut):
+                key |= table[:, block[digit]]
+            return key
 
     return _count_distinct_keys(keys_of, total, words, chunk_size, threads)
 
@@ -246,13 +305,16 @@ def image_order_brute(spec: FqSpec, k: int, n: int, *,
                       enum_precision: int | None = None) -> int:
     """Count distinct jet images mod t^n over every unit mod t^(n+k).
 
-    The count is a literal deduplication of packed jet keys (_image_count at
-    d = 1), in chunks of `chunk_size` units over `threads` threads; the
-    answer is independent of both.  `enum_precision` may raise the
+    The count is a literal deduplication of the packed jet keys of every
+    unit (_image_count at d = 1, keys by _unit_keys), in chunks of
+    `chunk_size` units over `threads` threads; the answer is independent
+    of both.  `enum_precision` may raise the
     enumeration precision above n+k to double-check sufficiency.
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
+    if chunk_size < 1 or threads < 1:
+        raise ValueError("need chunk_size >= 1 and threads >= 1")
     m = n + k if enum_precision is None else enum_precision
     if m < n + k:
         raise InsufficientPrecision(f"enumeration precision {m} below n+k={n + k}")
@@ -392,12 +454,15 @@ def tensor_image_order_brute(spec: FqSpec, d: int, n: int, *,
                              budget: int = ENUM_BUDGET_DEFAULT) -> int:
     """Count distinct d-th powers a^d mod t^n over all units mod t^n.
 
-    The brute route for the closed form: _image_count at k = 0, which
-    raises each block of units to the d-th power by _power_block (batched
-    truncated products for a^d', then the additive p-part of d spreads the
-    result over every p^f-th coefficient) and counts the distinct powers.
-    Its oracles in the tests are the object-level set of (a ** d).ranks
-    and product-only powering of the same blocks.
+    The brute route for the closed form: _image_count at k = 0.  For
+    d = p^f (d' = 1) the power of each unit is the OR of one Frobenius
+    table per coefficient, formed by _unit_keys without decoding; otherwise
+    each block of units is raised to the d-th power by _power_block
+    (batched truncated products for a^d', then the additive p-part of d
+    spreads the result over every p^f-th coefficient).  Either way the
+    distinct powers of all units are counted.  Its oracles in the tests are
+    the object-level set of (a ** d).ranks, product-only powering of the
+    same blocks, and a gather per coefficient of the decoded powers.
     """
     if d < 1:
         raise ValueError("tensor degree must be >= 1")
@@ -476,6 +541,8 @@ def build_density_table(spec: FqSpec, k: int, n_max: int, mode: str = "both", *,
                         threads: int = 1, budget: int = ENUM_BUDGET_DEFAULT,
                         seed: int = DEFAULT_SEED) -> ImageTable:
     """Image orders for the order-k jet action, N = 1..n_max."""
+    if threads < 1:
+        raise ValueError("need threads >= 1")
     return _build_table(
         spec, "prolongation", k, n_max, mode, budget, seed,
         units=lambda n: unit_count(spec.q, n + k),

@@ -352,8 +352,14 @@ def unit_enumerate(spec: FqSpec, prec: int, *,
     if total > budget:
         raise BudgetExceeded(f"{total} units exceed budget {budget}")
     q = spec.q
-    ranks = itertools.product(range(1, q), *[range(q)] * (prec - 1))
-    return (TruncSeries.from_ranks(spec, tup) for tup in ranks)
+    # the ranks of the last r places as one list of at most 4096 strings,
+    # so a unit is one concatenation of its head and its tail
+    tails, r = [b""], 0
+    while r < prec - 1 and len(tails) * q <= 4096:
+        tails = [tail + bytes((d,)) for tail in tails for d in range(q)]
+        r += 1
+    heads = map(bytes, itertools.product(range(1, q), *[range(q)] * (prec - 1 - r)))
+    return (TruncSeries.from_ranks(spec, head + tail) for head in heads for tail in tails)
 
 
 # ---------------------------------------------------------------------------

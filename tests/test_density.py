@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import carlitz.density as density_mod
+from carlitz.binomials import binom_row
 
 from carlitz import (
     FqSpec,
@@ -773,6 +774,112 @@ def test_tensor_brute_guards_before_work(monkeypatch, f2):
         tensor_image_order_brute(f2, 2, 40, budget=10 ** 6)
     with pytest.raises(ValueError):
         tensor_image_order_brute(f2, 0, 3)
+
+
+def _block_keys(spec, k, d, n, m, start, stop):
+    """Keys of units start..stop-1 mod t^m by decoding, powering and gathers.
+
+    The units are decoded by _digit_block and raised to the d-th power by
+    _power_block; then for every (word, coefficient) pair, the OR of the
+    tables of the jet entries in that word that read that coefficient is
+    gathered at each unit's rank there.
+    """
+    q, mul = spec.q, spec.tables.mul_np
+    bits = (q - 1).bit_length()
+    per_word = 64 // bits
+    words = -(-(k + 1) * n // per_word)
+    lut = {}
+    for j in range(k + 1):
+        row = binom_row(spec.p, j, n)
+        for i in range(n):
+            word, pos = divmod(j * n + i, per_word)
+            table = mul[row[i]].astype(np.uint64) << np.uint64(pos * bits)
+            lut[word, i + j] = lut.get((word, i + j), 0) | table
+    block = density_mod._power_block(spec, density_mod._digit_block(q, m, start, stop), d)
+    key = np.zeros((words, stop - start), dtype=np.uint64)
+    for (word, digit), table in lut.items():
+        key[word] |= table[block[digit]]
+    return key
+
+
+def _counted_keys(monkeypatch, spec, k, d, n, m, chunk_size, threads):
+    """The count of _image_count and the keys it formed, in unit order."""
+    parts, count_keys = {}, density_mod._count_distinct_keys
+
+    def recording(keys_of, total, words, chunk_size, threads):
+        def record(start, stop):
+            parts[start] = keys_of(start, stop).copy()
+            return parts[start]
+
+        return count_keys(record, total, words, chunk_size, threads)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(density_mod, "_count_distinct_keys", recording)
+        count = density_mod._image_count(spec, k, d, n, m, 1 << 20, threads, chunk_size)
+    assert sorted(parts) == list(range(0, unit_count(spec.q, m), chunk_size))
+    return count, np.concatenate([parts[s] for s in sorted(parts)], axis=1)
+
+
+def _key_cases(spec, limit=1 << 12):
+    """(k, d, n, m): k <= 3, d in {1, p, p^2}, m in {n+k, n+k+1}, few units."""
+    for k, d in itertools.product(range(4), (1, spec.p, spec.p ** 2)):
+        for n in (1, 3):
+            for m in (n + k, n + k + 1):
+                if unit_count(spec.q, m) <= limit:
+                    yield k, d, n, m
+
+
+def _check_keys(monkeypatch, spec, k, d, n, m):
+    # every unit's key against the decode route, chunk by chunk and thread
+    # count; runs of more than 256 chunks are left out for time
+    total = unit_count(spec.q, m)
+    want = _block_keys(spec, k, d, n, m, 0, total)
+    distinct = np.unique(want, axis=1)
+    width = spec.q ** max(1, m // 2)
+    for chunk_size in (1, 17, width - 1, width + 1, 1 << 16):
+        if chunk_size < 1 or total > chunk_size << 8:
+            continue
+        for threads in (1, 2):
+            count, got = _counted_keys(monkeypatch, spec, k, d, n, m, chunk_size, threads)
+            case = (spec.q, k, d, n, m, chunk_size, threads)
+            assert got.shape == want.shape and np.array_equal(got, want), case
+            assert np.array_equal(np.unique(got, axis=1), distinct), case
+            assert count == distinct.shape[1], case
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 27, "7^2"])
+def test_unit_keys_match_block_gathers(q, monkeypatch):
+    # the outer-OR keys of p-power degrees (d' = 1) and the decode route of
+    # d' > 1 against decoding, powering and a gather per (word, coefficient)
+    spec = kernel_spec(q)
+    cases = list(_key_cases(spec))
+    assert cases
+    for k, d, n, m in cases:
+        _check_keys(monkeypatch, spec, k, d, n, m)
+
+
+def test_unit_keys_match_block_gathers_wide(monkeypatch, f2):
+    # (k+1)*n one-bit entries make 72 and 65 bits: two uint64 words per key
+    for k, n in [(7, 9), (4, 13)]:
+        _check_keys(monkeypatch, f2, k, 1, n, n + k)
+
+
+def test_p_power_counts_skip_decoding(monkeypatch, f3):
+    # d' = 1 forms its keys by the outer OR alone; d = 2 over F_3 still
+    # decodes and squares its units
+    calls = []
+    for name in ("_digit_block", "_power_block"):
+        def spy(*args, _real=getattr(density_mod, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(density_mod, name, spy)
+    assert image_order_brute(f3, 2, 4) == image_order_formula(f3, 2, 4)
+    for d in (3, 9):
+        assert tensor_image_order_brute(f3, d, 7) == tensor_image_order_formula(f3, d, 7)
+    assert calls == []
+    assert tensor_image_order_brute(f3, 2, 4) == tensor_image_order_formula(f3, 2, 4)
+    assert set(calls) == {"_digit_block", "_power_block"}
 
 
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 16, 25, 27])

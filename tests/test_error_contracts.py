@@ -221,6 +221,26 @@ def test_density_arg_guards(f2, f3):
         image_order_brute(f2, 2, 3, enum_precision=4)
 
 
+def test_image_order_chunk_and_thread_guards(f3, monkeypatch):
+    # chunk_size=-1 once counted no unit at all (0 for 18), chunk_size=0
+    # failed inside range() and threads < 1 ran on one thread; all are
+    # rejected before any unit is counted
+    import carlitz.density as density
+
+    def no_count(*args):
+        raise AssertionError("units were counted")
+
+    monkeypatch.setattr(density, "_image_count", no_count)
+    for kwargs in ({"chunk_size": -1}, {"chunk_size": 0}, {"threads": 0}, {"threads": -3}):
+        with pytest.raises(ValueError):
+            image_order_brute(f3, 1, 3, **kwargs)
+    for threads in (0, -3):
+        with pytest.raises(ValueError):
+            density.build_density_table(f3, 1, 3, threads=threads)
+    monkeypatch.undo()
+    assert image_order_brute(f3, 1, 3, chunk_size=1, threads=2) == 18
+
+
 def test_negative_orders_rejected_up_front(f3):
     omega = compute_omega(f3, 4, 32)
     with pytest.raises(ValueError):
