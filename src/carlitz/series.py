@@ -46,7 +46,8 @@ class TruncSeries:
         obj = object.__new__(cls)
         obj.spec = spec
         obj.prec = len(ranks)
-        obj._ranks = bytes(ranks)
+        # bytes(b) of a bytes object goes through b.__bytes__: slower, same b
+        obj._ranks = ranks if type(ranks) is bytes else bytes(ranks)
         obj.exhausted = exhausted
         return obj
 

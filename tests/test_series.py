@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -74,6 +75,22 @@ def test_unit_counts():
     assert len(list(unit_enumerate(spec_for_order(2), 3))) == 4
     assert [render_series(u) for u in unit_enumerate(spec_for_order(3), 1)] == ["1", "2"]
     assert len(list(unit_enumerate(spec_for_order(3), 2))) == 6
+
+
+@pytest.mark.parametrize("name, prec", [(2, 14), (3, 9), (4, 7), ("2^8", 2), (5, 1)])
+def test_unit_enumerate_is_lexicographic(name, prec):
+    # past 4096 units each rank string is a head joined to a listed tail
+    spec = kernel_spec(name)
+    q = spec.q
+    want = [bytes(t) for t in itertools.product(range(1, q), *[range(q)] * (prec - 1))]
+    assert [u.ranks for u in unit_enumerate(spec, prec)] == want
+
+
+def test_from_ranks_copies_mutable_ranks(f3):
+    ranks = bytearray([1, 2, 0])
+    f = TruncSeries.from_ranks(f3, ranks)
+    ranks[0] = 2
+    assert f.ranks == bytes([1, 2, 0]) and type(f.ranks) is bytes
 
 
 @pytest.mark.parametrize("q,prec", [(2, 6), (3, 6), (4, 6)])
