@@ -837,7 +837,7 @@ def _check_keys(monkeypatch, spec, k, d, n, m):
     distinct = np.unique(want, axis=1)
     width = spec.q ** max(1, m // 2)
     for chunk_size in (1, 17, width - 1, width + 1, 1 << 16):
-        if chunk_size < 1 or total > chunk_size << 8:
+        if total > chunk_size << 8:
             continue
         for threads in (1, 2):
             count, got = _counted_keys(monkeypatch, spec, k, d, n, m, chunk_size, threads)
