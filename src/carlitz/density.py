@@ -45,13 +45,7 @@ from .errors import (
 )
 from .field import FqSpec
 from .jets import JetMatrix, jet
-from .series import (
-    ENUM_BUDGET_DEFAULT,
-    TruncSeries,
-    add_ranks,
-    scale_ranks,
-    unit_count,
-)
+from .series import ENUM_BUDGET_DEFAULT, TruncSeries, _add_bytes, unit_count
 
 DEFAULT_SEED = 1729
 LINALG_BUDGET_DEFAULT = 10 ** 7
@@ -118,10 +112,19 @@ def _unique_keys(keys):
     """Sorted distinct columns of a (words, rows) uint64 key array.
 
     Sort plus an adjacent-difference mask.  np.unique is avoided: numpy 2.4
-    runs it through a hash table that is several times slower here.
+    runs it through a hash table that is several times slower here.  A
+    one-word array is sorted in place, so `keys` itself is reordered (every
+    caller passes a fresh array), and masked and compressed as one row,
+    which is faster than the same steps in 2-D; several words go through
+    lexsort.
     """
-    keys = np.sort(keys) if keys.shape[0] == 1 else keys[:, np.lexsort(keys)]
     keep = np.ones(keys.shape[1], dtype=bool)
+    if keys.shape[0] == 1:
+        row = keys[0]
+        row.sort()
+        np.not_equal(row[1:], row[:-1], out=keep[1:])
+        return row[keep][None]
+    keys = keys[:, np.lexsort(keys)]
     keep[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
     return keys[:, keep]
 
@@ -700,8 +703,10 @@ def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: i
     _digit_block and evaluated in an order drawn from `seed`: units near
     each other in lexicographic order give nearly dependent rows, and the
     rank of a row set does not depend on its order, so the report is the
-    same for every seed.  Units are evaluated in blocks of 1, 2, 4, ... up
-    to _CERT_BLOCK by _certificate_rows, and the loop stops at full rank.
+    same for every seed.  Units are evaluated by _certificate_rows in
+    blocks that start at the fewest units whose n rows each can reach full
+    rank, ceil(n_columns / n), and double up to _CERT_BLOCK; the loop
+    stops at full rank.
     """
     if n < 1 or min(k, deg_bound, tdeg_bound) < 0:
         raise ValueError("need n >= 1 and k, deg_bound, tdeg_bound >= 0")
@@ -722,23 +727,25 @@ def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: i
         sampled, n_units, rng = True, sample_count, random.Random(seed)
         source = (_random_unit(rng, q, prec) for _ in range(sample_count))
 
-    inv, neg = spec.tables.inv, spec.tables.neg
+    mul, inv, neg = spec.tables.mul, spec.tables.inv, spec.tables.neg
     pivots: dict[int, bytes] = {}
-    rank, size = 0, 1
+    # a unit gives n rows, so fewer units than this never reach full rank
+    rank, size = 0, min(-(-n_cols // n), _CERT_BLOCK)
     while rank < n_cols and (chunk := b"".join(itertools.islice(source, size))):
         rows = _certificate_rows(spec, k, n, monos, tdeg_bound, chunk).tobytes()
         for start in range(0, len(rows), n_cols):
             row = rows[start:start + n_cols]
             # Gaussian reduction against the pivots, each scaled to lead with
             # 1.  A row is kept from its lead column on, so its length names
-            # that column and the pivot that clears it.
+            # that column and the pivot that clears it.  A step is one
+            # translate (the pivot times minus the lead) and one packed add.
             while row := row.lstrip(b"\0"):
                 pivot = pivots.get(len(row))
                 if pivot is None:
-                    pivots[len(row)] = scale_ranks(spec, inv[row[0]], row)
+                    pivots[len(row)] = row.translate(mul[inv[row[0]]])
                     rank += 1
                     break
-                row = add_ranks(spec, row, scale_ranks(spec, neg[row[0]], pivot), 0, len(row))
+                row = _add_bytes(spec, row, pivot.translate(mul[neg[row[0]]]), 0, len(row))
             if rank == n_cols:
                 break
         size = min(2 * size, _CERT_BLOCK)

@@ -188,7 +188,8 @@ class TruncSeries:
 # Rank-sequence kernels shared by TruncSeries and UInftyElem.  They trust their
 # input ranks; the callers own the precision and window bookkeeping.  Each
 # takes any sequence of ranks (bytes, tuple or list) and returns `bytes`, the
-# one form of a rank sequence in the package.
+# one form of a rank sequence in the package; a `bytes` argument is used as
+# is, since bytes(b) goes through b.__bytes__ for the same b.
 #
 # A rank fits in a byte (q <= 256), and the kernels work on rank sequences
 # packed into one Python int, one byte-aligned lane per slot (Kronecker
@@ -206,7 +207,9 @@ def scalar_rank(spec, c) -> int:
 
 def scale_ranks(spec, c, ranks):
     """Each rank times the field element of rank c."""
-    return bytes(ranks).translate(spec.tables.mul[c])
+    if type(ranks) is not bytes:
+        ranks = bytes(ranks)
+    return ranks.translate(spec.tables.mul[c])
 
 
 def neg_ranks(spec, ranks):
@@ -240,7 +243,11 @@ def mul_ranks(spec, xr, yr, width):
         return b""
     if len(xr) > len(yr):
         xr, yr = yr, xr
-    x, y = bytes(xr[:width]), bytes(yr[:width])
+    x, y = xr[:width], yr[:width]
+    if type(x) is not bytes:
+        x = bytes(x)
+    if type(y) is not bytes:
+        y = bytes(y)
     tables = spec.tables
     lead = x.lstrip(b"\0")
     if len(lead.rstrip(b"\0")) <= 1:
@@ -303,7 +310,10 @@ def inv_ranks(spec, xr, width):
 
 def _add_bytes(spec, x, y, shift, width):
     """Rank bytes of x + t^shift y, `width` of them; x and y fit in that."""
-    x, y = bytes(x), bytes(y)
+    if type(x) is not bytes:
+        x = bytes(x)
+    if type(y) is not bytes:
+        y = bytes(y)
     if spec.p == 2:
         s = int.from_bytes(x, "little") ^ (int.from_bytes(y, "little") << 8 * shift)
         return s.to_bytes(width, "little")

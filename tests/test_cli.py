@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import carlitz
+import carlitz.cli
 from carlitz.cli import EX_BUDGET, EX_MISMATCH, EX_OK, EX_USAGE, main
 
 
@@ -193,6 +194,45 @@ def test_zariski_cli(capsys):
     assert code == EX_OK
     obj = json.loads(out)
     assert obj["full_rank"] is True and obj["rank"] == 12
+
+
+# calls that override defaults, each followed by one that must see them again
+REUSE_ARGV = [
+    ["density", "--q", "2", "--k", "1", "--nmax", "4", "--threads", "2"],
+    ["density", "--q", "2", "--k", "1", "--nmax", "4"],
+    ["tensor", "--q", "3", "--d", "2", "--nmax", "3", "--mode", "brute",
+     "--format", "json"],
+    ["tensor", "--q", "3", "--d", "2", "--nmax", "3"],
+    ["density", "--q", "3", "--k", "0", "--nmax", "3", "--mode", "formula",
+     "--format", "json", "--seed", "5"],
+    ["density", "--q", "3", "--k", "0", "--nmax", "3", "--format", "json"],
+    ["zariski", "--q", "2", "--k", "1", "--deg", "2", "--tdeg", "1", "--n", "3",
+     "--seed", "5"],
+    ["zariski", "--q", "2", "--k", "1", "--deg", "2", "--tdeg", "1", "--n", "3"],
+    ["density", "--q", "2", "--k", "1"],  # usage error: --nmax missing
+    ["omega-verify", "--q", "2", "--k", "1", "--tprec", "3", "--uprec", "16"],
+    ["rep", "--q", "2", "--k", "1", "--n", "2", "--unit", "1+t+t^2"],
+    ["torsion-level", "--p", "2", "--n", "3", "--k", "2"],
+    ["density", "--q", "2", "--k", "1", "--nmax", "4", "--mode", "brute"],
+    ["density", "--q", "2", "--k", "1", "--nmax", "4"],
+]
+
+
+def test_main_reuses_its_parser_without_leaking_defaults(capsys, monkeypatch):
+    shared = [run(capsys, *argv)[:2] for argv in REUSE_ARGV]
+    assert carlitz.cli._parser() is carlitz.cli._parser()
+    assert [code for code, _ in shared].count(EX_USAGE) == 1
+    # the same calls, each through a parser of its own
+    monkeypatch.setattr(carlitz.cli, "_parser", carlitz.cli.build_parser)
+    assert [run(capsys, *argv)[:2] for argv in REUSE_ARGV] == shared
+    monkeypatch.undo()
+    # no override stays behind in the shared parser
+    run(capsys, *REUSE_ARGV[0])
+    run(capsys, *REUSE_ARGV[2])
+    args = carlitz.cli._parser().parse_args(["density", "--q", "2", "--k", "1",
+                                             "--nmax", "4"])
+    assert (args.threads, args.mode, args.format, args.out) == (1, "both", "csv", None)
+    assert args.seed == carlitz.density.DEFAULT_SEED
 
 
 def test_unknown_flag_exits_64(capsys):

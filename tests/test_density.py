@@ -158,6 +158,24 @@ def test_image_order_brute_merge_is_amortised(monkeypatch, f2):
     assert sum(sorted_rows) <= 4 * 2048
 
 
+@pytest.mark.parametrize("words", [1, 2, 3])
+def test_unique_keys_match_np_unique(words):
+    # few values per word, so columns repeat; the top and bottom of uint64 too
+    rng = np.random.default_rng(words)
+    pool = np.array([0, 1, 2 ** 63, 2 ** 64 - 1, *rng.integers(0, 2 ** 63, 3)],
+                    dtype=np.uint64)
+    for cols in (0, 1, 2, 9, 500):
+        keys = pool[rng.integers(0, len(pool), size=(words, cols))]
+        before = keys.copy()
+        # lexsort orders by the last word first, np.unique by the first
+        want = np.unique(before[::-1], axis=1)[::-1]
+        got = density_mod._unique_keys(keys)
+        assert got.dtype == np.uint64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+        if words == 1:  # sorted in place
+            assert np.array_equal(keys[0], np.sort(before[0]))
+
+
 def test_image_order_budget(f2):
     with pytest.raises(BudgetExceeded):
         image_order_brute(f2, 0, 40, budget=10 ** 6)
@@ -380,7 +398,7 @@ def test_zariski_rank_independent_of_order(q, k, deg, tdeg, n, rank):
 
 def test_zariski_seeded_order_reaches_rank_in_few_units(monkeypatch):
     # lexicographic order evaluates 5104 of the 13122 units before full rank;
-    # the seeded order reaches it after 19, inside the blocks 1, 2, ..., 16
+    # the seeded order reaches it after 19, inside the blocks 18 and 36
     drawn = []
     shuffled_range = density_mod._shuffled_range
 
@@ -394,6 +412,38 @@ def test_zariski_seeded_order_reaches_rank_in_few_units(monkeypatch):
     assert r.full_rank and r.rank == 105 and r.n_units == 13122
     assert 0 < len(drawn) < 100
     assert len(set(drawn)) == len(drawn)
+
+
+def _certificate_blocks(monkeypatch, *args, **kwargs):
+    """The report and the units in each block _certificate_rows is given."""
+    blocks, rows = [], density_mod._certificate_rows
+
+    def spy(spec, k, n, monos, tdeg_bound, chunk):
+        blocks.append(len(chunk) // (n + k))
+        return rows(spec, k, n, monos, tdeg_bound, chunk)
+
+    monkeypatch.setattr(density_mod, "_certificate_rows", spy)
+    return zariski_rank_certificate(*args, **kwargs), blocks
+
+
+def test_certificate_blocks_start_at_the_rank_bound(monkeypatch, f2):
+    # 105 columns and 6 rows a unit: fewer than 18 units never reach full rank
+    r, blocks = _certificate_blocks(monkeypatch, spec_for_order(3), 3, 3, 2, 6)
+    assert r.full_rank and blocks == [18, 36]
+    # the criterion-8 cell, 20 columns and 4 rows a unit, never reaches full
+    # rank: blocks from 5 units, doubled, then the rest of its 32 units
+    r, blocks = _certificate_blocks(monkeypatch, f2, 2, 2, 1, 4)
+    assert (r.rank, r.full_rank) == (19, False) and blocks == [5, 10, 17]
+    # 264 columns and one row a unit: the bound is past _CERT_BLOCK, so the
+    # blocks hold 256 units from the start; rank 46 of 264 over 512 units
+    r, blocks = _certificate_blocks(monkeypatch, f2, 9, 2, 3, 1)
+    assert (r.rank, r.n_columns, r.n_units) == (46, 264, 512)
+    assert density_mod._CERT_BLOCK == 256 and blocks == [256, 256]
+    # explicit units fewer than the bound are evaluated in one block
+    units = list(unit_enumerate(spec_for_order(3), 9))[::997]
+    r, blocks = _certificate_blocks(monkeypatch, spec_for_order(3), 3, 3, 2, 6,
+                                    units=units)
+    assert len(units) == 14 and blocks == [14] and not r.full_rank
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 100, 13122])
@@ -508,7 +558,7 @@ def test_zariski_rank_matches_entrywise_elimination(q, k, deg, tdeg, n, how, mon
 def test_zariski_explicit_units(f2, f3):
     k, deg, tdeg, n = 2, 2, 1, 4
     # every other unit of the criterion-8 cell: 16 units, one more than the
-    # blocks 1, 2, 4, 8 hold, and never full rank, so every block is drawn
+    # blocks 5 and 10 hold, and never full rank, so every block is drawn
     units = list(unit_enumerate(f2, n + k))[::2]
     report = zariski_rank_certificate(f2, k, deg, tdeg, n, units=units)
     rank, n_cols = _zariski_rank_by_entries(f2, k, deg, tdeg, n, units)
@@ -808,8 +858,10 @@ def _counted_keys(monkeypatch, spec, k, d, n, m, chunk_size, threads):
 
     def recording(keys_of, total, words, chunk_size, threads):
         def record(start, stop):
-            parts[start] = keys_of(start, stop).copy()
-            return parts[start]
+            # a copy: _unique_keys sorts the array it is given in place
+            keys = keys_of(start, stop)
+            parts[start] = keys.copy()
+            return keys
 
         return count_keys(record, total, words, chunk_size, threads)
 

@@ -332,6 +332,34 @@ def test_kernels_return_bytes_for_every_input_form(q):
                 assert empty == b"" and type(empty) is bytes
 
 
+@pytest.mark.parametrize("q", KERNEL_FIELDS)
+def test_kernels_give_other_rank_forms_the_bytes_result(q):
+    """A tuple, list or bytearray gives what the same ranks as bytes give,
+    and changing a bytearray after the call leaves the result as it was."""
+    spec = kernel_spec(q)
+    rng = random.Random(11)
+    for na, nb in [(1, 1), (4, 9), (33, 20)]:
+        xr = bytes([rng.randrange(1, spec.q)] + [rng.randrange(spec.q) for _ in range(na - 1)])
+        yr = bytes(rng.randrange(spec.q) for _ in range(nb))
+        c, shift, width = rng.randrange(spec.q), min(2, na), na + nb
+
+        def calls(x, y):
+            return {"scale": scale_ranks(spec, c, x),
+                    "mul": mul_ranks(spec, x, y, width),
+                    "mul_short": mul_ranks(spec, x, y, 1),
+                    "add_bytes": _add_bytes(spec, x, y, shift, width)}
+
+        want = calls(xr, yr)
+        for form in (tuple, list, bytearray):
+            got = calls(form(xr), form(yr))
+            assert got == want and {type(v) for v in got.values()} == {bytes}, form
+        x, y = bytearray(xr), bytearray(yr)
+        got = calls(x, y)
+        x[:] = bytes(len(x))
+        y[:] = bytes([spec.q - 1]) * len(y)
+        assert got == want
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_series_from_every_constructor_compare_and_hash_equal(q):
     spec = spec_for_order(q)
