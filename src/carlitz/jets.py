@@ -8,7 +8,11 @@ with binomial coefficients taken mod p; it is the characteristic-p stand-in
 for (1/n!)(d/dt)^n.  The order-k jet of f packs (f, D^(1)f, ..., D^(k)f)
 into the superdiagonals of a (k+1)x(k+1) upper-triangular Toeplitz matrix;
 since the map f -> jet(f) is a ring homomorphism, jets multiply by the
-Cauchy product of their defining rows.
+Cauchy product of their defining rows.  That product is one
+`series.cauchy_rows` call: each row is packed into one int once, each
+product row sums its row products unreduced, and all k+1 rows are reduced
+to ranks in one pass.  The inverse and the Leibniz check sum their
+products of rows through the same kernel.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 # (perfbench/test_perfbench.py) reads carlitz.jets.binom_mod_p by name.
 from .binomials import binom_mod_p, binom_masks, binom_row  # noqa: F401
 from .errors import InsufficientPrecision, NonUnit, ShapeMismatch, SpecMismatch
-from .series import TruncSeries
+from .series import TruncSeries, cauchy_rows, inv_ranks, mul_ranks, neg_ranks
 
 
 def hyperderiv(n: int, f: TruncSeries, prec: int | None = None) -> TruncSeries:
@@ -30,6 +34,8 @@ def hyperderiv(n: int, f: TruncSeries, prec: int | None = None) -> TruncSeries:
     with the mask where the binomial row is 1, OR-ed with, for each other
     nonzero value c of the row, the ranks scaled by c (one `translate`)
     ANDed with the mask where the row is c.  For p = 2 that is one AND.
+    At output precision 1 the coefficient is C(n, n) f_n = f_n, read with
+    no masks.
 
     With the default precision, differentiating past the available
     precision yields the zero series at precision 1 with the `exhausted`
@@ -50,6 +56,9 @@ def hyperderiv(n: int, f: TruncSeries, prec: int | None = None) -> TruncSeries:
         )
     if n == 0:
         return f.truncate(prec)
+    if prec == 1:
+        # C(n, n) = 1: the one coefficient is f_n itself
+        return TruncSeries.from_ranks(f.spec, f.ranks[n:n + 1])
     spec = f.spec
     src = f.ranks[n:n + prec]
     ones, scaled = binom_masks(spec.p, n, prec)
@@ -100,28 +109,23 @@ class JetMatrix:
 
     def __mul__(self, other):
         self._compatible(other)
-        a, b = self.rows, other.rows
-        rows = []
-        for j in range(self.k + 1):
-            acc = a[0] * b[j]
-            for i in range(1, j + 1):
-                acc = acc + a[i] * b[j - i]
-            rows.append(acc)
-        return JetMatrix(rows)
+        rows = cauchy_rows(self.spec, [r.ranks for r in self.rows],
+                           [r.ranks for r in other.rows], self.prec, range(self.k + 1))
+        return JetMatrix([TruncSeries.from_ranks(self.spec, r) for r in rows])
 
     def inverse(self) -> "JetMatrix":
         """Inverse inside the Toeplitz group; equals the jet of the inverse series."""
         if not self.is_invertible:
             raise NonUnit("jet diagonal is not a unit")
-        a = self.rows
-        b0 = a[0].inverse()
+        spec, prec = self.spec, self.prec
+        a = [r.ranks for r in self.rows[1:]]
+        b0 = inv_ranks(spec, self.rows[0].ranks, prec)
         rows = [b0]
         for j in range(1, self.k + 1):
-            acc = a[1] * rows[j - 1]
-            for i in range(2, j + 1):
-                acc = acc + a[i] * rows[j - i]
-            rows.append(-(b0 * acc))
-        return JetMatrix(rows)
+            # b_j = -b_0 * sum_(i=1..j) a_i b_(j-i)
+            (acc,) = cauchy_rows(spec, a, rows, prec, (j - 1,))
+            rows.append(neg_ranks(spec, mul_ranks(spec, b0, acc, prec)))
+        return JetMatrix([TruncSeries.from_ranks(spec, r) for r in rows])
 
     def entries(self):
         """The full (k+1) x (k+1) matrix, row-major."""
@@ -175,10 +179,9 @@ def verify_leibniz(n: int, f: TruncSeries, g: TruncSeries) -> bool:
     if prec < 1:
         raise InsufficientPrecision(f"need precision > {n} to test order {n}")
     lhs = hyperderiv(n, f * g, prec)
-    acc = TruncSeries.zero(f.spec, prec)
-    for i in range(n + 1):
-        acc = acc + hyperderiv(i, f, prec) * hyperderiv(n - i, g, prec)
-    return lhs == acc
+    (rhs,) = cauchy_rows(f.spec, [hyperderiv(i, f, prec).ranks for i in range(n + 1)],
+                         [hyperderiv(i, g, prec).ranks for i in range(n + 1)], prec, (n,))
+    return lhs == TruncSeries.from_ranks(f.spec, rhs)
 
 
 def verify_iteration(n: int, m: int, f: TruncSeries) -> bool:

@@ -230,14 +230,16 @@ def mul_ranks(spec, xr, yr, width):
     Past the end of the full product the ranks are zero.  When the shorter
     operand is a monomial c*t^i, such as every u-power omega multiplies by,
     the product is one `translate` through the row of c in the
-    multiplication table.  Otherwise each operand becomes one int, with
-    2e-1 slots per t-position that hold the e base-p digits of its rank
-    (slot i is the coefficient of x^i), and the two ints are multiplied
-    once.  A slot of the product sums at most min(len)*e digit products,
-    each at most (p-1)^2, so lanes of b bytes hold it exactly while
-    min(len)*e*(p-1)^2 < 2^(8b).  The product's lanes are reduced mod p,
-    and each block of 2e-1 digits to a rank by tables of the reductions mod
-    the defining polynomial.
+    multiplication table.  Otherwise it is the one-row case of
+    `cauchy_rows`: each operand becomes one int, with 2e-1 slots per
+    t-position that hold the e base-p digits of its rank (slot i is the
+    coefficient of x^i), and the two ints are multiplied once.  A slot of
+    the product sums at most min(len)*e digit products, each at most
+    (p-1)^2, so lanes of b bytes hold it exactly while
+    min(len)*e*(p-1)^2 < 2^(8b); a sum of j+1 such products, as in
+    `cauchy_rows`, needs (j+1)*width*e*(p-1)^2 < 2^(8b).  The product's
+    lanes are reduced mod p, and each block of 2e-1 digits to a rank by
+    tables of the reductions mod the defining polynomial.
     """
     if width <= 0:
         return b""
@@ -248,29 +250,78 @@ def mul_ranks(spec, xr, yr, width):
         x = bytes(x)
     if type(y) is not bytes:
         y = bytes(y)
-    tables = spec.tables
     lead = x.lstrip(b"\0")
     if len(lead.rstrip(b"\0")) <= 1:
         # zero or a monomial c*t^i: one translate through the row of c
         if not lead:
             return bytes(width)
         i = len(x) - len(lead)
-        out = bytes(i) + y[:width - i].translate(tables.mul[lead[0]])
+        out = bytes(i) + y[:width - i].translate(spec.tables.mul[lead[0]])
         return out.ljust(width, b"\0")
+    lane = _lane_bytes(spec, len(x))
+    prod = _spread(spec, x, lane) * _spread(spec, y, lane)
+    size = max(width, len(x) + len(y) - 1) * (2 * spec.e - 1) * lane
+    return _reduce_lanes(spec, prod.to_bytes(size, "little"), width, lane)
+
+
+def cauchy_rows(spec, xs, ys, width, want):
+    """For each j in `want`, the first `width` ranks of sum_(i<=j) xs[i]*ys[j-i].
+
+    xs and ys are lists of rank sequences, of any lengths; a term whose
+    index falls outside either list is zero.  Each row is spread into one
+    lane int as in `mul_ranks`, once, and a sum's products are added
+    unreduced: a slot of sum j holds at most (j+1)*width*e digit products
+    of at most (p-1)^2, so every lane is sized for
+    (max(want)+1)*width*e*(p-1)^2 < 2^(8b).  Each sum is masked to `width`
+    positions, the sums are packed side by side into one int, and that int
+    is reduced to ranks in one pass.  This is the product of two jets
+    (and of any rows multiplied as a Cauchy product) with one reduction.
+    """
+    want = tuple(want)
+    if width <= 0 or not want:
+        return [b""] * len(want)
+    terms = max(want) + 1
+    lane = _lane_bytes(spec, terms * width)
+    sx = [_spread(spec, r[:width], lane) for r in xs[:terms]]
+    sy = [_spread(spec, r[:width], lane) for r in ys[:terms]]
+    size = width * (2 * spec.e - 1) * lane
+    mask = (1 << 8 * size) - 1
+    packed = 0
+    for at, j in enumerate(want):
+        acc = 0
+        for i in range(max(0, j - len(sy) + 1), min(j, len(sx) - 1) + 1):
+            acc += sx[i] * sy[j - i]
+        packed |= (acc & mask) << 8 * size * at
+    out = _reduce_lanes(spec, packed.to_bytes(size * len(want), "little"),
+                        width * len(want), lane)
+    return [out[at * width:(at + 1) * width] for at in range(len(want))]
+
+
+def _lane_bytes(spec, terms):
+    """Bytes per lane that hold a sum of `terms`*e digit products exactly."""
+    return ((terms * spec.e * (spec.p - 1) ** 2).bit_length() + 7) // 8
+
+
+def _spread(spec, ranks, lane):
+    """The ranks as one int: 2e-1 lanes of `lane` bytes per t-position, the
+    first e holding the base-p digits of its rank, lowest first."""
+    if type(ranks) is not bytes:
+        ranks = bytes(ranks)
+    step = (2 * spec.e - 1) * lane
+    if step == 1:
+        return int.from_bytes(ranks, "little")
+    spread = bytearray(len(ranks) * step)
+    for i, digit in enumerate(spec.tables.digits):
+        spread[i * lane::step] = ranks.translate(digit)
+    return int.from_bytes(spread, "little")
+
+
+def _reduce_lanes(spec, data, width, lane):
+    """The first `width` ranks of a spread int's bytes, each lane reduced."""
+    tables = spec.tables
     p, e = spec.p, spec.e
     slots = 2 * e - 1
-    lane = ((len(x) * e * (p - 1) ** 2).bit_length() + 7) // 8
-    step = slots * lane
-    prod = 1
-    for r in (x, y):
-        if step > 1:
-            spread = bytearray(len(r) * step)
-            for i, digit in enumerate(tables.digits):
-                spread[i * lane::step] = r.translate(digit)
-            r = spread
-        prod *= int.from_bytes(r, "little")
     n = width * slots
-    data = prod.to_bytes(max(n, (len(x) + len(y) - 1) * slots) * lane, "little")
     # each lane mod p by Horner's rule from its top byte down, so that every
     # step adds two residues; a residue times 256 is its image under the
     # multiplication row of 256 mod p

@@ -112,9 +112,19 @@ def test_jet_mul_shape_mismatch(f2, f3):
         jet(1, TruncSeries.one(f2, 4)) * jet(1, TruncSeries.one(f3, 4))
 
 
-def test_jet_inv_matches_series_inverse(f3):
+JET_FIELDS = [2, 3, 4, 9, 25]
+
+
+def test_jet_inv_matches_series_inverse():
     a = lit(3, "1+t", 5)
     assert jet(1, a).inverse() == jet(1, a.inverse(), prec=4)
+    rng = random.Random(7)
+    for q in JET_FIELDS:
+        spec = spec_for_order(q)
+        for k in range(5):
+            for _ in range(5):
+                f = random_series(rng, spec, 12, unit=True)
+                assert jet(k, f).inverse() == jet(k, f.inverse(), prec=12 - k)
 
 
 def test_jet_inv_identity_and_constant(f3):
@@ -129,12 +139,39 @@ def test_jet_inv_requires_unit(f2):
         jet(1, TruncSeries.monomial(f2, 1, 4)).inverse()
 
 
-def test_jet_inv_roundtrip(f4):
+def test_jet_inv_roundtrip():
     rng = random.Random(7)
-    for _ in range(20):
-        f = random_series(rng, f4, 8, unit=True)
-        a = jet(3, f)
-        assert a * a.inverse() == JetMatrix.identity(f4, 3, a.prec)
+    for q in JET_FIELDS:
+        spec = spec_for_order(q)
+        for k in range(5):
+            for _ in range(8):
+                f = random_series(rng, spec, 9, unit=True)
+                a = jet(k, f)
+                ident = JetMatrix.identity(spec, k, a.prec)
+                assert a * a.inverse() == ident and a.inverse() * a == ident
+
+
+def row_products(a, b):
+    """The jet product row by row: one series product and add per term."""
+    rows = []
+    for j in range(a.k + 1):
+        acc = a.rows[0] * b.rows[j]
+        for i in range(1, j + 1):
+            acc = acc + a.rows[i] * b.rows[j - i]
+        rows.append(acc)
+    return JetMatrix(rows)
+
+
+@pytest.mark.parametrize("q", JET_FIELDS)
+def test_jet_mul_matches_row_products(q):
+    spec = spec_for_order(q)
+    rng = random.Random(14)
+    for k in range(5):
+        for prec in (1, 2, 7, 33):
+            f, g = (random_series(rng, spec, prec + k) for _ in range(2))
+            a, b = jet(k, f), jet(k, g)
+            assert a * b == row_products(a, b)
+            assert a * b == jet(k, f * g)
 
 
 def test_verify_iteration_char2(f2):
@@ -152,6 +189,27 @@ def test_verify_leibniz_with_one(f3):
 
 def test_verify_taylor_polynomial(f3):
     assert verify_taylor(lit(3, "1+t+t^2", 5))
+
+
+def test_hyperderiv_one_coefficient_is_the_rank(f3, f4):
+    # at output precision 1 the coefficient is C(n, n) f_n = f_n
+    rng = random.Random(15)
+    for spec in (f3, f4):
+        f = random_series(rng, spec, 12)
+        for n in range(11):
+            one = hyperderiv(n, f, 1)
+            assert one == hyperderiv(n, f, 2).truncate(1)
+            assert one.ranks == f.ranks[n:n + 1] and not one.exhausted
+
+
+def test_verify_taylor_reads_no_binomial_masks(f3, monkeypatch):
+    f = random_series(random.Random(16), f3, 12)
+    calls = []
+    real = carlitz.jets.binom_masks
+    monkeypatch.setattr(carlitz.jets, "binom_masks",
+                        lambda *a: calls.append(a) or real(*a))
+    assert verify_taylor(f)
+    assert calls == []
 
 
 def test_verify_taylor_reads_through_the_operator(f3, monkeypatch):
@@ -190,15 +248,31 @@ def test_jet_builds_one_series_per_row(f3, monkeypatch, k):
     assert built == [5] * (k + 1)
 
 
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_jet_mul_builds_one_series_per_row(f3, monkeypatch, k):
+    # the k+1 rows come from one cauchy_rows call, reduced to ranks once
+    rng = random.Random(17)
+    a, b = (jet(k, random_series(rng, f3, 12), 5) for _ in range(2))
+    want = row_products(a, b)
+    reductions = []
+    real = carlitz.series._reduce_lanes
+    monkeypatch.setattr(carlitz.series, "_reduce_lanes",
+                        lambda *args: reductions.append(1) or real(*args))
+    built = _count_series(monkeypatch)
+    assert a * b == want
+    assert built == [5] * (k + 1)
+    assert len(reductions) == 1
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_verify_leibniz_builds_one_series_per_factor(f3, monkeypatch, n):
-    # f*g, D^(n)(fg), the zero, and per i the two factors, their product
-    # and the running sum: each at its final precision
+    # f*g, D^(n)(fg), per i the two factors, and the sum of their products
+    # from one cauchy_rows call: each at its final precision
     rng = random.Random(12)
     f, g = random_series(rng, f3, 9), random_series(rng, f3, 9)
     built = _count_series(monkeypatch)
     assert verify_leibniz(n, f, g)
-    assert len(built) == 3 + 4 * (n + 1)
+    assert len(built) == 3 + 2 * (n + 1)
     assert built.count(9) == 1 and built.count(9 - n) == len(built) - 1
 
 

@@ -9,7 +9,8 @@ from carlitz import TruncSeries, parse_series, render_series, unit_enumerate
 from carlitz import FqSpec, UInftyElem, spec_for_order, unit_count
 from carlitz.errors import BudgetExceeded, NonUnit, ParseError, SpecMismatch
 from carlitz.series import (
-    _add_bytes, add_ranks, inv_ranks, mul_ranks, neg_ranks, scale_ranks,
+    _add_bytes, add_ranks, cauchy_rows, inv_ranks, mul_ranks, neg_ranks,
+    scale_ranks,
 )
 
 from conftest import KERNEL_FIELDS, kernel_spec, random_series
@@ -191,13 +192,14 @@ def schoolbook(spec, xr, yr, width):
     return tuple(out)
 
 
-def slot_edges(spec, longest=1100):
-    """Operand lengths on both sides of each change in mul_ranks' lane width.
+def slot_edges(spec, longest=1100, terms=1):
+    """Operand lengths on both sides of each change in the kernels' lane width.
 
     A product slot sums at most min(len)*e digit products of at most
-    (p-1)^2, and lanes grow by a byte when that bound reaches 2^(8b).
+    (p-1)^2, and a sum of `terms` products `terms` times that; lanes grow
+    by a byte when that bound reaches 2^(8b).
     """
-    per_rank = spec.e * (spec.p - 1) ** 2
+    per_rank = terms * spec.e * (spec.p - 1) ** 2
     edges = set()
     for bits in (8, 16, 24):
         first = -(-2 ** bits // per_rank)  # the first length at the bound
@@ -241,6 +243,66 @@ def test_slot_edges_cover_the_named_boundaries():
     assert slot_edges(spec_for_order(3)) == [63, 64, 65]
     assert slot_edges(spec_for_order(9)) == [31, 32, 33]
     assert 1057 in slot_edges(spec_for_order(127))  # three-byte lanes
+    assert slot_edges(spec_for_order(2), terms=2) == [127, 128, 129]
+    assert slot_edges(spec_for_order(3), terms=4) == [15, 16, 17]
+
+
+def cauchy_oracle(spec, xs, ys, width, j):
+    """sum_(i<=j) xs[i]*ys[j-i] to `width` ranks, by schoolbook products."""
+    add = spec.tables.add
+    out = (0,) * width
+    for i in range(j + 1):
+        if i < len(xs) and j - i < len(ys):
+            term = schoolbook(spec, xs[i], ys[j - i], width)
+            out = tuple(add[a][b] for a, b in zip(out, term))
+    return bytes(out)
+
+
+@pytest.mark.parametrize("q", KERNEL_FIELDS)
+def test_cauchy_rows_matches_schoolbook_sums(q):
+    """cauchy_rows, the jet product kernel, against sums of schoolbook products."""
+    spec = kernel_spec(q)
+    rng = random.Random(13)
+
+    def rows(count, longest):
+        return [bytes(rng.randrange(spec.q) for _ in range(rng.randrange(longest + 1)))
+                for _ in range(count)]
+
+    # rows of unequal lengths and unequal counts, widths from nothing and
+    # one rank past the longest product, every sum or a subset such as (n,)
+    for _ in range(30):
+        xs, ys = rows(rng.randrange(1, 6), 20), rows(rng.randrange(1, 6), 20)
+        width = rng.choice([0, 1, 2, rng.randrange(3, 45)])
+        j_max = len(xs) + len(ys)
+        for want in (range(j_max), (rng.randrange(j_max),),
+                     sorted(rng.sample(range(j_max), 2)) if j_max > 1 else (0,)):
+            got = cauchy_rows(spec, xs, ys, width, want)
+            assert got == [cauchy_oracle(spec, xs, ys, width, j) for j in want]
+            assert all(type(r) is bytes for r in got)
+    # a jet's rows, as bytes, tuples and lists, against the row products
+    xs = [bytes(rng.randrange(spec.q) for _ in range(9)) for _ in range(4)]
+    ys = [[rng.randrange(spec.q) for _ in range(9)] for _ in range(4)]
+    want = [cauchy_oracle(spec, xs, ys, 9, j) for j in range(4)]
+    assert cauchy_rows(spec, xs, [tuple(y) for y in ys], 9, range(4)) == want
+    assert cauchy_rows(spec, xs, ys, 9, range(4)) == want
+    # all-(q-1) rows fill every slot of sum j to (j+1)*width*e*(p-1)^2:
+    # widths on both sides of each lane boundary of that bound.  The j+1
+    # products are equal, so sum j is one schoolbook product added j+1 times
+    top = spec.q - 1
+    for terms in (2, 3, 4):
+        for n in slot_edges(spec, 600, terms):
+            full = (top,) * n
+            product = schoolbook(spec, full, full, n)
+            expect = []
+            for j in range(terms):
+                out = (0,) * n
+                for _ in range(j + 1):
+                    out = tuple(spec.tables.add[a][b] for a, b in zip(out, product))
+                expect.append(bytes(out))
+            got = cauchy_rows(spec, [full] * terms, [full] * terms, n, range(terms))
+            assert got == expect
+            assert cauchy_rows(spec, [full] * terms, [full] * terms, n,
+                               (terms - 1,)) == expect[-1:]
 
 
 def rankwise_add(spec, xr, yr, shift, width):
