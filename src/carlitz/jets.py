@@ -21,7 +21,7 @@ from __future__ import annotations
 # (perfbench/test_perfbench.py) reads carlitz.jets.binom_mod_p by name.
 from .binomials import binom_mod_p, binom_masks, binom_row  # noqa: F401
 from .errors import InsufficientPrecision, NonUnit, ShapeMismatch, SpecMismatch
-from .series import TruncSeries, cauchy_rows, inv_ranks, mul_ranks, neg_ranks
+from .series import TruncSeries, _series, cauchy_rows, inv_ranks, mul_ranks, neg_ranks
 
 
 def hyperderiv(n: int, f: TruncSeries, prec: int | None = None) -> TruncSeries:
@@ -35,12 +35,16 @@ def hyperderiv(n: int, f: TruncSeries, prec: int | None = None) -> TruncSeries:
     nonzero value c of the row, the ranks scaled by c (one `translate`)
     ANDed with the mask where the row is c.  For p = 2 that is one AND.
     At output precision 1 the coefficient is C(n, n) f_n = f_n, read with
-    no masks.
+    no masks; that read is tested first, and any input it does not take
+    falls through to the guards.
 
     With the default precision, differentiating past the available
     precision yields the zero series at precision 1 with the `exhausted`
     flag set, not an error.
     """
+    if prec == 1 and 0 <= n < f.prec:
+        # C(n, n) = 1: the one coefficient is f_n itself
+        return _series(f.spec, f.ranks[n:n + 1])
     if n < 0:
         raise ValueError("derivative order must be nonnegative")
     if prec is None:
@@ -56,9 +60,6 @@ def hyperderiv(n: int, f: TruncSeries, prec: int | None = None) -> TruncSeries:
         )
     if n == 0:
         return f.truncate(prec)
-    if prec == 1:
-        # C(n, n) = 1: the one coefficient is f_n itself
-        return TruncSeries.from_ranks(f.spec, f.ranks[n:n + 1])
     spec = f.spec
     src = f.ranks[n:n + prec]
     ones, scaled = binom_masks(spec.p, n, prec)
@@ -67,11 +68,14 @@ def hyperderiv(n: int, f: TruncSeries, prec: int | None = None) -> TruncSeries:
         mul = spec.tables.mul
         for c, mask in scaled:
             out |= int.from_bytes(src.translate(mul[c]), "little") & mask
-    return TruncSeries.from_ranks(spec, out.to_bytes(prec, "little"))
+    return _series(spec, out.to_bytes(prec, "little"))
 
 
 class JetMatrix:
-    """Rows (a_0, ..., a_k): entry (i, i+j) of the Toeplitz matrix is a_j."""
+    """Rows (a_0, ..., a_k): entry (i, i+j) of the Toeplitz matrix is a_j.
+
+    `JetMatrix(rows)` checks its rows; `_of` trusts rows that jets code made.
+    """
 
     __slots__ = ("spec", "k", "prec", "rows")
 
@@ -79,6 +83,8 @@ class JetMatrix:
         rows = tuple(rows)
         if not rows:
             raise ValueError("a jet needs at least the diagonal row")
+        if not all(isinstance(r, TruncSeries) for r in rows):
+            raise ShapeMismatch("jet rows must be series")
         spec = rows[0].spec
         prec = rows[0].prec
         for r in rows:
@@ -90,6 +96,19 @@ class JetMatrix:
         self.k = len(rows) - 1
         self.prec = prec
         self.rows = rows
+
+    @classmethod
+    def _of(cls, spec, rows):
+        """The jet of a tuple of rows over `spec` at one precision: nothing checked.
+
+        The one unchecked JetMatrix constructor.
+        """
+        obj = object.__new__(cls)
+        obj.spec = spec
+        obj.k = len(rows) - 1
+        obj.prec = rows[0].prec
+        obj.rows = rows
+        return obj
 
     @classmethod
     def identity(cls, spec, k, prec):
@@ -111,7 +130,7 @@ class JetMatrix:
         self._compatible(other)
         rows = cauchy_rows(self.spec, [r.ranks for r in self.rows],
                            [r.ranks for r in other.rows], self.prec, range(self.k + 1))
-        return JetMatrix([TruncSeries.from_ranks(self.spec, r) for r in rows])
+        return JetMatrix._of(self.spec, tuple([_series(self.spec, r) for r in rows]))
 
     def inverse(self) -> "JetMatrix":
         """Inverse inside the Toeplitz group; equals the jet of the inverse series."""
@@ -125,7 +144,7 @@ class JetMatrix:
             # b_j = -b_0 * sum_(i=1..j) a_i b_(j-i)
             (acc,) = cauchy_rows(spec, a, rows, prec, (j - 1,))
             rows.append(neg_ranks(spec, mul_ranks(spec, b0, acc, prec)))
-        return JetMatrix([TruncSeries.from_ranks(spec, r) for r in rows])
+        return JetMatrix._of(spec, tuple([_series(spec, r) for r in rows]))
 
     def entries(self):
         """The full (k+1) x (k+1) matrix, row-major."""
@@ -141,7 +160,9 @@ class JetMatrix:
     def __eq__(self, other):
         if not isinstance(other, JetMatrix):
             return NotImplemented
-        return self.key() == other.key()
+        # the fields of key(); rows of equal ranks share one precision
+        return (self.k == other.k and self.spec.key == other.spec.key
+                and all(a.ranks == b.ranks for a, b in zip(self.rows, other.rows)))
 
     def __hash__(self):
         return hash(self.key())
@@ -169,8 +190,8 @@ def jet(k: int, f: TruncSeries, prec: int | None = None) -> JetMatrix:
             f"jet order {k} at output precision {prec} needs input precision "
             f">= {prec + k}, got {f.prec}"
         )
-    rows = [hyperderiv(j, f, prec) for j in range(1, k + 1)]
-    return JetMatrix([f.truncate(prec)] + rows)
+    rows = [f.truncate(prec)] + [hyperderiv(j, f, prec) for j in range(1, k + 1)]
+    return JetMatrix._of(f.spec, tuple(rows))
 
 
 def verify_leibniz(n: int, f: TruncSeries, g: TruncSeries) -> bool:
@@ -181,7 +202,7 @@ def verify_leibniz(n: int, f: TruncSeries, g: TruncSeries) -> bool:
     lhs = hyperderiv(n, f * g, prec)
     (rhs,) = cauchy_rows(f.spec, [hyperderiv(i, f, prec).ranks for i in range(n + 1)],
                          [hyperderiv(i, g, prec).ranks for i in range(n + 1)], prec, (n,))
-    return lhs == TruncSeries.from_ranks(f.spec, rhs)
+    return lhs.ranks == rhs
 
 
 def verify_iteration(n: int, m: int, f: TruncSeries) -> bool:
@@ -196,5 +217,4 @@ def verify_iteration(n: int, m: int, f: TruncSeries) -> bool:
 
 def verify_taylor(f: TruncSeries) -> bool:
     """Check f = sum_i (D^(i)f)(0) t^i through the truncation order."""
-    ranks = [hyperderiv(i, f, 1).ranks[0] for i in range(f.prec)]
-    return TruncSeries.from_ranks(f.spec, ranks) == f
+    return b"".join([hyperderiv(i, f, 1).ranks for i in range(f.prec)]) == f.ranks

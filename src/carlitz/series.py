@@ -25,7 +25,7 @@ class TruncSeries:
     available precision; it is metadata and takes no part in equality.
     """
 
-    __slots__ = ("spec", "prec", "_ranks", "exhausted")
+    __slots__ = ("spec", "prec", "ranks", "exhausted")
 
     def __init__(self, spec: FqSpec, coeffs: Iterable, prec: int | None = None,
                  *, exhausted: bool = False):
@@ -36,18 +36,25 @@ class TruncSeries:
             raise ValueError("precision must be >= 1")
         self.spec = spec
         self.prec = prec
-        self._ranks = bytes(ranks[:prec]).ljust(prec, b"\0")
+        self.ranks = bytes(ranks[:prec]).ljust(prec, b"\0")
         self.exhausted = exhausted
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def from_ranks(cls, spec, ranks, *, exhausted=False):
-        obj = object.__new__(cls)
-        obj.spec = spec
-        obj.prec = len(ranks)
+        """The series of the given ranks, checked: at least one, each below q.
+
+        Results that a kernel made valid are built by `_series` instead.
+        """
         # bytes(b) of a bytes object goes through b.__bytes__: slower, same b
-        obj._ranks = ranks if type(ranks) is bytes else bytes(ranks)
+        if type(ranks) is not bytes:
+            ranks = bytes(ranks)
+        if not ranks:
+            raise ValueError("precision must be >= 1")
+        if max(ranks) >= spec.q:
+            raise ValueError(f"rank {max(ranks)} out of range for q={spec.q}")
+        obj = _series(spec, ranks)
         obj.exhausted = exhausted
         return obj
 
@@ -63,7 +70,7 @@ class TruncSeries:
     def _constant(cls, spec, rank, prec):
         if prec < 1:
             raise ValueError("precision must be >= 1")
-        return cls.from_ranks(spec, bytes((rank,)).ljust(prec, b"\0"))
+        return _series(spec, bytes((rank,)).ljust(prec, b"\0"))
 
     @classmethod
     def monomial(cls, spec, i, prec, coeff=1):
@@ -71,31 +78,27 @@ class TruncSeries:
             raise ValueError(f"monomial degree {i} outside [0, {prec})")
         ranks = bytearray(prec)
         ranks[i] = spec.element(coeff).rank
-        return cls.from_ranks(spec, ranks)
+        return _series(spec, bytes(ranks))
 
     # -- accessors --------------------------------------------------------------
 
     @property
     def coeffs(self):
-        return tuple(FqElem(self.spec, r) for r in self._ranks)
-
-    @property
-    def ranks(self):
-        return self._ranks
+        return tuple(FqElem(self.spec, r) for r in self.ranks)
 
     def coeff(self, i) -> FqElem:
-        return FqElem(self.spec, self._ranks[i])
+        return FqElem(self.spec, self.ranks[i])
 
     def eval0(self) -> FqElem:
         """Value at t = 0."""
-        return FqElem(self.spec, self._ranks[0])
+        return FqElem(self.spec, self.ranks[0])
 
     @property
     def is_unit(self) -> bool:
-        return self._ranks[0] != 0
+        return self.ranks[0] != 0
 
     def key(self):
-        return (self.spec.key, self.prec, self._ranks)
+        return (self.spec.key, self.prec, self.ranks)
 
     def truncate(self, prec: int) -> "TruncSeries":
         if prec < 1:
@@ -104,7 +107,7 @@ class TruncSeries:
             raise ValueError("cannot raise precision by truncation")
         if prec == self.prec:
             return self
-        return TruncSeries.from_ranks(self.spec, self._ranks[:prec])
+        return _series(self.spec, self.ranks[:prec])
 
     # -- arithmetic ---------------------------------------------------------------
 
@@ -117,32 +120,32 @@ class TruncSeries:
 
     def __add__(self, other):
         prec = self._common(other)
-        return TruncSeries.from_ranks(
-            self.spec, add_ranks(self.spec, self._ranks, other._ranks, 0, prec)
+        return _series(
+            self.spec, add_ranks(self.spec, self.ranks, other.ranks, 0, prec)
         )
 
     def __sub__(self, other):
         prec = self._common(other)
-        neg = neg_ranks(self.spec, other._ranks[:prec])
-        return TruncSeries.from_ranks(
-            self.spec, add_ranks(self.spec, self._ranks, neg, 0, prec)
+        neg = neg_ranks(self.spec, other.ranks[:prec])
+        return _series(
+            self.spec, add_ranks(self.spec, self.ranks, neg, 0, prec)
         )
 
     def __neg__(self):
-        return TruncSeries.from_ranks(self.spec, neg_ranks(self.spec, self._ranks))
+        return _series(self.spec, neg_ranks(self.spec, self.ranks))
 
     def scale(self, c) -> "TruncSeries":
         """Multiply by a scalar (an FqElem, or an int residue mod p)."""
-        return TruncSeries.from_ranks(
-            self.spec, scale_ranks(self.spec, scalar_rank(self.spec, c), self._ranks)
+        return _series(
+            self.spec, scale_ranks(self.spec, scalar_rank(self.spec, c), self.ranks)
         )
 
     def __mul__(self, other):
         if isinstance(other, (FqElem, int)):
             return self.scale(other)
         prec = self._common(other)
-        return TruncSeries.from_ranks(
-            self.spec, mul_ranks(self.spec, self._ranks, other._ranks, prec)
+        return _series(
+            self.spec, mul_ranks(self.spec, self.ranks, other.ranks, prec)
         )
 
     def __rmul__(self, other):
@@ -165,10 +168,10 @@ class TruncSeries:
 
     def inverse(self) -> "TruncSeries":
         """Multiplicative inverse mod t^prec; requires a unit constant term."""
-        if self._ranks[0] == 0:
+        if self.ranks[0] == 0:
             raise NonUnit("series has zero constant term")
-        return TruncSeries.from_ranks(
-            self.spec, inv_ranks(self.spec, self._ranks, self.prec)
+        return _series(
+            self.spec, inv_ranks(self.spec, self.ranks, self.prec)
         )
 
     # -- comparison -----------------------------------------------------------------
@@ -176,13 +179,28 @@ class TruncSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return self.key() == other.key()
+        # the fields of key(); prec is len(ranks), so equal ranks share it
+        return self.ranks == other.ranks and self.spec.key == other.spec.key
 
     def __hash__(self):
         return hash(self.key())
 
     def __repr__(self):
         return f"TruncSeries({render_series(self)!r}, prec={self.prec}, q={self.spec.q})"
+
+
+def _series(spec, ranks):
+    """The series of rank bytes that a kernel made valid: nothing checked.
+
+    The one unchecked TruncSeries constructor; `ranks` must be `bytes` of
+    at least one rank, each below q.
+    """
+    obj = object.__new__(TruncSeries)
+    obj.spec = spec
+    obj.prec = len(ranks)
+    obj.ranks = ranks
+    obj.exhausted = False
+    return obj
 
 
 # Rank-sequence kernels shared by TruncSeries and UInftyElem.  They trust their
@@ -311,8 +329,12 @@ def _spread(spec, ranks, lane):
     if step == 1:
         return int.from_bytes(ranks, "little")
     spread = bytearray(len(ranks) * step)
-    for i, digit in enumerate(spec.tables.digits):
-        spread[i * lane::step] = ranks.translate(digit)
+    if spec.e == 1:
+        # the one digit of a rank is the rank: a strided copy
+        spread[::step] = ranks
+    else:
+        for i, digit in enumerate(spec.tables.digits):
+            spread[i * lane::step] = ranks.translate(digit)
     return int.from_bytes(spread, "little")
 
 
@@ -421,7 +443,7 @@ def unit_enumerate(spec: FqSpec, prec: int, *,
         tails = [tail + bytes((d,)) for tail in tails for d in range(q)]
         r += 1
     heads = map(bytes, itertools.product(range(1, q), *[range(q)] * (prec - 1 - r)))
-    return (TruncSeries.from_ranks(spec, head + tail) for head in heads for tail in tails)
+    return (_series(spec, head + tail) for head in heads for tail in tails)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +453,7 @@ def unit_enumerate(spec: FqSpec, prec: int, *,
 
 def render_series(f: TruncSeries) -> str:
     parts = []
-    for i, r in enumerate(f._ranks):
+    for i, r in enumerate(f.ranks):
         if r == 0:
             continue
         c = str(FqElem(f.spec, r))
@@ -504,4 +526,4 @@ def parse_series(spec: FqSpec, text: str, prec: int) -> TruncSeries:
             rank, power = _parse_term(spec, term)
             if power < prec:
                 ranks[power] = add[ranks[power]][rank]
-    return TruncSeries.from_ranks(spec, ranks)
+    return _series(spec, bytes(ranks))

@@ -140,6 +140,10 @@ def test_jet_guards(f3):
 
     with pytest.raises(ShapeMismatch):
         JetMatrix((TruncSeries.one(f3, 3), TruncSeries.one(f3, 4)))
+    with pytest.raises(ShapeMismatch, match="jet rows must be series"):
+        JetMatrix([1, 2])
+    with pytest.raises(ShapeMismatch, match="jet rows must be series"):
+        JetMatrix((TruncSeries.one(f3, 3), b"\0\0\0"))
 
 
 def test_hyperderiv_output_precision_guards(f3):

@@ -1,8 +1,10 @@
 import random
+import re
 
 import pytest
 
 import carlitz.jets
+import carlitz.series
 from carlitz import (
     JetMatrix,
     TruncSeries,
@@ -226,15 +228,16 @@ def test_verify_taylor_reads_through_the_operator(f3, monkeypatch):
 
 
 def _count_series(monkeypatch):
-    """Count every TruncSeries built through from_ranks from here on."""
+    """Count every TruncSeries built through series._series from here on."""
     built = []
-    real = TruncSeries.__dict__["from_ranks"].__func__
+    real = carlitz.series._series
 
-    def spy(cls, spec, ranks, **kw):
+    def spy(spec, ranks):
         built.append(len(ranks))
-        return real(cls, spec, ranks, **kw)
+        return real(spec, ranks)
 
-    monkeypatch.setattr(TruncSeries, "from_ranks", classmethod(spy))
+    for module in (carlitz.series, carlitz.jets):
+        monkeypatch.setattr(module, "_series", spy)
     return built
 
 
@@ -266,13 +269,13 @@ def test_jet_mul_builds_one_series_per_row(f3, monkeypatch, k):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_verify_leibniz_builds_one_series_per_factor(f3, monkeypatch, n):
-    # f*g, D^(n)(fg), per i the two factors, and the sum of their products
-    # from one cauchy_rows call: each at its final precision
+    # f*g, D^(n)(fg) and per i the two factors, each at its final
+    # precision; the sum of their products is compared as bytes
     rng = random.Random(12)
     f, g = random_series(rng, f3, 9), random_series(rng, f3, 9)
     built = _count_series(monkeypatch)
     assert verify_leibniz(n, f, g)
-    assert len(built) == 3 + 2 * (n + 1)
+    assert len(built) == 2 + 2 * (n + 1)
     assert built.count(9) == 1 and built.count(9 - n) == len(built) - 1
 
 
@@ -291,3 +294,51 @@ def test_entries_layout(f3):
         for c in range(3):
             expected = j.rows[c - r] if c >= r else TruncSeries.zero(f3, j.prec)
             assert m[r][c] == expected
+
+
+def _agrees_with_key(x, y):
+    same = x.key() == y.key()
+    assert (x == y) is same and (x != y) is not same
+    assert (hash(x) == hash(y)) is same
+    return same
+
+
+def test_equality_agrees_with_key(f2, f4):
+    # == compares the fields directly; key() is the oracle it must match
+    rng = random.Random(18)
+    r = bytes(rng.randrange(2) for _ in range(8))
+    s2, s4 = TruncSeries.from_ranks(f2, r), TruncSeries.from_ranks(f4, r)
+    assert not _agrees_with_key(s2, s4)
+    assert _agrees_with_key(s2, TruncSeries.from_ranks(f2, list(r)))
+    assert not _agrees_with_key(s2, s2.truncate(7))
+    # the same rank bytes in every row, over two fields of characteristic 2
+    j2, j4 = jet(2, s2), jet(2, s4)
+    assert [a.ranks for a in j2.rows] == [a.ranks for a in j4.rows]
+    assert not _agrees_with_key(j2, j4)
+    assert not _agrees_with_key(JetMatrix(j2.rows), JetMatrix(j4.rows))
+    # the same series at another order or another precision
+    assert not _agrees_with_key(jet(1, s2, 5), jet(2, s2, 5))
+    assert not _agrees_with_key(jet(1, s2, 5), jet(1, s2, 6))
+    # one jet from jet(), from checked rows and from a product
+    for spec in (f2, f4):
+        f, g = random_series(rng, spec, 9), random_series(rng, spec, 9)
+        want = jet(2, f * g)
+        rows = [TruncSeries.from_ranks(spec, a.ranks) for a in want.rows]
+        for other in (JetMatrix(rows), jet(2, f) * jet(2, g),
+                      want * JetMatrix.identity(spec, 2, want.prec)):
+            assert _agrees_with_key(want, other)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_hyperderiv_one_coefficient_guards(q):
+    # the prec == 1 read runs only for 0 <= n < prec(f); every other order
+    # meets the same guards, errors and messages as any output precision
+    spec = spec_for_order(q)
+    f = random_series(random.Random(19), spec, 7)
+    last = hyperderiv(6, f, 1)
+    assert last.ranks == f.ranks[6:] and last.prec == 1 and not last.exhausted
+    with pytest.raises(InsufficientPrecision, match=re.escape(
+            "D^(7) at output precision 1 needs input precision >= 8, got 7")):
+        hyperderiv(7, f, 1)
+    with pytest.raises(ValueError, match="derivative order must be nonnegative"):
+        hyperderiv(-1, f, 1)

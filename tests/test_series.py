@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import carlitz.series
 from carlitz import TruncSeries, parse_series, render_series, unit_enumerate
 from carlitz import FqSpec, UInftyElem, spec_for_order, unit_count
 from carlitz.errors import BudgetExceeded, NonUnit, ParseError, SpecMismatch
@@ -92,6 +93,25 @@ def test_from_ranks_copies_mutable_ranks(f3):
     f = TruncSeries.from_ranks(f3, ranks)
     ranks[0] = 2
     assert f.ranks == bytes([1, 2, 0]) and type(f.ranks) is bytes
+
+
+def test_from_ranks_checks_its_input(f3, monkeypatch):
+    # no precision-0 series and no rank at or above q, rejected before any
+    # series is made; the kernels' own results go through _series unchecked
+    made = []
+    real = carlitz.series._series
+    monkeypatch.setattr(carlitz.series, "_series",
+                        lambda *args: made.append(args) or real(*args))
+    for bad in (b"", [], [1, 5, 0], b"\1\3", bytearray([3]), [256], [-1]):
+        with pytest.raises(ValueError):
+            TruncSeries.from_ranks(f3, bad)
+    assert made == []
+    f = TruncSeries.from_ranks(f3, [1, 2, 0])
+    assert f * TruncSeries.one(f3, 3) == f and len(made) == 3
+    top = spec_for_order(251)
+    assert TruncSeries.from_ranks(top, [250, 0]).ranks == b"\xfa\0"
+    with pytest.raises(ValueError):
+        TruncSeries.from_ranks(top, [251])
 
 
 @pytest.mark.parametrize("q,prec", [(2, 6), (3, 6), (4, 6)])

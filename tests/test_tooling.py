@@ -1,11 +1,13 @@
 """The benchmark's tracer names functions of the package by string.
 
 It skips a name it cannot resolve, so a rename in the package would
-silently zero a per-layer figure; these checks fail instead.  The last
-check keeps the README's CLI synopsis in step with the parser.
+silently zero a per-layer figure; these checks fail instead.  Two more
+checks keep the README's CLI synopsis in step with the parser and each
+class's unchecked constructor in one place.
 """
 
 import argparse
+import ast
 import importlib.util
 import re
 import sys
@@ -17,6 +19,7 @@ import carlitz.cli
 import carlitz.jets
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PACKAGE = Path(carlitz.__file__).resolve().parent
 
 
 def _load_tracing(monkeypatch):
@@ -121,3 +124,23 @@ def test_readme_synopsis_lists_every_option():
                     continue
                 assert re.search(re.escape(option) + r"(?![\w-])", synopses[command]), \
                     f"{command} {option}"
+
+
+def test_one_unchecked_constructor_per_class():
+    # object.__new__ skips every check a constructor makes, so each class
+    # has one place that uses it, for results a kernel already made valid
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "__new__"
+                    and isinstance(child.value, ast.Name) and child.value.id == "object"):
+                found.add(f"{module}.{'.'.join(scope)}")
+            visit(child, module, scope)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, ())
+    assert found == {"series._series", "jets.JetMatrix._of", "cinfty.UInftyElem._make"}
