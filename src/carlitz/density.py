@@ -13,10 +13,12 @@ and the p^f-th power, being additive, only moves coefficient i to place
 i p^f through x -> x^(p^f), the collapse behind the tensor closed form.
 When d' = 1 (every jet count) each coefficient of a thus lands in one
 place of a^d, so a unit's key is the OR of one table per coefficient, and
-the keys of consecutive units are one broadcast OR of the outer ORs of
-those tables, with no unit decoded; still every unit's key is formed and
-counted.  D(N) is always of the structural form unit * q^E and is kept
-that way; only display ever touches a floating-point logarithm.
+the set of keys is the set of ORs of one distinct column per table.  The
+count runs over those choices, not over the units, with no unit decoded:
+a coefficient the jet cannot see has a constant table and adds no choice.
+It reads neither the closed form nor the bit layout of the tables.  D(N)
+is always of the structural form unit * q^E and is kept that way; only
+display ever touches a floating-point logarithm.
 """
 
 from __future__ import annotations
@@ -52,8 +54,9 @@ LINALG_BUDGET_DEFAULT = 10 ** 7
 EXHAUSTIVE_LIMIT_DEFAULT = 10 ** 5
 
 _MERGE_ROW_LIMIT = 1 << 21
-# units per block of the batched tensor count; larger blocks are no faster
-# past this size and raise the peak memory of the products
+# units (or table choices, _unit_keys) per block of the tensor count;
+# larger blocks are no faster past this size and raise the peak memory of
+# the products
 _TENSOR_CHUNK = 1 << 13
 _CERT_BLOCK = 256  # the rank certificate's largest block of units
 
@@ -130,13 +133,14 @@ def _unique_keys(keys):
 
 
 def _count_distinct_keys(keys_of, total, words, chunk_size, threads=1):
-    """The number of distinct keys of units 0..total-1.
+    """The number of distinct keys among keys_of(0, total).
 
     keys_of(start, stop) returns the (words, stop-start) uint64 keys of
-    units start..stop-1.  Each chunk is deduplicated on its own, and the
-    parts are merged by set union.  `threads` > 1 spreads the chunks over a
-    thread pool, which pays off because forming and sorting keys release
-    the GIL; the count is independent of chunking and thread count.
+    items start..stop-1: units, or choices of distinct table columns
+    (_unit_keys).  Each chunk of `chunk_size` items is deduplicated on its
+    own, and the parts are merged by set union.  `threads` > 1 spreads the
+    chunks over a thread pool (forming and sorting keys release the GIL);
+    the count is independent of chunking and thread count.
     """
     def run(start):
         return _unique_keys(keys_of(start, min(start + chunk_size, total)))
@@ -223,32 +227,40 @@ def _outer_or(keys, tables):
     return keys
 
 
-def _unit_keys(tables, q, chunk_size):
-    """keys_of(start, stop) for units whose key ORs one table per coefficient.
+def _unit_keys(tables, chunk_size):
+    """(keys_of, total) for units whose key ORs one table per coefficient.
 
     tables is (m, words, q): the key of unit a mod t^m is the OR of
-    tables[l][:, a_l] over l.  Units are numbered lexicographically with a_0
-    most significant, so the keys of all units are the rows of
-    hi[:, :, None] | lo[:, None, :] in turn: lo is the outer OR of the last
-    s tables, with q^s <= chunk_size, and hi that of tables[0] at ranks
-    1..q-1 and the tables between.  A chunk of units is a slice of the rows
-    of hi it meets, joined with all of lo by one broadcast OR; no array
-    outgrows max(3 chunk_size, U / q^s) keys for U units.
+    tables[l][:, a_l] over l, so the unit keys are the ORs of one column
+    of each table, tables[0] at ranks 1..q-1.  That set does not change
+    when each table keeps only its distinct columns, whatever bits the
+    tables share.  keys_of(start, stop) returns the keys of choices
+    start..stop-1 of one distinct column per table, numbered
+    lexicographically with table 0 most significant, and total is the
+    number of choices.  They are the rows of hi[:, :, None] | lo[:, None, :]
+    in turn: lo is the outer OR of the last s distinct tables, whose widths
+    multiply to at most chunk_size, and hi that of the others.  A chunk is
+    a slice of the rows of hi it meets, joined with all of lo by one
+    broadcast OR; no array outgrows max(3 chunk_size, total / width of lo)
+    keys.
     """
     m, words = tables.shape[:2]
-    s = 0
-    while s < m - 1 and q ** (s + 1) <= chunk_size:
+    # copies: the slices are views of the caller's tables, and _unique_keys
+    # sorts a one-word array in place
+    distinct = [_unique_keys(table.copy()) for table in (tables[0][:, 1:], *tables[1:])]
+    s, width = 0, 1
+    while s < m - 1 and width * distinct[m - 1 - s].shape[1] <= chunk_size:
         s += 1
-    lo = _outer_or(np.zeros((words, 1), dtype=np.uint64), tables[m - s:])
-    hi = _outer_or(tables[0][:, 1:], tables[1:m - s])
-    width = lo.shape[1]
+        width *= distinct[m - s].shape[1]
+    lo = _outer_or(np.zeros((words, 1), dtype=np.uint64), distinct[m - s:])
+    hi = _outer_or(distinct[0], distinct[1:m - s])
 
     def keys_of(start, stop):
         first = start // width
         keys = (hi[:, first:-(-stop // width), None] | lo[:, None, :]).reshape(words, -1)
         return keys[:, start - first * width:stop - first * width]
 
-    return keys_of
+    return keys_of, hi.shape[1] * width
 
 
 def _image_count(spec, k, d, n, m, budget, threads, chunk_size):
@@ -256,14 +268,17 @@ def _image_count(spec, k, d, n, m, budget, threads, chunk_size):
 
     Every jet, all (k+1)*n entries, is packed into an integer key of
     (q-1).bit_length() bits per entry (several uint64 words past 64 bits),
-    and _count_distinct_keys counts the keys of all units.  Write d = P*d'
-    with P = p^f (tensor_decompose).  When d' = 1 (every jet count, and
-    every p-power tensor degree) coefficient l of a moves, through
-    x -> x^P, to place lP of a^d and nowhere else, so a key is the OR of
-    one table per coefficient of a and _unit_keys forms the keys of a
-    chunk by one broadcast OR, with no decoding.  Otherwise each chunk of
-    units is decoded by _digit_block, raised to the d-th power by
-    _power_block, and each coefficient of a^d gathered from the same tables.
+    and _count_distinct_keys counts the distinct keys.  The budget is
+    checked on the units before any table is built.  Write d = P*d' with
+    P = p^f (tensor_decompose).  When d' = 1 (every jet count, and every
+    p-power tensor degree) coefficient l of a moves, through x -> x^P, to
+    place lP of a^d and nowhere else, so a key is the OR of one table per
+    coefficient of a.  _unit_keys then deduplicates each table, and the
+    count runs over the choices of one distinct column per table, which
+    give the same set of keys as the units, with no decoding.  Otherwise
+    each chunk of units is decoded by _digit_block, raised to the d-th
+    power by _power_block, and each coefficient of a^d gathered from the
+    same tables.
     """
     q = spec.q
     total = unit_count(q, m)
@@ -290,7 +305,7 @@ def _image_count(spec, k, d, n, m, budget, threads, chunk_size):
         spread = lut[::spec.p ** f][:, :, _frobenius(spec, f)]
         tables = np.zeros_like(lut)
         tables[:len(spread)] = spread
-        keys_of = _unit_keys(tables, q, chunk_size)
+        keys_of, total = _unit_keys(tables, chunk_size)
     else:
         def keys_of(start, stop):
             block = _power_block(spec, _digit_block(q, m, start, stop), d)
@@ -308,10 +323,12 @@ def image_order_brute(spec: FqSpec, k: int, n: int, *,
                       enum_precision: int | None = None) -> int:
     """Count distinct jet images mod t^n over every unit mod t^(n+k).
 
-    The count is a literal deduplication of the packed jet keys of every
-    unit (_image_count at d = 1, keys by _unit_keys), in chunks of
-    `chunk_size` units over `threads` threads; the answer is independent
-    of both.  `enum_precision` may raise the
+    The count is a literal deduplication of the packed jet keys
+    (_image_count at d = 1): _unit_keys forms the keys of the units'
+    choices of one distinct column of each coefficient's table, and they
+    are counted in chunks of `chunk_size` choices over `threads` threads;
+    the answer is independent of both.  `budget` bounds the units mod
+    t^(n+k), checked before any work.  `enum_precision` may raise the
     enumeration precision above n+k to double-check sufficiency.
     """
     if n < 1 or k < 0:
@@ -459,13 +476,14 @@ def tensor_image_order_brute(spec: FqSpec, d: int, n: int, *,
 
     The brute route for the closed form: _image_count at k = 0.  For
     d = p^f (d' = 1) the power of each unit is the OR of one Frobenius
-    table per coefficient, formed by _unit_keys without decoding; otherwise
-    each block of units is raised to the d-th power by _power_block
-    (batched truncated products for a^d', then the additive p-part of d
-    spreads the result over every p^f-th coefficient).  Either way the
-    distinct powers of all units are counted.  Its oracles in the tests are
-    the object-level set of (a ** d).ranks, product-only powering of the
-    same blocks, and a gather per coefficient of the decoded powers.
+    table per coefficient, and the distinct ORs of one distinct column per
+    table are counted (_unit_keys) without decoding; otherwise each block
+    of units is raised to the d-th power by _power_block (batched truncated
+    products for a^d', then the additive p-part of d spreads the result
+    over every p^f-th coefficient) and the distinct powers of all units are
+    counted.  Its oracles in the tests are the object-level set of
+    (a ** d).ranks, product-only powering of the same blocks, and a gather
+    per coefficient of the decoded powers.
     """
     if d < 1:
         raise ValueError("tensor degree must be >= 1")

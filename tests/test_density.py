@@ -181,6 +181,21 @@ def test_image_order_budget(f2):
         image_order_brute(f2, 0, 40, budget=10 ** 6)
 
 
+def test_brute_budgets_fail_before_any_table(monkeypatch, f2):
+    # the work scales with the distinct keys, not the units, so the unit
+    # budget must still fail first: no table is deduplicated or OR-ed
+    def no_work(*args):
+        raise AssertionError("tables were built before the budget check")
+
+    monkeypatch.setattr(density_mod, "_unique_keys", no_work)
+    monkeypatch.setattr(density_mod, "_outer_or", no_work)
+    with pytest.raises(BudgetExceeded):
+        image_order_brute(f2, 0, 40, budget=10 ** 6)
+    # d = 2 = p over F_2 goes through the per-coefficient tables too
+    with pytest.raises(BudgetExceeded):
+        tensor_image_order_brute(f2, 2, 40, budget=10 ** 6)
+
+
 def test_structured_factorization():
     assert factor_structured_order(18, 3, 2) == 2
     assert factor_structured_order(1, 2, 1) == 0
@@ -852,9 +867,24 @@ def _block_keys(spec, k, d, n, m, start, stop):
     return key
 
 
-def _counted_keys(monkeypatch, spec, k, d, n, m, chunk_size, threads):
-    """The count of _image_count and the keys it formed, in unit order."""
-    parts, count_keys = {}, density_mod._count_distinct_keys
+def _count_tables(monkeypatch, spec, k, d, n, m):
+    """The per-coefficient key tables _image_count hands to _unit_keys."""
+    seen, unit_keys = [], density_mod._unit_keys
+
+    def recording(tables, chunk_size):
+        seen.append(tables.copy())
+        return unit_keys(tables, chunk_size)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(density_mod, "_unit_keys", recording)
+        density_mod._image_count(spec, k, d, n, m, 1 << 20, 1, 1 << 16)
+    assert len(seen) == 1
+    return seen[0]
+
+
+def _counted_chunks(monkeypatch, spec, k, d, n, m, chunk_size, threads):
+    """The count of _image_count and the keys of each chunk it formed."""
+    parts, totals, count_keys = {}, [], density_mod._count_distinct_keys
 
     def recording(keys_of, total, words, chunk_size, threads):
         def record(start, stop):
@@ -863,13 +893,14 @@ def _counted_keys(monkeypatch, spec, k, d, n, m, chunk_size, threads):
             parts[start] = keys.copy()
             return keys
 
+        totals.append(total)
         return count_keys(record, total, words, chunk_size, threads)
 
     with monkeypatch.context() as patch:
         patch.setattr(density_mod, "_count_distinct_keys", recording)
         count = density_mod._image_count(spec, k, d, n, m, 1 << 20, threads, chunk_size)
-    assert sorted(parts) == list(range(0, unit_count(spec.q, m), chunk_size))
-    return count, np.concatenate([parts[s] for s in sorted(parts)], axis=1)
+    assert len(totals) == 1 and sorted(parts) == list(range(0, totals[0], chunk_size))
+    return count, [parts[s] for s in sorted(parts)]
 
 
 def _key_cases(spec, limit=1 << 12):
@@ -882,27 +913,34 @@ def _key_cases(spec, limit=1 << 12):
 
 
 def _check_keys(monkeypatch, spec, k, d, n, m):
-    # every unit's key against the decode route, chunk by chunk and thread
-    # count; runs of more than 256 chunks are left out for time
+    # (a) every unit's key, as the OR of one column per table the count
+    # reads (table 0 at ranks 1..q-1), against the decode route key for key
     total = unit_count(spec.q, m)
     want = _block_keys(spec, k, d, n, m, 0, total)
+    tables = _count_tables(monkeypatch, spec, k, d, n, m)
+    got = density_mod._outer_or(tables[0][:, 1:], tables[1:])
+    assert got.shape == want.shape and np.array_equal(got, want), (spec.q, k, d, n, m)
+    # (b) the keys the count forms, chunk by chunk and thread count, are
+    # the distinct unit keys, and the count is their number; runs of more
+    # than 256 chunks of units are left out for time
     distinct = np.unique(want, axis=1)
     width = spec.q ** max(1, m // 2)
     for chunk_size in (1, 17, width - 1, width + 1, 1 << 16):
         if total > chunk_size << 8:
             continue
         for threads in (1, 2):
-            count, got = _counted_keys(monkeypatch, spec, k, d, n, m, chunk_size, threads)
+            count, parts = _counted_chunks(monkeypatch, spec, k, d, n, m, chunk_size, threads)
             case = (spec.q, k, d, n, m, chunk_size, threads)
-            assert got.shape == want.shape and np.array_equal(got, want), case
-            assert np.array_equal(np.unique(got, axis=1), distinct), case
+            assert all(part.shape[1] <= chunk_size for part in parts), case
+            assert np.array_equal(np.unique(np.concatenate(parts, axis=1), axis=1), distinct), case
             assert count == distinct.shape[1], case
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 27, "7^2"])
 def test_unit_keys_match_block_gathers(q, monkeypatch):
-    # the outer-OR keys of p-power degrees (d' = 1) and the decode route of
-    # d' > 1 against decoding, powering and a gather per (word, coefficient)
+    # the per-coefficient tables of p-power degrees (d' = 1) against
+    # decoding, powering and a gather per (word, coefficient), and the
+    # chunks the count forms from them against the distinct keys
     spec = kernel_spec(q)
     cases = list(_key_cases(spec))
     assert cases
@@ -914,6 +952,30 @@ def test_unit_keys_match_block_gathers_wide(monkeypatch, f2):
     # (k+1)*n one-bit entries make 72 and 65 bits: two uint64 words per key
     for k, n in [(7, 9), (4, 13)]:
         _check_keys(monkeypatch, f2, k, 1, n, n + k)
+
+
+@pytest.mark.parametrize("words", [1, 2])
+def test_unit_keys_count_the_set_of_ors(words):
+    # tables whose entries share bits and repeat columns: the count is the
+    # number of distinct ORs of one entry per table, table 0 at ranks
+    # 1..q-1, whatever the bits; counting choices would overcount
+    rng = np.random.default_rng(words)
+    for trial in range(40):
+        m, q = int(rng.integers(1, 6)), int(rng.integers(2, 5))
+        pool = rng.integers(0, 1 << 5, size=(words, 6), dtype=np.uint64)
+        tables = pool[:, rng.integers(0, 6, size=(m, q))].transpose(1, 0, 2).copy()
+        want = len({
+            tuple(np.bitwise_or.reduce([t[:, c] for t, c in zip(tables, choice)]))
+            for choice in itertools.product(range(1, q), *[range(q)] * (m - 1))
+        })
+        before = tables.copy()
+        for chunk_size in (1, 2, 3, 5, 17, 1 << 16):
+            for threads in (1, 2):
+                keys_of, total = density_mod._unit_keys(tables, chunk_size)
+                got = density_mod._count_distinct_keys(keys_of, total, words,
+                                                       chunk_size, threads)
+                assert got == want, (trial, m, q, chunk_size, threads)
+        assert np.array_equal(tables, before)
 
 
 def test_p_power_counts_skip_decoding(monkeypatch, f3):
