@@ -111,37 +111,49 @@ def _digit_block(q, m, start, stop):
     return out
 
 
-def _unique_keys(keys):
-    """Sorted distinct columns of a (words, rows) uint64 key array.
+def _sort_keys(keys):
+    """The sorted columns of a (words, rows) uint64 key array, and whether
+    each differs from the one before: the one sort of every distinct count.
 
-    Sort plus an adjacent-difference mask.  np.unique is avoided: numpy 2.4
-    runs it through a hash table that is several times slower here.  A
-    one-word array is sorted in place, so `keys` itself is reordered (every
-    caller passes a fresh array), and masked and compressed as one row,
-    which is faster than the same steps in 2-D; several words go through
-    lexsort.
+    np.unique is avoided (numpy 2.4 hashes, several times slower here).  One
+    word is sorted in place as one row, so callers pass a fresh array;
+    several words go through lexsort.
     """
-    keep = np.ones(keys.shape[1], dtype=bool)
     if keys.shape[0] == 1:
         row = keys[0]
         row.sort()
-        np.not_equal(row[1:], row[:-1], out=keep[1:])
-        return row[keep][None]
+        return keys, row[1:] != row[:-1]
     keys = keys[:, np.lexsort(keys)]
-    keep[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-    return keys[:, keep]
+    return keys, (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+
+
+def _unique_keys(keys):
+    """Sorted distinct columns of a key array: _sort_keys, then a mask."""
+    keys, differs = _sort_keys(keys)
+    keep = np.ones(keys.shape[1], dtype=bool)
+    keep[1:] = differs
+    return keys[0][keep][None] if keys.shape[0] == 1 else keys[:, keep]
+
+
+def _distinct_count(keys):
+    """Distinct columns of a fresh, nonempty key array: one sort, no copy."""
+    return 1 + int(np.count_nonzero(_sort_keys(keys)[1]))
 
 
 def _count_distinct_keys(keys_of, total, words, chunk_size, threads=1):
-    """The number of distinct keys among keys_of(0, total).
+    """The number of distinct keys among keys_of(0, total), total >= 1.
 
-    keys_of(start, stop) returns the (words, stop-start) uint64 keys of
+    keys_of(start, stop) returns fresh (words, stop-start) uint64 keys of
     items start..stop-1: units, or choices of distinct table columns
-    (_unit_keys).  Each chunk of `chunk_size` items is deduplicated on its
-    own, and the parts are merged by set union.  `threads` > 1 spreads the
-    chunks over a thread pool (forming and sorting keys release the GIL);
-    the count is independent of chunking and thread count.
+    (_unit_keys).  Keys that fit one chunk of `chunk_size` items are
+    sorted once and counted, with no thread pool.  Otherwise each chunk is
+    deduplicated, the parts merged by set union, and the last union
+    counted; `threads` > 1 spreads the chunks over a thread pool (forming
+    and sorting keys release the GIL).  The count is independent of both.
     """
+    if total <= chunk_size:
+        return _distinct_count(keys_of(0, total))
+
     def run(start):
         return _unique_keys(keys_of(start, min(start + chunk_size, total)))
 
@@ -156,9 +168,9 @@ def _count_distinct_keys(keys_of, total, words, chunk_size, threads=1):
             if pending_rows > max(_MERGE_ROW_LIMIT, merged.shape[1]):
                 merged = _unique_keys(np.concatenate([merged, *pending], axis=1))
                 pending, pending_rows = [], 0
-    if pending:
-        merged = _unique_keys(np.concatenate([merged, *pending], axis=1))
-    return int(merged.shape[1])
+    if not pending:
+        return int(merged.shape[1])
+    return _distinct_count(np.concatenate([merged, *pending], axis=1))
 
 
 def _mul_block(tables, x, y):
@@ -325,11 +337,12 @@ def image_order_brute(spec: FqSpec, k: int, n: int, *,
 
     The count is a literal deduplication of the packed jet keys
     (_image_count at d = 1): _unit_keys forms the keys of the units'
-    choices of one distinct column of each coefficient's table, and they
-    are counted in chunks of `chunk_size` choices over `threads` threads;
-    the answer is independent of both.  `budget` bounds the units mod
-    t^(n+k), checked before any work.  `enum_precision` may raise the
-    enumeration precision above n+k to double-check sufficiency.
+    choices of one distinct column of each coefficient's table, and
+    _count_distinct_keys counts them, sorted once when they fit one chunk
+    of `chunk_size` choices, else over `threads` threads; the answer is
+    independent of both.  `budget` bounds the units mod t^(n+k), checked
+    before any work.  `enum_precision` may raise the enumeration precision
+    above n+k to double-check sufficiency.
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")

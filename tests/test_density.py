@@ -146,14 +146,16 @@ def test_image_order_brute_merge_is_amortised(monkeypatch, f2):
     import carlitz.density as density
 
     sorted_rows = []
-    unique_keys = density._unique_keys
+    sort_keys = density._sort_keys
 
+    # every sort goes through _sort_keys: each chunk's dedupe, the merges
+    # and the final count of the last union
     def counting(keys):
         sorted_rows.append(keys.shape[1])
-        return unique_keys(keys)
+        return sort_keys(keys)
 
     monkeypatch.setattr(density, "_MERGE_ROW_LIMIT", 8)
-    monkeypatch.setattr(density, "_unique_keys", counting)
+    monkeypatch.setattr(density, "_sort_keys", counting)
     assert image_order_brute(f2, 0, 12, chunk_size=16) == 2048
     assert sum(sorted_rows) <= 4 * 2048
 
@@ -176,6 +178,56 @@ def test_unique_keys_match_np_unique(words):
             assert np.array_equal(keys[0], np.sort(before[0]))
 
 
+@pytest.mark.parametrize("merge_limit", [8, None])
+@pytest.mark.parametrize("words", [1, 2, 3])
+def test_count_distinct_keys_matches_set(monkeypatch, words, merge_limit):
+    # repeated columns, from a pool of eight values per word and from a
+    # wide pool, with 0 and 2^64-1 in both; one chunk, either side of one
+    # chunk, and several chunks, merged often when merge_limit is 8
+    if merge_limit is not None:
+        monkeypatch.setattr(density_mod, "_MERGE_ROW_LIMIT", merge_limit)
+    rng = np.random.default_rng(words)
+    chunk = 16
+    for total in (1, chunk - 1, chunk, chunk + 1, 5 * chunk + 3, 40 * chunk):
+        for width in (8, total // 2 + 2):
+            pool = rng.integers(0, 2 ** 64, size=(words, width), dtype=np.uint64)
+            pool[:, 0], pool[:, 1] = 0, 2 ** 64 - 1
+            keys = pool[:, rng.integers(0, width, size=total)]
+            want = len(set(map(tuple, keys.T)))
+            for threads in (1, 2):
+                got = density_mod._count_distinct_keys(
+                    lambda start, stop: keys[:, start:stop].copy(),
+                    total, words, chunk, threads)
+                assert got == want, (total, width, threads)
+
+
+def test_one_chunk_count_sorts_once(monkeypatch, f4):
+    # q=4, k=3, N=7: 49,152 choices of distinct table columns fit one chunk
+    # of 1 << 16, so they are sorted once and counted; _unique_keys sees
+    # only the ten coefficient tables (table 0 at ranks 1..3), and two
+    # threads start no pool
+    sorts, uniques = [], []
+
+    def spy(record, real):
+        def call(keys):
+            record.append(keys.shape[1])
+            return real(keys)
+        return call
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-chunk count started a thread pool")
+
+    monkeypatch.setattr(density_mod, "_sort_keys", spy(sorts, density_mod._sort_keys))
+    monkeypatch.setattr(density_mod, "_unique_keys", spy(uniques, density_mod._unique_keys))
+    monkeypatch.setattr(density_mod, "ThreadPoolExecutor", no_pool)
+    for threads in (1, 2):
+        sorts.clear()
+        uniques.clear()
+        assert image_order_brute(f4, 3, 7, threads=threads) == image_order_formula(f4, 3, 7)
+        assert uniques == [3] + [4] * 9
+        assert sorts == uniques + [49152]
+
+
 def test_image_order_budget(f2):
     with pytest.raises(BudgetExceeded):
         image_order_brute(f2, 0, 40, budget=10 ** 6)
@@ -187,8 +239,8 @@ def test_brute_budgets_fail_before_any_table(monkeypatch, f2):
     def no_work(*args):
         raise AssertionError("tables were built before the budget check")
 
-    monkeypatch.setattr(density_mod, "_unique_keys", no_work)
-    monkeypatch.setattr(density_mod, "_outer_or", no_work)
+    for name in ("_sort_keys", "_unique_keys", "_distinct_count", "_outer_or"):
+        monkeypatch.setattr(density_mod, name, no_work)
     with pytest.raises(BudgetExceeded):
         image_order_brute(f2, 0, 40, budget=10 ** 6)
     # d = 2 = p over F_2 goes through the per-coefficient tables too
