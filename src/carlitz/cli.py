@@ -78,6 +78,26 @@ def _json_text(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+# the JSON text of every rank, so a dump joins rank strings and never encodes
+_RANK_TEXT = tuple(str(r) for r in range(256))
+
+
+def _omega_dump_text(omega):
+    """The --dump-omega document: _json_text of {"q", "tprec", "entries"}.
+
+    Each entry is {"coeffs", "n", "uprec", "val"} ("val" null for a zero
+    entry), its keys and the document's written in _json_text's sorted
+    order; the "coeffs" list is its ranks joined through _RANK_TEXT.
+    """
+    entries = ",".join(
+        '{"coeffs":[' + ",".join(map(_RANK_TEXT.__getitem__, e.ranks))
+        + f'],"n":{n},"uprec":{json.dumps(e.uprec)},'
+        + f'"val":{json.dumps(None if e.is_zero else e.val)}}}'
+        for n, e in enumerate(omega.entries)
+    )
+    return f'{{"entries":[{entries}],"q":{omega.spec.q},"tprec":{omega.tprec}}}\n'
+
+
 def _table_text(table, fmt):
     rows = [dataclasses.astuple(r) for r in table.rows]
     if fmt == "json":
@@ -122,20 +142,7 @@ def _cmd_omega_verify(args):
     # the dump is written only once every check has returned, PASS or FAIL,
     # so a check that raises leaves an existing dump's bytes as they were
     if args.dump_omega:
-        payload = {
-            "q": spec.q,
-            "tprec": omega.tprec,
-            "entries": [
-                {
-                    "n": n,
-                    "val": e.val if not e.is_zero else None,
-                    "uprec": e.uprec,
-                    "coeffs": list(e.ranks),
-                }
-                for n, e in enumerate(omega.entries)
-            ],
-        }
-        _emit(_json_text(payload), args.dump_omega)
+        _emit(_omega_dump_text(omega), args.dump_omega)
     all_ok = True
     for name, ok in checks:
         sys.stdout.write(f"{name}: {'PASS' if ok else 'FAIL'}\n")

@@ -5,14 +5,21 @@ The n-th hyperderivative acts on series by
     D^(n)(sum x_i t^i) = sum C(i, n) x_i t^(i-n),
 
 with binomial coefficients taken mod p; it is the characteristic-p stand-in
-for (1/n!)(d/dt)^n.  The order-k jet of f packs (f, D^(1)f, ..., D^(k)f)
-into the superdiagonals of a (k+1)x(k+1) upper-triangular Toeplitz matrix;
-since the map f -> jet(f) is a ring homomorphism, jets multiply by the
-Cauchy product of their defining rows.  That product is one
-`series.cauchy_rows` call: each row is packed into one int once, each
-product row sums its row products unreduced, and all k+1 rows are reduced
-to ranks in one pass.  The inverse and the Leibniz check sum their
-products of rows through the same kernel.
+for (1/n!)(d/dt)^n.  Every hyperderivative here, of one order or of many,
+is one `hyperderiv_ranks` call on rank bytes: `hyperderiv` wraps its one
+result in a series, `jet` takes all k+1 rows in one call, and the
+Leibniz, iteration and Taylor checks compare rank bytes without building
+a series.  The Taylor check reads D^(i) f at precision 1 for every i in
+that one call.
+
+The order-k jet of f packs (f, D^(1)f, ..., D^(k)f) into the
+superdiagonals of a (k+1)x(k+1) upper-triangular Toeplitz matrix; since
+the map f -> jet(f) is a ring homomorphism, jets multiply by the Cauchy
+product of their defining rows.  That product is one `series.cauchy_rows`
+call: each row is packed into one int once, each product row sums its row
+products unreduced, and all k+1 rows are reduced to ranks in one pass.
+The inverse and the Leibniz check sum their products of rows through the
+same kernel.
 """
 
 from __future__ import annotations
@@ -21,30 +28,57 @@ from __future__ import annotations
 # (perfbench/test_perfbench.py) reads carlitz.jets.binom_mod_p by name.
 from .binomials import binom_mod_p, binom_masks, binom_row  # noqa: F401
 from .errors import InsufficientPrecision, NonUnit, ShapeMismatch, SpecMismatch
-from .series import TruncSeries, _series, cauchy_rows, inv_ranks, mul_ranks, neg_ranks
+from .series import (
+    TruncSeries,
+    _series,
+    cauchy_rows,
+    inv_ranks,
+    mul_ranks,
+    neg_ranks,
+    scale_ranks,
+)
+
+
+def hyperderiv_ranks(spec, ranks, orders, prec: int) -> list[bytes]:
+    """The ranks of D^(n) f at output precision `prec`, for each n in `orders`.
+
+    `ranks` are the rank bytes of f.  Coefficient i of D^(n) f is
+    C(i+n, n) f_(i+n), so order n reads ranks[n:n + prec]; like the series
+    rank kernels, this trusts its inputs, and every order must have
+    n + prec <= len(ranks).  Order 0 and precision 1 are plain slices,
+    since C(i, 0) = C(n, n) = 1.  Any other order is one step from the byte
+    masks of `binom_masks`: the ranks ANDed with the mask where the
+    binomial row is 1, OR-ed with, for each other nonzero value c of the
+    row, the ranks scaled by c (one `translate`) ANDed with the mask where
+    the row is c.  For p = 2 that is one AND.
+    """
+    if prec == 1:
+        return [ranks[n:n + 1] for n in orders]
+    p, mul = spec.p, spec.tables.mul
+    out = []
+    for n in orders:
+        src = ranks[n:n + prec]
+        if n:
+            ones, scaled = binom_masks(p, n, prec)
+            acc = int.from_bytes(src, "little") & ones
+            for c, mask in scaled:
+                acc |= int.from_bytes(src.translate(mul[c]), "little") & mask
+            src = acc.to_bytes(prec, "little")
+        out.append(src)
+    return out
 
 
 def hyperderiv(n: int, f: TruncSeries, prec: int | None = None) -> TruncSeries:
     """D^(n) f at output precision `prec`, by default prec(f) - n.
 
-    Coefficient i of the result is C(i+n, n) f_(i+n), so only the ranks
-    f_n, ..., f_(n+prec-1) are read; `prec` above prec(f) - n raises
-    InsufficientPrecision and `prec` below 1 ValueError.  The result is
-    built in one step from the byte masks of `binom_masks`: the ranks ANDed
-    with the mask where the binomial row is 1, OR-ed with, for each other
-    nonzero value c of the row, the ranks scaled by c (one `translate`)
-    ANDed with the mask where the row is c.  For p = 2 that is one AND.
-    At output precision 1 the coefficient is C(n, n) f_n = f_n, read with
-    no masks; that read is tested first, and any input it does not take
-    falls through to the guards.
+    Only the ranks f_n, ..., f_(n+prec-1) are read; `prec` above
+    prec(f) - n raises InsufficientPrecision and `prec` below 1 ValueError.
+    The ranks come from one `hyperderiv_ranks` call.
 
     With the default precision, differentiating past the available
     precision yields the zero series at precision 1 with the `exhausted`
     flag set, not an error.
     """
-    if prec == 1 and 0 <= n < f.prec:
-        # C(n, n) = 1: the one coefficient is f_n itself
-        return _series(f.spec, f.ranks[n:n + 1])
     if n < 0:
         raise ValueError("derivative order must be nonnegative")
     if prec is None:
@@ -58,17 +92,8 @@ def hyperderiv(n: int, f: TruncSeries, prec: int | None = None) -> TruncSeries:
             f"D^({n}) at output precision {prec} needs input precision "
             f">= {prec + n}, got {f.prec}"
         )
-    if n == 0:
-        return f.truncate(prec)
-    spec = f.spec
-    src = f.ranks[n:n + prec]
-    ones, scaled = binom_masks(spec.p, n, prec)
-    out = int.from_bytes(src, "little") & ones
-    if scaled:
-        mul = spec.tables.mul
-        for c, mask in scaled:
-            out |= int.from_bytes(src.translate(mul[c]), "little") & mask
-    return _series(spec, out.to_bytes(prec, "little"))
+    (ranks,) = hyperderiv_ranks(f.spec, f.ranks, (n,), prec)
+    return _series(f.spec, ranks)
 
 
 class JetMatrix:
@@ -190,8 +215,8 @@ def jet(k: int, f: TruncSeries, prec: int | None = None) -> JetMatrix:
             f"jet order {k} at output precision {prec} needs input precision "
             f">= {prec + k}, got {f.prec}"
         )
-    rows = [f.truncate(prec)] + [hyperderiv(j, f, prec) for j in range(1, k + 1)]
-    return JetMatrix._of(f.spec, tuple(rows))
+    rows = hyperderiv_ranks(f.spec, f.ranks, range(k + 1), prec)
+    return JetMatrix._of(f.spec, tuple([_series(f.spec, r) for r in rows]))
 
 
 def verify_leibniz(n: int, f: TruncSeries, g: TruncSeries) -> bool:
@@ -199,10 +224,15 @@ def verify_leibniz(n: int, f: TruncSeries, g: TruncSeries) -> bool:
     prec = min(f.prec, g.prec) - n
     if prec < 1:
         raise InsufficientPrecision(f"need precision > {n} to test order {n}")
-    lhs = hyperderiv(n, f * g, prec)
-    (rhs,) = cauchy_rows(f.spec, [hyperderiv(i, f, prec).ranks for i in range(n + 1)],
-                         [hyperderiv(i, g, prec).ranks for i in range(n + 1)], prec, (n,))
-    return lhs.ranks == rhs
+    if f.spec.key != g.spec.key:
+        raise SpecMismatch("mixed field specs")
+    spec = f.spec
+    fg = mul_ranks(spec, f.ranks, g.ranks, prec + n)
+    (lhs,) = hyperderiv_ranks(spec, fg, (n,), prec)
+    orders = range(n + 1)
+    (rhs,) = cauchy_rows(spec, hyperderiv_ranks(spec, f.ranks, orders, prec),
+                         hyperderiv_ranks(spec, g.ranks, orders, prec), prec, (n,))
+    return lhs == rhs
 
 
 def verify_iteration(n: int, m: int, f: TruncSeries) -> bool:
@@ -210,11 +240,13 @@ def verify_iteration(n: int, m: int, f: TruncSeries) -> bool:
     prec = f.prec - n - m
     if prec < 1:
         raise InsufficientPrecision(f"need precision > {n + m}")
-    lhs = hyperderiv(n, hyperderiv(m, f))
-    rhs = hyperderiv(n + m, f).scale(binom_row(f.spec.p, n, m + 1)[m])
-    return lhs == rhs
+    spec = f.spec
+    (inner,) = hyperderiv_ranks(spec, f.ranks, (m,), prec + n)
+    (lhs,) = hyperderiv_ranks(spec, inner, (n,), prec)
+    (rhs,) = hyperderiv_ranks(spec, f.ranks, (n + m,), prec)
+    return lhs == scale_ranks(spec, binom_row(spec.p, n, m + 1)[m], rhs)
 
 
 def verify_taylor(f: TruncSeries) -> bool:
     """Check f = sum_i (D^(i)f)(0) t^i through the truncation order."""
-    return b"".join([hyperderiv(i, f, 1).ranks for i in range(f.prec)]) == f.ranks
+    return b"".join(hyperderiv_ranks(f.spec, f.ranks, range(f.prec), 1)) == f.ranks

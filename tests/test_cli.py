@@ -10,6 +10,8 @@ import carlitz
 import carlitz.cli
 from carlitz.cli import EX_BUDGET, EX_MISMATCH, EX_OK, EX_USAGE, main
 
+from conftest import kernel_spec
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -155,6 +157,36 @@ def test_omega_verify_matches_recorded_bytes(tmp_path, capsys, q, tprec, uprec):
     for entry in json.loads(dump.read_text())["entries"]:
         assert type(entry["coeffs"]) is list
         assert all(type(c) is int for c in entry["coeffs"])
+
+
+def _dump_payload(omega):
+    """The --dump-omega document as the object _json_text would encode."""
+    return {
+        "q": omega.spec.q,
+        "tprec": omega.tprec,
+        "entries": [
+            {"n": n, "val": None if e.is_zero else e.val, "uprec": e.uprec,
+             "coeffs": list(e.ranks)}
+            for n, e in enumerate(omega.entries)
+        ],
+    }
+
+
+@pytest.mark.parametrize("q,tprec,uprec", [(2, 32, 1024), (9, 4, 300), (3, 3, 16)])
+def test_omega_dump_text_is_the_json_encoding(q, tprec, uprec):
+    omega = carlitz.compute_omega(carlitz.spec_for_order(q), tprec, uprec)
+    text = carlitz.cli._omega_dump_text(omega)
+    assert text == carlitz.cli._json_text(_dump_payload(omega))
+
+
+def test_omega_dump_text_of_odd_entries():
+    # zero entries (val null), an exact window (uprec null), every rank of F_256
+    spec = kernel_spec("2^8")
+    entries = [carlitz.UInftyElem.zero(spec, 5), carlitz.UInftyElem.zero(spec),
+               carlitz.UInftyElem(spec, -3, list(range(256)), None),
+               carlitz.UInftyElem(spec, 2, [255, 0, 7], 9)]
+    odd = carlitz.UPowerSeries(spec, entries)
+    assert carlitz.cli._omega_dump_text(odd) == carlitz.cli._json_text(_dump_payload(odd))
 
 
 def test_rep_example(capsys):

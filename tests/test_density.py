@@ -654,7 +654,8 @@ def test_zariski_exhaustive_run_uses_no_series_kernels(monkeypatch):
     import carlitz.series as series_mod
 
     calls = []
-    for mod, name in [(series_mod, "mul_ranks"), (jets_mod, "hyperderiv")]:
+    for mod, name in [(series_mod, "mul_ranks"), (jets_mod, "hyperderiv"),
+                      (jets_mod, "hyperderiv_ranks")]:
         def spy(*args, _real=getattr(mod, name), _name=name, **kwargs):
             calls.append(_name)
             return _real(*args, **kwargs)
@@ -666,7 +667,7 @@ def test_zariski_exhaustive_run_uses_no_series_kernels(monkeypatch):
     assert calls == []
     # the spies do see the object path
     galois_rep(TruncSeries.one(spec, 6), 2, 4).rows[1] * TruncSeries.one(spec, 4)
-    assert set(calls) == {"mul_ranks", "hyperderiv"}
+    assert set(calls) == {"mul_ranks", "hyperderiv_ranks"}
 
 
 def _object_rows(spec, k, n, monos, tdeg, units):

@@ -1,5 +1,7 @@
 """Error-path contracts across the modules, one place to see them all."""
 
+import re
+
 import pytest
 
 import carlitz.binomials as binomials
@@ -23,6 +25,7 @@ from carlitz import (
     torsion_generators,
     unit_count,
     unit_enumerate,
+    verify_leibniz,
 )
 from carlitz.errors import (
     InsufficientPrecision,
@@ -160,6 +163,27 @@ def test_hyperderiv_output_precision_guards(f3):
         hyperderiv(0, f, 0)
     assert (3, 97) not in binomials._ROWS and (3, 97) not in binomials._MASKS
     assert hyperderiv(97, f, 3).ranks == b"\0\0\0"
+
+
+@pytest.mark.parametrize("other", [5, 9])
+def test_verify_leibniz_rejects_mixed_fields(f3, other):
+    # F_9 shares F_3's characteristic; the field, not p, must match
+    f = TruncSeries.from_ranks(f3, [1, 2, 0, 1, 1, 2])
+    g = TruncSeries.one(spec_for_order(other), 6)
+    for n in range(3):
+        with pytest.raises(SpecMismatch, match="mixed field specs"):
+            verify_leibniz(n, f, g)
+        with pytest.raises(SpecMismatch, match="mixed field specs"):
+            verify_leibniz(n, g, f)
+
+
+def test_verify_leibniz_precision_guard(f3):
+    f = TruncSeries.from_ranks(f3, [1, 2, 0, 1])
+    for n, g in ((4, f), (5, f), (3, f.truncate(3)), (1, f.truncate(1))):
+        with pytest.raises(InsufficientPrecision,
+                           match=re.escape(f"need precision > {n} to test order {n}")):
+            verify_leibniz(n, f, g)
+    assert verify_leibniz(3, f, f)
 
 
 def test_uinfty_constructor_guards(f3):

@@ -16,8 +16,9 @@ from carlitz import (
     verify_leibniz,
     verify_taylor,
 )
-from carlitz.binomials import binom_pascal_oracle
+from carlitz.binomials import binom_mod_p, binom_pascal_oracle
 from carlitz.errors import InsufficientPrecision, NonUnit, ShapeMismatch
+from carlitz.jets import hyperderiv_ranks
 
 from conftest import random_series
 
@@ -216,14 +217,15 @@ def test_verify_taylor_reads_no_binomial_masks(f3, monkeypatch):
 
 def test_verify_taylor_reads_through_the_operator(f3, monkeypatch):
     # an off-by-one hyperderivative must fail the check: each Taylor
-    # coefficient comes from jets.hyperderiv, not from f's ranks directly
+    # coefficient comes from jets.hyperderiv_ranks, not from f's ranks directly
     f = lit(3, "1+t+2*t^2+t^4", 6)
     assert verify_taylor(f)
-    real = carlitz.jets.hyperderiv
-    monkeypatch.setattr(
-        carlitz.jets, "hyperderiv",
-        lambda n, g, prec=None: real(max(n - 1, 0), g, prec),
-    )
+    real = carlitz.jets.hyperderiv_ranks
+
+    def off_by_one(spec, ranks, orders, prec):
+        return real(spec, ranks, [max(n - 1, 0) for n in orders], prec)
+
+    monkeypatch.setattr(carlitz.jets, "hyperderiv_ranks", off_by_one)
     assert not verify_taylor(f)
 
 
@@ -268,15 +270,58 @@ def test_jet_mul_builds_one_series_per_row(f3, monkeypatch, k):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_verify_leibniz_builds_one_series_per_factor(f3, monkeypatch, n):
-    # f*g, D^(n)(fg) and per i the two factors, each at its final
-    # precision; the sum of their products is compared as bytes
+def test_verify_checks_build_no_series(f3, monkeypatch, n):
+    # the Leibniz, iteration and Taylor checks compare rank bytes from
+    # hyperderiv_ranks; of the calculus, only a jet wraps its rows in series
     rng = random.Random(12)
     f, g = random_series(rng, f3, 9), random_series(rng, f3, 9)
     built = _count_series(monkeypatch)
     assert verify_leibniz(n, f, g)
-    assert len(built) == 2 + 2 * (n + 1)
-    assert built.count(9) == 1 and built.count(9 - n) == len(built) - 1
+    assert verify_iteration(n, 1, f) and verify_iteration(1, n, f)
+    assert verify_taylor(f)
+    assert built == []
+    jet(n, f)
+    assert built == [9 - n] * (n + 1)
+
+
+def binomial_oracle(spec, ranks, n, prec):
+    """The ranks of D^(n) f, C(i+n, n) f_(i+n), by Lucas and the mul rows."""
+    mul = spec.tables.mul
+    return bytes(mul[binom_mod_p(i + n, n, spec.p)][ranks[i + n]] for i in range(prec))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 25])
+def test_hyperderiv_ranks_match_binomial_oracle(q, monkeypatch):
+    spec = spec_for_order(q)
+    f = random_series(random.Random(20 + q), spec, 16)
+    for n in range(8):
+        for prec in range(1, f.prec - n + 1):
+            want = binomial_oracle(spec, f.ranks, n, prec)
+            assert hyperderiv_ranks(spec, f.ranks, (n,), prec) == [want]
+            assert hyperderiv(n, f, prec).ranks == want
+        assert hyperderiv(n, f).ranks == binomial_oracle(spec, f.ranks, n, f.prec - n)
+    # one call over many orders, out of order and repeated
+    for prec in (1, 2, f.prec - 7):
+        for orders in ((3, 0, 3), (7, 1, 0, 7, 2), ()):
+            assert hyperderiv_ranks(spec, f.ranks, orders, prec) == \
+                [binomial_oracle(spec, f.ranks, n, prec) for n in orders]
+    # hyperderiv's guards, messages and flag, all before the kernel runs
+    calls = []
+    real = carlitz.jets.hyperderiv_ranks
+    monkeypatch.setattr(carlitz.jets, "hyperderiv_ranks",
+                        lambda *a: calls.append(a) or real(*a))
+    with pytest.raises(InsufficientPrecision, match=re.escape(
+            "D^(3) at output precision 14 needs input precision >= 17, got 16")):
+        hyperderiv(3, f, 14)
+    with pytest.raises(ValueError, match="derivative order must be nonnegative"):
+        hyperderiv(-1, f)
+    for prec in (0, -1):
+        with pytest.raises(ValueError, match=f"output precision must be >= 1, got {prec}"):
+            hyperderiv(2, f, prec)
+    for n in (16, 17):
+        out = hyperderiv(n, f)
+        assert out.exhausted and out.ranks == b"\0"
+    assert calls == []
 
 
 def test_verify_insufficient_precision(f3):
@@ -331,8 +376,8 @@ def test_equality_agrees_with_key(f2, f4):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_hyperderiv_one_coefficient_guards(q):
-    # the prec == 1 read runs only for 0 <= n < prec(f); every other order
-    # meets the same guards, errors and messages as any output precision
+    # output precision 1 meets the same guards, errors and messages as any
+    # other output precision
     spec = spec_for_order(q)
     f = random_series(random.Random(19), spec, 7)
     last = hyperderiv(6, f, 1)
