@@ -2,23 +2,25 @@
 
 The unit a of F_q[[t]] acts on the order-k jet side through the matrix with
 rows (a, D^(1)a, ..., D^(k)a); reducing mod t^N gives a finite image whose
-order D(N) is counted two independent ways: a literal enumeration of all
-units mod t^(N+k) (entries of the jet mod t^N read nothing beyond that),
-and a closed form counting which coefficients of a beyond t^(N-1) the jet
-still pins down; the d-th tensor power a -> a^d is counted the same two
-ways.  Both enumerations are one keyed count: each unit to a^d (d = 1 for
+order D(N) is counted two ways: a brute count over all units mod t^(N+k)
+(entries of the jet mod t^N read nothing beyond that), and a closed form
+counting which coefficients of a beyond t^(N-1) the jet still pins down;
+the d-th tensor power a -> a^d is counted the same two ways.  Both brute
+counts are one keyed count: each unit to a^d (d = 1 for
 jets), then its distinct order-k jets (k = 0 for tensor powers).  The power
 a^d is (a^d')^(p^f) for d = p^f d' with d' prime to p: products give a^d',
 and the p^f-th power, being additive, only moves coefficient i to place
 i p^f through x -> x^(p^f), the collapse behind the tensor closed form.
 When d' = 1 (every jet count) each coefficient of a thus lands in one
 place of a^d, so a unit's key is the OR of one table per coefficient, and
-the set of keys is the set of ORs of one distinct column per table.  The
-count runs over those choices, not over the units, with no unit decoded:
-a coefficient the jet cannot see has a constant table and adds no choice.
-It reads neither the closed form nor the bit layout of the tables.  D(N)
-is always of the structural form unit * q^E and is kept that way; only
-display ever touches a floating-point logarithm.
+no two tables share a bit: jet entry (j, i) reads only coefficient i+j
+and owns its bits.  So the count is the product of the tables' distinct-
+column counts, with no unit decoded: a coefficient the jet cannot see has
+a constant table and adds no factor.  The product reads the table
+supports, checked disjoint, and the same binomial rows as the closed
+form, so its independent checks are the object-level oracles in the
+tests.  D(N) is always of the structural form unit * q^E and is kept that
+way; only display ever touches a floating-point logarithm.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -54,9 +54,8 @@ LINALG_BUDGET_DEFAULT = 10 ** 7
 EXHAUSTIVE_LIMIT_DEFAULT = 10 ** 5
 
 _MERGE_ROW_LIMIT = 1 << 21
-# units (or table choices, _unit_keys) per block of the tensor count;
-# larger blocks are no faster past this size and raise the peak memory of
-# the products
+# units per block of the tensor count at d' > 1; larger blocks are no
+# faster past this size and raise the peak memory of the products
 _TENSOR_CHUNK = 1 << 13
 _CERT_BLOCK = 256  # the rank certificate's largest block of units
 
@@ -140,34 +139,27 @@ def _distinct_count(keys):
     return 1 + int(np.count_nonzero(_sort_keys(keys)[1]))
 
 
-def _count_distinct_keys(keys_of, total, words, chunk_size, threads=1):
+def _count_distinct_keys(keys_of, total, words, chunk_size):
     """The number of distinct keys among keys_of(0, total), total >= 1.
 
     keys_of(start, stop) returns fresh (words, stop-start) uint64 keys of
-    items start..stop-1: units, or choices of distinct table columns
-    (_unit_keys).  Keys that fit one chunk of `chunk_size` items are
-    sorted once and counted, with no thread pool.  Otherwise each chunk is
-    deduplicated, the parts merged by set union, and the last union
-    counted; `threads` > 1 spreads the chunks over a thread pool (forming
-    and sorting keys release the GIL).  The count is independent of both.
+    units start..stop-1.  Keys that fit one chunk of `chunk_size` units are
+    sorted once and counted.  Otherwise each chunk is deduplicated, the
+    parts merged by set union, and the last union counted.
     """
     if total <= chunk_size:
         return _distinct_count(keys_of(0, total))
-
-    def run(start):
-        return _unique_keys(keys_of(start, min(start + chunk_size, total)))
-
     merged = np.empty((words, 0), dtype=np.uint64)
     pending, pending_rows = [], 0
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        for part in (pool.map if pool else map)(run, range(0, total, chunk_size)):
-            pending.append(part)
-            pending_rows += part.shape[1]
-            # merge only once the pending rows outnumber the merged set, so
-            # total sort work stays O(U log U) in the U keys produced
-            if pending_rows > max(_MERGE_ROW_LIMIT, merged.shape[1]):
-                merged = _unique_keys(np.concatenate([merged, *pending], axis=1))
-                pending, pending_rows = [], 0
+    for start in range(0, total, chunk_size):
+        part = _unique_keys(keys_of(start, min(start + chunk_size, total)))
+        pending.append(part)
+        pending_rows += part.shape[1]
+        # merge only once the pending rows outnumber the merged set, so
+        # total sort work stays O(U log U) in the U keys produced
+        if pending_rows > max(_MERGE_ROW_LIMIT, merged.shape[1]):
+            merged = _unique_keys(np.concatenate([merged, *pending], axis=1))
+            pending, pending_rows = [], 0
     if not pending:
         return int(merged.shape[1])
     return _distinct_count(np.concatenate([merged, *pending], axis=1))
@@ -227,70 +219,43 @@ def _frobenius(spec, f):
     return frob
 
 
-def _outer_or(keys, tables):
-    """The OR of keys with one entry of each table, every combination.
+def _distinct_ors(tables):
+    """The number of distinct ORs of one column of each table, table 0 at
+    ranks 1..q-1.
 
-    keys is (words, r) and each table (words, q).  Combinations are listed
-    with the keys most significant and the last table least, so the result
-    is (words, r * q^len(tables)) in lexicographic order of the choices.
+    tables is (r, words, q): the key of unit a is the OR of tables[l][:, a_l]
+    over l < r.  When no two tables share a bit, a key names the column of
+    each table it took, so the count is the product of the tables'
+    distinct-column counts.  A running OR of the supports checks that; a
+    support that meets an earlier one raises MalformedOrder, since the
+    product could then overcount.
     """
-    for table in tables:
-        keys = (keys[:, :, None] | table[:, None, :]).reshape(len(keys), -1)
-    return keys
+    seen = np.zeros(tables.shape[1], dtype=np.uint64)
+    count = 1
+    for table in (tables[0][:, 1:], *tables[1:]):
+        support = np.bitwise_or.reduce(table, axis=1)
+        if (seen & support).any():
+            raise MalformedOrder("key tables share bits: the count is not a product")
+        seen |= support
+        # a copy: _distinct_count sorts a one-word array in place
+        count *= _distinct_count(table.copy())
+    return count
 
 
-def _unit_keys(tables, chunk_size):
-    """(keys_of, total) for units whose key ORs one table per coefficient.
-
-    tables is (m, words, q): the key of unit a mod t^m is the OR of
-    tables[l][:, a_l] over l, so the unit keys are the ORs of one column
-    of each table, tables[0] at ranks 1..q-1.  That set does not change
-    when each table keeps only its distinct columns, whatever bits the
-    tables share.  keys_of(start, stop) returns the keys of choices
-    start..stop-1 of one distinct column per table, numbered
-    lexicographically with table 0 most significant, and total is the
-    number of choices.  They are the rows of hi[:, :, None] | lo[:, None, :]
-    in turn: lo is the outer OR of the last s distinct tables, whose widths
-    multiply to at most chunk_size, and hi that of the others.  A chunk is
-    a slice of the rows of hi it meets, joined with all of lo by one
-    broadcast OR; no array outgrows max(3 chunk_size, total / width of lo)
-    keys.
-    """
-    m, words = tables.shape[:2]
-    # copies: the slices are views of the caller's tables, and _unique_keys
-    # sorts a one-word array in place
-    distinct = [_unique_keys(table.copy()) for table in (tables[0][:, 1:], *tables[1:])]
-    s, width = 0, 1
-    while s < m - 1 and width * distinct[m - 1 - s].shape[1] <= chunk_size:
-        s += 1
-        width *= distinct[m - s].shape[1]
-    lo = _outer_or(np.zeros((words, 1), dtype=np.uint64), distinct[m - s:])
-    hi = _outer_or(distinct[0], distinct[1:m - s])
-
-    def keys_of(start, stop):
-        first = start // width
-        keys = (hi[:, first:-(-stop // width), None] | lo[:, None, :]).reshape(words, -1)
-        return keys[:, start - first * width:stop - first * width]
-
-    return keys_of, hi.shape[1] * width
-
-
-def _image_count(spec, k, d, n, m, budget, threads, chunk_size):
+def _image_count(spec, k, d, n, m, budget):
     """The number of distinct jet_k(a^d) mod t^n over every unit a mod t^m.
 
     Every jet, all (k+1)*n entries, is packed into an integer key of
-    (q-1).bit_length() bits per entry (several uint64 words past 64 bits),
-    and _count_distinct_keys counts the distinct keys.  The budget is
-    checked on the units before any table is built.  Write d = P*d' with
-    P = p^f (tensor_decompose).  When d' = 1 (every jet count, and every
-    p-power tensor degree) coefficient l of a moves, through x -> x^P, to
-    place lP of a^d and nowhere else, so a key is the OR of one table per
-    coefficient of a.  _unit_keys then deduplicates each table, and the
-    count runs over the choices of one distinct column per table, which
-    give the same set of keys as the units, with no decoding.  Otherwise
-    each chunk of units is decoded by _digit_block, raised to the d-th
-    power by _power_block, and each coefficient of a^d gathered from the
-    same tables.
+    (q-1).bit_length() bits per entry (several uint64 words past 64 bits).
+    The budget is checked on the units before any table is built.  Write
+    d = P*d' with P = p^f (tensor_decompose).  When d' = 1 (every jet
+    count, and every p-power tensor degree) coefficient l of a moves,
+    through x -> x^P, to place lP of a^d and nowhere else, so a key is the
+    OR of one table per coefficient of a, and those tables share no bit:
+    _distinct_ors multiplies their distinct-column counts.  Otherwise each
+    chunk of _TENSOR_CHUNK units is decoded by _digit_block, raised to the
+    d-th power by _power_block, each coefficient of a^d gathered from the
+    same tables, and _count_distinct_keys counts the distinct keys.
     """
     q = spec.q
     total = unit_count(q, m)
@@ -313,45 +278,42 @@ def _image_count(spec, k, d, n, m, budget, threads, chunk_size):
             lut[i + j, word] |= mul[row[i]].astype(np.uint64) << np.uint64(pos * bits)
     f, d_prime = tensor_decompose(d, spec.p)
     if d_prime == 1:
-        # coefficient l reads lut[lP] through the Frobenius; past t^m it is lost
-        spread = lut[::spec.p ** f][:, :, _frobenius(spec, f)]
-        tables = np.zeros_like(lut)
-        tables[:len(spread)] = spread
-        keys_of, total = _unit_keys(tables, chunk_size)
-    else:
-        def keys_of(start, stop):
-            block = _power_block(spec, _digit_block(q, m, start, stop), d)
-            key = np.zeros((words, stop - start), dtype=np.uint64)
-            for digit, table in enumerate(lut):
-                key |= table[:, block[digit]]
-            return key
+        # coefficient l reads lut[lP] through the Frobenius; past t^m it is
+        # lost, so the later coefficients have no table
+        return _distinct_ors(lut[::spec.p ** f][:, :, _frobenius(spec, f)])
 
-    return _count_distinct_keys(keys_of, total, words, chunk_size, threads)
+    def keys_of(start, stop):
+        block = _power_block(spec, _digit_block(q, m, start, stop), d)
+        key = np.zeros((words, stop - start), dtype=np.uint64)
+        for digit, table in enumerate(lut):
+            key |= table[:, block[digit]]
+        return key
+
+    return _count_distinct_keys(keys_of, total, words, _TENSOR_CHUNK)
 
 
 def image_order_brute(spec: FqSpec, k: int, n: int, *,
                       budget: int = ENUM_BUDGET_DEFAULT, threads: int = 1,
-                      chunk_size: int = 1 << 16,
                       enum_precision: int | None = None) -> int:
     """Count distinct jet images mod t^n over every unit mod t^(n+k).
 
-    The count is a literal deduplication of the packed jet keys
-    (_image_count at d = 1): _unit_keys forms the keys of the units'
-    choices of one distinct column of each coefficient's table, and
-    _count_distinct_keys counts them, sorted once when they fit one chunk
-    of `chunk_size` choices, else over `threads` threads; the answer is
-    independent of both.  `budget` bounds the units mod t^(n+k), checked
-    before any work.  `enum_precision` may raise the enumeration precision
-    above n+k to double-check sufficiency.
+    _image_count at d = 1: the jet key of a unit is the OR of one table per
+    coefficient, and _distinct_ors multiplies the tables' distinct-column
+    counts.  It reads the same binom_row rows as extra_indices; its
+    independent checks are the object-level oracles in the tests.  `budget`
+    bounds the units mod t^(n+k), checked before any work.  `threads` must
+    be >= 1 and changes neither the path nor the result.  `enum_precision`
+    may raise the enumeration precision above n+k to double-check
+    sufficiency.
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    if chunk_size < 1 or threads < 1:
-        raise ValueError("need chunk_size >= 1 and threads >= 1")
+    if threads < 1:
+        raise ValueError("need threads >= 1")
     m = n + k if enum_precision is None else enum_precision
     if m < n + k:
         raise InsufficientPrecision(f"enumeration precision {m} below n+k={n + k}")
-    return _image_count(spec, k, 1, n, m, budget, threads, chunk_size)
+    return _image_count(spec, k, 1, n, m, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +451,8 @@ def tensor_image_order_brute(spec: FqSpec, d: int, n: int, *,
 
     The brute route for the closed form: _image_count at k = 0.  For
     d = p^f (d' = 1) the power of each unit is the OR of one Frobenius
-    table per coefficient, and the distinct ORs of one distinct column per
-    table are counted (_unit_keys) without decoding; otherwise each block
+    table per coefficient, tables that share no bit, and _distinct_ors
+    multiplies their distinct-column counts; otherwise each block
     of units is raised to the d-th power by _power_block (batched truncated
     products for a^d', then the additive p-part of d spreads the result
     over every p^f-th coefficient) and the distinct powers of all units are
@@ -500,7 +462,7 @@ def tensor_image_order_brute(spec: FqSpec, d: int, n: int, *,
     """
     if d < 1:
         raise ValueError("tensor degree must be >= 1")
-    return _image_count(spec, 0, d, n, n, budget, 1, _TENSOR_CHUNK)
+    return _image_count(spec, 0, d, n, n, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -532,10 +494,6 @@ class ImageTable:
     dim: int
     unit: int
     rows: list[ImageRow]
-
-    def estimate(self, row: "ImageRow") -> "DensityEstimate":
-        return DensityEstimate(q=self.q, unit=self.unit,
-                               exponent=row.delta_num, denominator=row.delta_den)
 
 
 def _build_table(spec, kind, param, n_max, mode, budget, seed, *,
@@ -574,7 +532,10 @@ def _build_table(spec, kind, param, n_max, mode, budget, seed, *,
 def build_density_table(spec: FqSpec, k: int, n_max: int, mode: str = "both", *,
                         threads: int = 1, budget: int = ENUM_BUDGET_DEFAULT,
                         seed: int = DEFAULT_SEED) -> ImageTable:
-    """Image orders for the order-k jet action, N = 1..n_max."""
+    """Image orders for the order-k jet action, N = 1..n_max.
+
+    `threads` must be >= 1; the counts do not depend on it.
+    """
     if threads < 1:
         raise ValueError("need threads >= 1")
     return _build_table(

@@ -116,37 +116,34 @@ def test_enumeration_precision_sufficiency(f2, f3):
 
 
 def test_image_order_thread_invariance(f2, f3):
-    a = image_order_brute(f3, 2, 5, threads=1, chunk_size=64)
-    b = image_order_brute(f3, 2, 5, threads=4, chunk_size=64)
-    c = image_order_brute(f3, 2, 5, threads=1, chunk_size=17)
-    assert a == b == c == image_order_formula(f3, 2, 5)
+    for threads in (1, 2, 4):
+        assert image_order_brute(f3, 2, 5, threads=threads) == image_order_formula(f3, 2, 5)
     # wide keys: (k+1)*n one-bit jet entries make 72 and 65 bits, two uint64
     # words per key; (4, 13) also has collisions (D < units)
     for k, n in [(7, 9), (4, 13)]:
         expected = image_order_formula(f2, k, n)
-        for threads, chunk_size in [(1, 64), (1, 17), (2, 64)]:
-            assert image_order_brute(f2, k, n, threads=threads,
-                                     chunk_size=chunk_size) == expected
+        for threads in (1, 2):
+            assert image_order_brute(f2, k, n, threads=threads) == expected
 
 
-def test_image_order_brute_merge_path(monkeypatch, f2, f3):
-    import carlitz.density as density
-
-    monkeypatch.setattr(density, "_MERGE_ROW_LIMIT", 8)
-    for spec, k, n in [(f3, 2, 5), (f2, 0, 12), (f2, 7, 9)]:
-        expected = image_order_formula(spec, k, n)
-        for threads, chunk_size in [(1, 64), (1, 17), (2, 17), (4, 64)]:
-            assert image_order_brute(spec, k, n, threads=threads,
-                                     chunk_size=chunk_size) == expected
+def test_image_order_brute_merge_path(monkeypatch, f2, f3, f4):
+    # the tensor count at d' > 1 is the one caller of the chunked merge:
+    # chunks of 64 and 17 units, merged whenever 8 keys are pending; F_3
+    # squares and F_4 cubes collide (D < units), F_2 cubes do not
+    monkeypatch.setattr(density_mod, "_MERGE_ROW_LIMIT", 8)
+    for spec, d, n in [(f3, 2, 6), (f4, 3, 5), (f2, 3, 10)]:
+        expected = tensor_image_order_formula(spec, d, n)
+        for chunk_size in (64, 17):
+            monkeypatch.setattr(density_mod, "_TENSOR_CHUNK", chunk_size)
+            assert tensor_image_order_brute(spec, d, n) == expected, (spec.q, d, n, chunk_size)
 
 
 def test_image_order_brute_merge_is_amortised(monkeypatch, f2):
-    # 2048 distinct units in chunks of 16: merging the whole distinct set
-    # again after every chunk would sort about 130k keys
-    import carlitz.density as density
-
+    # the 2048 units mod t^12 over F_2 have 2048 distinct cubes; in chunks
+    # of 16, merging the whole distinct set again after every chunk would
+    # sort about 130k keys
     sorted_rows = []
-    sort_keys = density._sort_keys
+    sort_keys = density_mod._sort_keys
 
     # every sort goes through _sort_keys: each chunk's dedupe, the merges
     # and the final count of the last union
@@ -154,10 +151,11 @@ def test_image_order_brute_merge_is_amortised(monkeypatch, f2):
         sorted_rows.append(keys.shape[1])
         return sort_keys(keys)
 
-    monkeypatch.setattr(density, "_MERGE_ROW_LIMIT", 8)
-    monkeypatch.setattr(density, "_sort_keys", counting)
-    assert image_order_brute(f2, 0, 12, chunk_size=16) == 2048
-    assert sum(sorted_rows) <= 4 * 2048
+    monkeypatch.setattr(density_mod, "_MERGE_ROW_LIMIT", 8)
+    monkeypatch.setattr(density_mod, "_TENSOR_CHUNK", 16)
+    monkeypatch.setattr(density_mod, "_sort_keys", counting)
+    assert tensor_image_order_brute(f2, 3, 12) == 2048
+    assert len(sorted_rows) > 128 and sum(sorted_rows) <= 4 * 2048
 
 
 @pytest.mark.parametrize("words", [1, 2, 3])
@@ -194,38 +192,28 @@ def test_count_distinct_keys_matches_set(monkeypatch, words, merge_limit):
             pool[:, 0], pool[:, 1] = 0, 2 ** 64 - 1
             keys = pool[:, rng.integers(0, width, size=total)]
             want = len(set(map(tuple, keys.T)))
-            for threads in (1, 2):
-                got = density_mod._count_distinct_keys(
-                    lambda start, stop: keys[:, start:stop].copy(),
-                    total, words, chunk, threads)
-                assert got == want, (total, width, threads)
+            got = density_mod._count_distinct_keys(
+                lambda start, stop: keys[:, start:stop].copy(), total, words, chunk)
+            assert got == want, (total, width)
 
 
 def test_one_chunk_count_sorts_once(monkeypatch, f4):
-    # q=4, k=3, N=7: 49,152 choices of distinct table columns fit one chunk
-    # of 1 << 16, so they are sorted once and counted; _unique_keys sees
-    # only the ten coefficient tables (table 0 at ranks 1..3), and two
-    # threads start no pool
-    sorts, uniques = [], []
+    # q=4, k=3, N=7: the count is the product of the distinct columns of
+    # the ten coefficient tables (table 0 at ranks 1..3), so the only sorts
+    # are their ten dedupes, with no sort of the 49,152 choices, whatever
+    # the thread count
+    sorts = []
+    sort_keys = density_mod._sort_keys
 
-    def spy(record, real):
-        def call(keys):
-            record.append(keys.shape[1])
-            return real(keys)
-        return call
+    def spy(keys):
+        sorts.append(keys.shape[1])
+        return sort_keys(keys)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a one-chunk count started a thread pool")
-
-    monkeypatch.setattr(density_mod, "_sort_keys", spy(sorts, density_mod._sort_keys))
-    monkeypatch.setattr(density_mod, "_unique_keys", spy(uniques, density_mod._unique_keys))
-    monkeypatch.setattr(density_mod, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(density_mod, "_sort_keys", spy)
     for threads in (1, 2):
         sorts.clear()
-        uniques.clear()
         assert image_order_brute(f4, 3, 7, threads=threads) == image_order_formula(f4, 3, 7)
-        assert uniques == [3] + [4] * 9
-        assert sorts == uniques + [49152]
+        assert sorts == [3] + [4] * 9
 
 
 def test_image_order_budget(f2):
@@ -239,7 +227,7 @@ def test_brute_budgets_fail_before_any_table(monkeypatch, f2):
     def no_work(*args):
         raise AssertionError("tables were built before the budget check")
 
-    for name in ("_sort_keys", "_unique_keys", "_distinct_count", "_outer_or"):
+    for name in ("_sort_keys", "_unique_keys", "_distinct_count", "_distinct_ors"):
         monkeypatch.setattr(density_mod, name, no_work)
     with pytest.raises(BudgetExceeded):
         image_order_brute(f2, 0, 40, budget=10 ** 6)
@@ -792,10 +780,12 @@ def test_table_builders_rows(f2):
         build_tensor_table(f2, 2, 4, mode="bogus")
 
 
-def test_image_order_brute_matches_object_path(f2, f3):
+def test_image_order_brute_matches_object_path(f2, f3, f4):
     # independent route: build every jet through the series/jet machinery
-    # and deduplicate by its canonical key
-    for spec, k, n in [(f2, 1, 3), (f2, 2, 3), (f3, 1, 3), (f3, 2, 2)]:
+    # and deduplicate by its canonical key; at (F_3, 3, 2) k >= p, so some
+    # binomials vanish mod p
+    for spec, k, n in [(f2, 1, 3), (f2, 2, 3), (f3, 1, 3), (f3, 2, 2),
+                       (f4, 1, 3), (f4, 2, 2), (f3, 3, 2)]:
         seen = {galois_rep(u, k, n).key() for u in unit_enumerate(spec, n + k)}
         assert len(seen) == image_order_brute(spec, k, n)
 
@@ -921,39 +911,26 @@ def _block_keys(spec, k, d, n, m, start, stop):
 
 
 def _count_tables(monkeypatch, spec, k, d, n, m):
-    """The per-coefficient key tables _image_count hands to _unit_keys."""
-    seen, unit_keys = [], density_mod._unit_keys
+    """The per-coefficient key tables _image_count hands to _distinct_ors."""
+    seen, distinct_ors = [], density_mod._distinct_ors
 
-    def recording(tables, chunk_size):
+    def recording(tables):
         seen.append(tables.copy())
-        return unit_keys(tables, chunk_size)
+        return distinct_ors(tables)
 
     with monkeypatch.context() as patch:
-        patch.setattr(density_mod, "_unit_keys", recording)
-        density_mod._image_count(spec, k, d, n, m, 1 << 20, 1, 1 << 16)
+        patch.setattr(density_mod, "_distinct_ors", recording)
+        count = density_mod._image_count(spec, k, d, n, m, 1 << 20)
     assert len(seen) == 1
-    return seen[0]
+    return count, seen[0]
 
 
-def _counted_chunks(monkeypatch, spec, k, d, n, m, chunk_size, threads):
-    """The count of _image_count and the keys of each chunk it formed."""
-    parts, totals, count_keys = {}, [], density_mod._count_distinct_keys
-
-    def recording(keys_of, total, words, chunk_size, threads):
-        def record(start, stop):
-            # a copy: _unique_keys sorts the array it is given in place
-            keys = keys_of(start, stop)
-            parts[start] = keys.copy()
-            return keys
-
-        totals.append(total)
-        return count_keys(record, total, words, chunk_size, threads)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(density_mod, "_count_distinct_keys", recording)
-        count = density_mod._image_count(spec, k, d, n, m, 1 << 20, threads, chunk_size)
-    assert len(totals) == 1 and sorted(parts) == list(range(0, totals[0], chunk_size))
-    return count, [parts[s] for s in sorted(parts)]
+def _outer_or(keys, tables):
+    """The OR of keys with one column of each table, every combination,
+    the last table least significant: (words, r * q^len(tables)) keys."""
+    for table in tables:
+        keys = (keys[:, :, None] | table[:, None, :]).reshape(len(keys), -1)
+    return keys
 
 
 def _key_cases(spec, limit=1 << 12):
@@ -967,26 +944,18 @@ def _key_cases(spec, limit=1 << 12):
 
 def _check_keys(monkeypatch, spec, k, d, n, m):
     # (a) every unit's key, as the OR of one column per table the count
-    # reads (table 0 at ranks 1..q-1), against the decode route key for key
+    # reads (table 0 at ranks 1..q-1; a coefficient past the tables reads
+    # none), against the decode route key for key
     total = unit_count(spec.q, m)
     want = _block_keys(spec, k, d, n, m, 0, total)
-    tables = _count_tables(monkeypatch, spec, k, d, n, m)
-    got = density_mod._outer_or(tables[0][:, 1:], tables[1:])
-    assert got.shape == want.shape and np.array_equal(got, want), (spec.q, k, d, n, m)
-    # (b) the keys the count forms, chunk by chunk and thread count, are
-    # the distinct unit keys, and the count is their number; runs of more
-    # than 256 chunks of units are left out for time
-    distinct = np.unique(want, axis=1)
-    width = spec.q ** max(1, m // 2)
-    for chunk_size in (1, 17, width - 1, width + 1, 1 << 16):
-        if total > chunk_size << 8:
-            continue
-        for threads in (1, 2):
-            count, parts = _counted_chunks(monkeypatch, spec, k, d, n, m, chunk_size, threads)
-            case = (spec.q, k, d, n, m, chunk_size, threads)
-            assert all(part.shape[1] <= chunk_size for part in parts), case
-            assert np.array_equal(np.unique(np.concatenate(parts, axis=1), axis=1), distinct), case
-            assert count == distinct.shape[1], case
+    count, tables = _count_tables(monkeypatch, spec, k, d, n, m)
+    case = (spec.q, k, d, n, m)
+    assert 1 <= len(tables) <= m, case
+    missing = np.zeros((m - len(tables), *tables.shape[1:]), dtype=np.uint64)
+    got = _outer_or(tables[0][:, 1:], [*tables[1:], *missing])
+    assert got.shape == want.shape and np.array_equal(got, want), case
+    # (b) the count is the number of distinct unit keys
+    assert count == np.unique(want, axis=1).shape[1], case
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 27, "7^2"])
@@ -1007,32 +976,63 @@ def test_unit_keys_match_block_gathers_wide(monkeypatch, f2):
         _check_keys(monkeypatch, f2, k, 1, n, n + k)
 
 
+def _random_tables(rng, m, q, words):
+    """m random (words, q) key tables with pairwise disjoint supports.
+
+    Each table owns four bits of the key and draws its q columns from a
+    pool of three values on those bits, so columns repeat.
+    """
+    groups = rng.permutation(64 * words)[:4 * m].reshape(m, 4)
+    tables = np.zeros((m, words, q), dtype=np.uint64)
+    for table, group in zip(tables, groups):
+        pool = np.zeros((words, 3), dtype=np.uint64)
+        for bit in group:
+            pool[bit // 64] |= rng.integers(0, 2, size=3, dtype=np.uint64) << np.uint64(bit % 64)
+        table[:] = pool[:, rng.integers(0, 3, size=q)]
+    return tables
+
+
 @pytest.mark.parametrize("words", [1, 2])
 def test_unit_keys_count_the_set_of_ors(words):
-    # tables whose entries share bits and repeat columns: the count is the
-    # number of distinct ORs of one entry per table, table 0 at ranks
-    # 1..q-1, whatever the bits; counting choices would overcount
+    # tables with disjoint supports and repeated columns: the product route
+    # gives the number of distinct ORs of one column per table, table 0 at
+    # ranks 1..q-1, and leaves the tables as they were
     rng = np.random.default_rng(words)
+    overcounts = 0
     for trial in range(40):
         m, q = int(rng.integers(1, 6)), int(rng.integers(2, 5))
-        pool = rng.integers(0, 1 << 5, size=(words, 6), dtype=np.uint64)
-        tables = pool[:, rng.integers(0, 6, size=(m, q))].transpose(1, 0, 2).copy()
-        want = len({
-            tuple(np.bitwise_or.reduce([t[:, c] for t, c in zip(tables, choice)]))
-            for choice in itertools.product(range(1, q), *[range(q)] * (m - 1))
-        })
+        tables = _random_tables(rng, m, q, words)
+        choices = list(itertools.product(range(1, q), *[range(q)] * (m - 1)))
+
+        def ors():
+            return {tuple(np.bitwise_or.reduce([t[:, c] for t, c in zip(tables, choice)]))
+                    for choice in choices}
+
         before = tables.copy()
-        for chunk_size in (1, 2, 3, 5, 17, 1 << 16):
-            for threads in (1, 2):
-                keys_of, total = density_mod._unit_keys(tables, chunk_size)
-                got = density_mod._count_distinct_keys(keys_of, total, words,
-                                                       chunk_size, threads)
-                assert got == want, (trial, m, q, chunk_size, threads)
+        assert density_mod._distinct_ors(tables) == len(ors()), (trial, m, q)
         assert np.array_equal(tables, before)
+        if m == 1:
+            continue
+        # a bit of a column the count reads in an earlier table, set in a
+        # column of a later one: the supports meet, and a product taken
+        # over these tables could overcount, so the route must raise
+        first = int(rng.integers(0, m - 1))
+        later = int(rng.integers(first + 1, m))
+        column = int(rng.integers(1 if first == 0 else 0, q))
+        word = int(rng.integers(0, words))
+        bit = np.uint64(1) << np.uint64(rng.integers(0, 64))
+        tables[first, word, column] |= bit
+        tables[later, word, int(rng.integers(0, q))] |= bit
+        with pytest.raises(MalformedOrder):
+            density_mod._distinct_ors(tables)
+        overcounts += len(ors()) < np.prod(
+            [len(set(map(tuple, t.T))) for t in (tables[0][:, 1:], *tables[1:])])
+    # the shared bits do collapse some ORs: a product would overcount there
+    assert overcounts
 
 
 def test_p_power_counts_skip_decoding(monkeypatch, f3):
-    # d' = 1 forms its keys by the outer OR alone; d = 2 over F_3 still
+    # d' = 1 counts by the product over its tables alone; d = 2 over F_3 still
     # decodes and squares its units
     calls = []
     for name in ("_digit_block", "_power_block"):
@@ -1067,8 +1067,9 @@ def test_high_order_formula_spot_check(f2):
             assert image_order_brute(f2, k, n) == image_order_formula(f2, k, n)
 
 
-def test_table_estimate_method(f3):
+def test_table_row_density_estimate(f3):
     table = build_density_table(f3, 1, 4, mode="formula")
-    est = table.estimate(table.rows[1])
-    assert est.rational == Fraction(2, 4)
-    assert est.unit == 2 and est.q == 3
+    row = table.rows[1]
+    est = density_estimate(table.q, table.dim, row.n, table.unit, row.delta_num)
+    assert est.rational == Fraction(2, 4) == Fraction(row.delta_num, row.delta_den)
+    assert est.unit == 2 and est.q == 3 and est.real == row.delta_real

@@ -250,23 +250,21 @@ def test_density_arg_guards(f2, f3):
 
 
 def test_image_order_chunk_and_thread_guards(f3, monkeypatch):
-    # chunk_size=-1 once counted no unit at all (0 for 18), chunk_size=0
-    # failed inside range() and threads < 1 ran on one thread; all are
-    # rejected before any unit is counted
+    # threads < 1 once ran on one thread; it is rejected before any unit
+    # is counted
     import carlitz.density as density
 
     def no_count(*args):
         raise AssertionError("units were counted")
 
     monkeypatch.setattr(density, "_image_count", no_count)
-    for kwargs in ({"chunk_size": -1}, {"chunk_size": 0}, {"threads": 0}, {"threads": -3}):
-        with pytest.raises(ValueError):
-            image_order_brute(f3, 1, 3, **kwargs)
     for threads in (0, -3):
+        with pytest.raises(ValueError):
+            image_order_brute(f3, 1, 3, threads=threads)
         with pytest.raises(ValueError):
             density.build_density_table(f3, 1, 3, threads=threads)
     monkeypatch.undo()
-    assert image_order_brute(f3, 1, 3, chunk_size=1, threads=2) == 18
+    assert image_order_brute(f3, 1, 3, threads=2) == 18
 
 
 def test_negative_orders_rejected_up_front(f3):

@@ -1,15 +1,18 @@
 """The benchmark's tracer names functions of the package by string.
 
 It skips a name it cannot resolve, so a rename in the package would
-silently zero a per-layer figure; these checks fail instead.  Two more
-checks keep the README's CLI synopsis in step with the parser and each
-class's unchecked constructor in one place.
+silently zero a per-layer figure; these checks fail instead.  Three more
+checks keep the README's CLI synopsis in step with the parser, each
+class's unchecked constructor in one place, and the package free of
+thread pools.
 """
 
 import argparse
 import ast
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -144,3 +147,16 @@ def test_one_unchecked_constructor_per_class():
     for path in sorted(PACKAGE.rglob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, ())
     assert found == {"series._series", "jets.JetMatrix._of", "cinfty.UInftyElem._make"}
+
+
+def test_package_imports_no_thread_pool():
+    # the counts run on one thread; a fresh interpreter shows whether any
+    # module of the package (or the CLI) still pulls in concurrent.futures
+    src = os.path.dirname(os.path.dirname(carlitz.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, carlitz, carlitz.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
