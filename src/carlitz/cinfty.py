@@ -37,7 +37,9 @@ from .errors import (
     WindowEmpty,
 )
 from .field import FqElem, FqSpec
-from .series import add_ranks, inv_ranks, mul_ranks, neg_ranks, scale_ranks, scalar_rank
+from .series import (
+    _add_bytes, add_ranks, inv_ranks, mul_ranks, neg_ranks, scale_ranks, scalar_rank,
+)
 
 
 def _umin(a, b):
@@ -183,6 +185,14 @@ class UInftyElem:
         if self.is_zero or other.is_zero:
             return UInftyElem.zero(self.spec, uprec)
         lo = self.val + other.val
+        # an exact monomial c*u^v times a normal element is one translate
+        # through the row of c: with no zero divisors the ends stay nonzero
+        for x, y in ((self, other), (other, self)):
+            if x.uprec is None and len(x.ranks) == 1:
+                return UInftyElem._make(
+                    self.spec, lo, y.ranks.translate(self.spec.tables.mul[x.ranks[0]]),
+                    uprec,
+                )
         if uprec is None:
             width = len(self.ranks) + len(other.ranks) - 1
         else:
@@ -395,11 +405,20 @@ def compute_omega(spec: FqSpec, tprec: int, uprec: int) -> UPowerSeries:
     omega(t) = zeta * prod_{i >= 0} (1 - t/theta^(q^i))^(-1).  Factor i is
     included while (q-1) q^i < uprec; multiplying by factor i is the
     recurrence new_n = old_n + c new_(n-1) with the exact monomial
-    c = theta^(-q^i) = -u^((q-1) q^i).  The partial product is therefore
-    exact, and the windows are then capped at the first exponent an omitted
-    factor could touch: entry n is declared only below
-    (q-1)(q^I + n - 1) - 1, where I is the first omitted index.  Entry n has
-    leading valuation (q-1)n - 1.
+    c = theta^(-q^i) = -u^((q-1) q^i).  Entry n has leading valuation
+    v_n = (q-1)n - 1.  Entry 0 is zeta, declared below uprec - 1.  Entry
+    n >= 1 is declared below cap_n = min(v_n + uprec, (q-1)(q^I + n - 1) - 1),
+    where I is the first omitted index: there an omitted factor first
+    touches t^n.  That is the window [v_n, v_n + W) with
+    W = min(uprec, (q-1)(q^I - 1)) for every n >= 1.
+
+    The loop keeps only those W ranks of each entry, from u^(v_n) on, so
+    factor i adds to entry n the ranks of entry n-1 negated and shifted by
+    s = (q-1)(q^i - 1) within entry n's frame.  The cap is sound: a factor
+    only raises exponents, by (q-1)q^i, and cap_(n-1) = cap_n - (q-1)
+    >= cap_n - (q-1)q^i, so a rank at or past cap_(n-1) only ever lands at
+    or past cap_n.  No rank past a cap reaches a declared rank, and each
+    entry equals the exact product's entry truncated to its window.
     """
     if tprec < 1 or uprec < 1:
         raise ValueError("precisions must be >= 1")
@@ -407,20 +426,20 @@ def compute_omega(spec: FqSpec, tprec: int, uprec: int) -> UPowerSeries:
     count = 0
     while (q - 1) * q ** count < uprec:
         count += 1
-    entries = [zeta(spec)] + [UInftyElem.zero(spec)] * (tprec - 1)
+    width = min(uprec, (q - 1) * (q ** count - 1))
+    neg = spec.tables.mul[spec.p - 1]
+    ranks = [b"\1"] + [bytes(width)] * (tprec - 1)
     for i in range(count):
-        c = UInftyElem.monomial(spec, (q - 1) * q ** i, spec.p - 1)
+        s = (q - 1) * (q ** i - 1)
         for n in range(1, tprec):
-            entries[n] = entries[n] + c * entries[n - 1]
-    capped = []
-    for n, e in enumerate(entries):
+            ranks[n] = _add_bytes(
+                spec, ranks[n], ranks[n - 1][:width - s].translate(neg), s, width
+            )
+    entries = [zeta(spec).truncate_to(uprec - 1)]
+    for n in range(1, tprec):
         vn = (q - 1) * n - 1
-        cap = vn + uprec
-        if n >= 1:
-            # omitted factors first touch t^n at this exponent; t^0 is exact
-            cap = min(cap, (q - 1) * (q ** count + n - 1) - 1)
-        capped.append(e.truncate_to(cap))
-    return UPowerSeries(spec, capped)
+        entries.append(UInftyElem._normal(spec, vn, ranks[n], vn + width))
+    return UPowerSeries(spec, entries)
 
 
 def _t_minus_theta_times(s: UPowerSeries) -> UPowerSeries:

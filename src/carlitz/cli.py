@@ -78,8 +78,22 @@ def _json_text(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-# the JSON text of every rank, so a dump joins rank strings and never encodes
-_RANK_TEXT = tuple(str(r) for r in range(256))
+# the hundreds, tens and ones digit of every rank in ASCII, blank where the
+# rank has no digit in that place: column i of the ranks right-aligned
+_HUNDREDS, _TENS, _ONES = (
+    "".join(f"{r:3d}"[i] for r in range(256)).encode("ascii") for i in range(3)
+)
+
+
+def _rank_list_text(ranks):
+    """The ranks in decimal, comma-separated, written by digit planes: each
+    rank fills a 4-byte group with its three digits (or blanks) and a comma,
+    then the blanks and the last comma go."""
+    buf = bytearray(b"," * (4 * len(ranks)))
+    buf[0::4] = ranks.translate(_HUNDREDS)
+    buf[1::4] = ranks.translate(_TENS)
+    buf[2::4] = ranks.translate(_ONES)
+    return buf.translate(None, b" ")[:-1].decode("ascii")
 
 
 def _omega_dump_text(omega):
@@ -87,10 +101,10 @@ def _omega_dump_text(omega):
 
     Each entry is {"coeffs", "n", "uprec", "val"} ("val" null for a zero
     entry), its keys and the document's written in _json_text's sorted
-    order; the "coeffs" list is its ranks joined through _RANK_TEXT.
+    order; the "coeffs" list is its ranks written by _rank_list_text.
     """
     entries = ",".join(
-        '{"coeffs":[' + ",".join(map(_RANK_TEXT.__getitem__, e.ranks))
+        '{"coeffs":[' + _rank_list_text(e.ranks)
         + f'],"n":{n},"uprec":{json.dumps(e.uprec)},'
         + f'"val":{json.dumps(None if e.is_zero else e.val)}}}'
         for n, e in enumerate(omega.entries)

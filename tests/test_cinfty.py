@@ -19,8 +19,9 @@ from carlitz import (
     zeta,
 )
 from carlitz.errors import DivisionByZero, InsufficientPrecision, WindowEmpty
+from carlitz.series import mul_ranks
 
-from conftest import omega_for, perturb_entry
+from conftest import kernel_spec, omega_for, perturb_entry
 
 
 # -- element arithmetic -------------------------------------------------------
@@ -391,6 +392,101 @@ def test_omega_against_closed_form(q, tprec, uprec):
             big_e, rem = divmod(exp + 1, q - 1)
             want = sign * counts[n][big_e] % p if rem == 0 else 0
             assert entry.coeff_rank(exp) == want, (n, exp)
+
+
+def _mul_via_ranks(x, y):
+    """x * y by the general route: one mul_ranks product, then _normal."""
+    uprec = min((e.uprec + f.vbound() for e, f in ((x, y), (y, x))
+                 if e.uprec is not None and f.vbound() is not None), default=None)
+    if x.is_zero or y.is_zero:
+        return UInftyElem.zero(x.spec, uprec)
+    lo = x.val + y.val
+    width = len(x.ranks) + len(y.ranks) - 1 if uprec is None else uprec - lo
+    return UInftyElem._normal(x.spec, lo, mul_ranks(x.spec, x.ranks, y.ranks, width), uprec)
+
+
+def _omega_by_exact_product(spec, tprec, uprec):
+    """omega as an exact product of every included factor, each entry then
+    truncated to its cap: the object route, with no cap inside the loop."""
+    q = spec.q
+    count = 0
+    while (q - 1) * q ** count < uprec:
+        count += 1
+    entries = [zeta(spec)] + [UInftyElem.zero(spec)] * (tprec - 1)
+    for i in range(count):
+        c = UInftyElem.monomial(spec, (q - 1) * q ** i, spec.p - 1)
+        for n in range(1, tprec):
+            entries[n] = entries[n] + _mul_via_ranks(c, entries[n - 1])
+    capped = []
+    for n, e in enumerate(entries):
+        cap = (q - 1) * n - 1 + uprec
+        if n >= 1:
+            cap = min(cap, (q - 1) * (q ** count + n - 1) - 1)
+        capped.append(e.truncate_to(cap))
+    return capped
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 27])
+def test_omega_capped_loop_matches_exact_product(q):
+    # uprec at 1, at q-1, and on either side of each (q-1) q^i, where the
+    # number of factors and the window cap change
+    spec = spec_for_order(q)
+    uprecs = {1, q - 1}
+    for i in range(5):
+        edge = (q - 1) * q ** i
+        if edge > 1000:
+            break
+        uprecs |= {edge - 1, edge, edge + 1}
+    for uprec in sorted(u for u in uprecs if u >= 1):
+        for tprec in (1, 2, 5):
+            got = compute_omega(spec, tprec, uprec).entries
+            want = _omega_by_exact_product(spec, tprec, uprec)
+            assert [(e.val, e.ranks, e.uprec) for e in got] == \
+                [(e.val, e.ranks, e.uprec) for e in want], (uprec, tprec)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 25, 256])
+def test_monomial_product_matches_general_route(q, monkeypatch):
+    import carlitz.cinfty as cinfty
+
+    spec = kernel_spec("2^8") if q == 256 else spec_for_order(q)
+    rng = random.Random(q)
+
+    def ranks(n):
+        mid = [rng.randrange(q) for _ in range(n - 2)]
+        return [rng.randrange(1, q)] + mid + [rng.randrange(1, q)]
+
+    monos = [UInftyElem(spec, v, [rng.randrange(1, q)], None) for v in (-5, 0, 7)]
+    others = monos + [
+        UInftyElem(spec, -3, ranks(40), 37),
+        UInftyElem(spec, 4, ranks(1), 5),
+        UInftyElem(spec, 2, ranks(60), None),
+        UInftyElem.zero(spec, 9),
+        UInftyElem.zero(spec),
+    ]
+    calls = []
+    general = cinfty.mul_ranks
+
+    def spy(*args):
+        calls.append(args)
+        return general(*args)
+
+    monkeypatch.setattr(cinfty, "mul_ranks", spy)
+    for x in monos:
+        assert x.uprec is None and len(x.ranks) == 1
+        for y in others:
+            want = _mul_via_ranks(x, y)
+            for got in (x * y, y * x):
+                assert type(got.ranks) is bytes
+                assert (got.val, got.ranks, got.uprec) == (want.val, want.ranks, want.uprec)
+    assert calls == []
+    # an exact two-term element, and a windowed one-rank one, take mul_ranks
+    for x in (UInftyElem(spec, -1, [1, rng.randrange(1, q)], None), others[4]):
+        for y in others[3:6]:
+            got = x * y
+            want = _mul_via_ranks(x, y)
+            assert (got.val, got.ranks, got.uprec) == (want.val, want.ranks, want.uprec)
+    assert len(calls) == 6
 
 
 def test_omega_extension_fields():

@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import carlitz
 import carlitz.cli
@@ -187,6 +189,12 @@ def test_omega_dump_text_of_odd_entries():
                carlitz.UInftyElem(spec, 2, [255, 0, 7], 9)]
     odd = carlitz.UPowerSeries(spec, entries)
     assert carlitz.cli._omega_dump_text(odd) == carlitz.cli._json_text(_dump_payload(odd))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=300))
+def test_rank_list_text_is_the_decimal_join(ranks):
+    assert carlitz.cli._rank_list_text(ranks) == ",".join(map(str, ranks))
 
 
 def test_rep_example(capsys):

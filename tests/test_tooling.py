@@ -89,15 +89,39 @@ def test_seen_hyperderivative_makes_no_binomial_calls(monkeypatch):
 
 
 def test_omega_makes_one_product_per_factor_and_entry(monkeypatch):
-    # the omega workload's cinfty.UInftyElem.mul count: factor i enters by
-    # the recurrence new_n = old_n + c new_(n-1), one product per entry
-    # n >= 1, where a t-convolution would make about tprec^2/2
-    tracing = _load_tracing(monkeypatch)
-    spec = carlitz.spec_for_order(2)
-    with tracing.Counter() as counter:
-        carlitz.compute_omega(spec, 32, 1024)
+    # factor i enters by the recurrence new_n = old_n + c new_(n-1): one
+    # rank-byte step (entry n-1 times c, added into entry n) per entry
+    # n >= 1, where a t-convolution would make about tprec^2/2, each no wider
+    # than the entry's declared window, and no UInftyElem arithmetic at all
+    import carlitz.cinfty as cinfty
+
+    steps, arith = [], []
+    add_bytes = cinfty._add_bytes
+
+    def spy_step(spec, x, y, shift, width):
+        steps.append((len(x), len(y), shift, width))
+        return add_bytes(spec, x, y, shift, width)
+
+    def spy_arith(name):
+        method = getattr(cinfty.UInftyElem, name)
+
+        def spy(*args):
+            arith.append(name)
+            return method(*args)
+        return spy
+
+    monkeypatch.setattr(cinfty, "_add_bytes", spy_step)
+    for name in ("__add__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(cinfty.UInftyElem, name, spy_arith(name))
+    omega = carlitz.compute_omega(carlitz.spec_for_order(2), 32, 1024)
+    monkeypatch.undo()
     factors = 10  # (q-1) q^i < 1024 exactly for i < 10
-    assert counter.calls["cinfty.UInftyElem.mul"] == factors * (32 - 1) == 310
+    assert len(steps) == factors * (32 - 1) == 310
+    assert arith == []
+    for k, (len_x, len_y, shift, width) in enumerate(steps):
+        n = k % 31 + 1
+        assert width <= omega.entries[n].uprec - (n - 1)  # window [v_n, uprec), v_n = n-1
+        assert len_x <= width and shift + len_y <= width
 
 
 def _readme_synopses():
