@@ -30,7 +30,6 @@ from .density import (
     build_density_table,
     build_tensor_table,
     density_bounds,
-    density_estimate,
     extra_indices,
     factor_structured_order,
     galois_rep,

@@ -341,11 +341,6 @@ class UPowerSeries:
         z = UInftyElem.zero(spec)
         return cls(spec, (z,) * tprec)
 
-    def entry(self, n: int) -> UInftyElem:
-        if n < 0:
-            return UInftyElem.zero(self.spec)
-        return self.entries[n]
-
     def truncate_t(self, tprec: int) -> "UPowerSeries":
         if tprec < 1:
             raise ValueError("t-precision must be >= 1")
@@ -442,21 +437,13 @@ def compute_omega(spec: FqSpec, tprec: int, uprec: int) -> UPowerSeries:
     return UPowerSeries(spec, entries)
 
 
-def _t_minus_theta_times(s: UPowerSeries) -> UPowerSeries:
-    th = theta(s.spec)
-    return UPowerSeries(
-        s.spec,
-        [s.entry(n - 1) - th * s.entries[n] for n in range(s.tprec)],
-    )
-
-
 def verify_carlitz_equation(omega: UPowerSeries) -> bool:
     """Check tau(omega) = (t - theta) * omega coefficientwise in t.
 
     This is the functional equation pinning omega as the rigid trivializer
     of the Carlitz motive; the comparison is exact on window overlaps.
     """
-    return useries_equal(omega.frobenius(), _t_minus_theta_times(omega))
+    return verify_prolongation_trivialization(omega, 0)
 
 
 def verify_prolongation_trivialization(omega: UPowerSeries, k: int) -> bool:
@@ -464,13 +451,13 @@ def verify_prolongation_trivialization(omega: UPowerSeries, k: int) -> bool:
 
     Hyperderivatives in t commute with the q-power twist, so these k+1
     identities are exactly the entries of the jet form of the Carlitz
-    equation; k = 0 degenerates to verify_carlitz_equation.
+    equation; verify_carlitz_equation is the case k = 0.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k >= omega.tprec:
         raise InsufficientPrecision("t-precision too low for the requested jet order")
-    rhs_base = _t_minus_theta_times(omega)
+    rhs_base = omega.tshift() - omega.scale_u(theta(omega.spec))
     for j in range(k + 1):
         lhs = omega.hyperderiv(j).frobenius()
         rhs = rhs_base.hyperderiv(j)
@@ -524,10 +511,7 @@ def verify_hhat_membership(k: int, column: Sequence[UPowerSeries]) -> bool:
         raise ValueError("empty column")
     spec = column[0].spec
     lhs = ProlongationAction(spec, k).apply(column)
-    ok = True
-    for i in range(k + 1):
-        ok = ok and useries_equal(lhs[i], column[i].tshift())
-    return ok
+    return all(useries_equal(a, h.tshift()) for a, h in zip(lhs, column))
 
 
 def jet_columns(omega: UPowerSeries, k: int) -> list[list[UPowerSeries]]:
@@ -553,7 +537,8 @@ def torsion_generators(omega: UPowerSeries, n: int, k: int) -> list[list[UInftyE
     """The (n+1) x (k+1) table of values C(i+j, j) (D^(i+j) omega)(0).
 
     These generate the torsion extensions of the order-k prolongation level
-    by level; entry (i, j) vanishes exactly when C(i+j, j) = 0 mod p.
+    by level; entry (i, j), read as coefficient i of D^(j) omega, vanishes
+    exactly when C(i+j, j) = 0 mod p.
     """
     if n < 0 or k < 0:
         raise ValueError("torsion level and jet order must be nonnegative")
@@ -561,8 +546,5 @@ def torsion_generators(omega: UPowerSeries, n: int, k: int) -> list[list[UInftyE
         raise InsufficientPrecision(
             f"t-precision {omega.tprec} too low for n={n}, k={k}"
         )
-    rows = [binom_row(omega.spec.p, j, n + 1) for j in range(k + 1)]
-    return [
-        [omega.entries[i + j].scale(rows[j][i]) for j in range(k + 1)]
-        for i in range(n + 1)
-    ]
+    ds = [omega.hyperderiv(j).entries for j in range(k + 1)]
+    return [[ds[j][i] for j in range(k + 1)] for i in range(n + 1)]

@@ -242,8 +242,8 @@ def _distinct_ors(tables):
     return count
 
 
-def _image_count(spec, k, d, n, m, budget):
-    """The number of distinct jet_k(a^d) mod t^n over every unit a mod t^m.
+def _image_count(spec, k, d, n, budget):
+    """The number of distinct jet_k(a^d) mod t^n over every unit a mod t^(n+k).
 
     Every jet, all (k+1)*n entries, is packed into an integer key of
     (q-1).bit_length() bits per entry (several uint64 words past 64 bits).
@@ -255,9 +255,12 @@ def _image_count(spec, k, d, n, m, budget):
     _distinct_ors multiplies their distinct-column counts.  Otherwise each
     chunk of _TENSOR_CHUNK units is decoded by _digit_block, raised to the
     d-th power by _power_block, each coefficient of a^d gathered from the
-    same tables, and _count_distinct_keys counts the distinct keys.
+    same tables, and _count_distinct_keys counts the distinct keys.  Jet
+    entry (j, i) reads coefficient i+j <= n-1+k, so the units mod t^(n+k)
+    are all that a key can tell apart.
     """
     q = spec.q
+    m = n + k
     total = unit_count(q, m)
     if total > budget:
         raise BudgetExceeded(f"{total} units exceed budget {budget}")
@@ -293,8 +296,7 @@ def _image_count(spec, k, d, n, m, budget):
 
 
 def image_order_brute(spec: FqSpec, k: int, n: int, *,
-                      budget: int = ENUM_BUDGET_DEFAULT, threads: int = 1,
-                      enum_precision: int | None = None) -> int:
+                      budget: int = ENUM_BUDGET_DEFAULT, threads: int = 1) -> int:
     """Count distinct jet images mod t^n over every unit mod t^(n+k).
 
     _image_count at d = 1: the jet key of a unit is the OR of one table per
@@ -302,18 +304,13 @@ def image_order_brute(spec: FqSpec, k: int, n: int, *,
     counts.  It reads the same binom_row rows as extra_indices; its
     independent checks are the object-level oracles in the tests.  `budget`
     bounds the units mod t^(n+k), checked before any work.  `threads` must
-    be >= 1 and changes neither the path nor the result.  `enum_precision`
-    may raise the enumeration precision above n+k to double-check
-    sufficiency.
+    be >= 1 and changes neither the path nor the result.
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     if threads < 1:
         raise ValueError("need threads >= 1")
-    m = n + k if enum_precision is None else enum_precision
-    if m < n + k:
-        raise InsufficientPrecision(f"enumeration precision {m} below n+k={n + k}")
-    return _image_count(spec, k, 1, n, m, budget)
+    return _image_count(spec, k, 1, n, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +377,6 @@ class DensityEstimate:
     def real(self) -> float:
         log_unit = 0.0 if self.unit == 1 else math.log(self.unit, self.q)
         return (self.exponent + log_unit) / self.denominator
-
-
-def density_estimate(q: int, dim: int, n: int, unit: int, exponent: int) -> DensityEstimate:
-    return DensityEstimate(q=q, unit=unit, exponent=exponent, denominator=n * dim)
 
 
 def density_bounds(k: int, n: int, q: int) -> tuple[Fraction, Fraction]:
@@ -462,7 +455,7 @@ def tensor_image_order_brute(spec: FqSpec, d: int, n: int, *,
     """
     if d < 1:
         raise ValueError("tensor degree must be >= 1")
-    return _image_count(spec, 0, d, n, n, budget)
+    return _image_count(spec, 0, d, n, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +515,7 @@ def _build_table(spec, kind, param, n_max, mode, budget, seed, *,
         exponent = factor_structured_order(
             d_brute if d_formula is None else d_formula, q, unit
         )
-        est = density_estimate(q, dim, n, unit, exponent)
+        est = DensityEstimate(q=q, unit=unit, exponent=exponent, denominator=n * dim)
         rows.append(ImageRow(n, d_brute, d_formula, exponent - (n - 1),
                              exponent, est.denominator, est.real))
     return ImageTable(kind=kind, q=q, p=spec.p, e=spec.e, param=param, mode=mode,

@@ -245,10 +245,8 @@ def add_ranks(spec, xr, yr, shift, width):
 def mul_ranks(spec, xr, yr, width):
     """The first `width` ranks of the product of two rank sequences.
 
-    Past the end of the full product the ranks are zero.  When the shorter
-    operand is a monomial c*t^i, such as every u-power omega multiplies by,
-    the product is one `translate` through the row of c in the
-    multiplication table.  Otherwise it is the one-row case of
+    Past the end of the full product the ranks are zero.  Every product,
+    a zero or one-rank operand included, is the one-row case of
     `cauchy_rows`: each operand becomes one int, with 2e-1 slots per
     t-position that hold the e base-p digits of its rank (slot i is the
     coefficient of x^i), and the two ints are multiplied once.  A slot of
@@ -268,15 +266,7 @@ def mul_ranks(spec, xr, yr, width):
         x = bytes(x)
     if type(y) is not bytes:
         y = bytes(y)
-    lead = x.lstrip(b"\0")
-    if len(lead.rstrip(b"\0")) <= 1:
-        # zero or a monomial c*t^i: one translate through the row of c
-        if not lead:
-            return bytes(width)
-        i = len(x) - len(lead)
-        out = bytes(i) + y[:width - i].translate(spec.tables.mul[lead[0]])
-        return out.ljust(width, b"\0")
-    lane = _lane_bytes(spec, len(x))
+    lane = _lane_bytes(spec, len(x) or 1)  # an empty operand still needs a lane
     prod = _spread(spec, x, lane) * _spread(spec, y, lane)
     size = max(width, len(x) + len(y) - 1) * (2 * spec.e - 1) * lane
     return _reduce_lanes(spec, prod.to_bytes(size, "little"), width, lane)

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from carlitz import (
+    DensityEstimate,
     binom_mod_p,
     binom_pascal_oracle,
     build_density_table,
@@ -99,9 +100,8 @@ def test_criterion_3_tensor_power_orders():
                 if abs(est - target) > Fraction(2, row.n):
                     bad.append(("trend", q, d, row.n))
                 # the full real estimate obeys the same 2/N band
-                from carlitz import density_estimate
-
-                real = density_estimate(q, 1, row.n, table.unit, row.delta_num).real
+                real = DensityEstimate(q=q, unit=table.unit, exponent=row.delta_num,
+                                       denominator=row.n).real
                 if abs(real - 1 / spec.p ** e) > 2 / row.n + 1e-12:
                     bad.append(("real-trend", q, d, row.n))
     _report(3, "tensor powers: brute == formula (q in {2,3}, d in {2,3,4,6,9}, "

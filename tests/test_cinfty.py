@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from carlitz import (
     verify_prolongation_trivialization,
     zeta,
 )
+from carlitz.binomials import binom_pascal_oracle
 from carlitz.errors import DivisionByZero, InsufficientPrecision, WindowEmpty
 from carlitz.series import mul_ranks
 
@@ -220,9 +222,19 @@ def test_prolongation_trivialization_t6():
 
 
 def test_prolongation_k0_equals_carlitz():
+    # both checks against (t - theta) omega formed entry by entry, on omega
+    # and on omega with entry 1, 2 or 3 perturbed
     for q in (2, 3):
         om = omega_for(q)
-        assert verify_prolongation_trivialization(om, 0) == verify_carlitz_equation(om)
+        th, zero = theta(om.spec), UInftyElem.zero(om.spec)
+        for n in range(4):
+            x = perturb_entry(om, n) if n else om
+            rhs = [(x.entries[i - 1] if i else zero) - th * x.entries[i]
+                   for i in range(x.tprec)]
+            want = useries_equal(x.frobenius(), UPowerSeries(om.spec, rhs))
+            assert want == (n == 0)
+            assert verify_prolongation_trivialization(x, 0) == want
+            assert verify_carlitz_equation(x) == want
 
 
 def test_prolongation_soundness():
@@ -289,6 +301,15 @@ def test_torsion_generators_table():
     g3 = torsion_generators(om3, 1, 1)
     assert not g3[1][1].is_zero  # 2 * (D^2 omega)(0) != 0 mod 3
     assert g3[1][1] == om3.entries[2].scale(2)
+    # every entry is C(i+j, j) times entry i+j of omega, C read through Pascal
+    for q in (2, 3, 4, 9):
+        om = omega_for(q)
+        n, k, p = 4, 3, om.spec.p
+        g = torsion_generators(om, n, k)
+        assert len(g) == n + 1 and all(len(row) == k + 1 for row in g)
+        for i, j in itertools.product(range(n + 1), range(k + 1)):
+            want = om.entries[i + j].scale(binom_pascal_oracle(i + j, j, p))
+            assert g[i][j] == want, (q, i, j)
 
 
 def test_torsion_generators_precision_guard():

@@ -9,13 +9,13 @@ import carlitz.density as density_mod
 from carlitz.binomials import binom_row
 
 from carlitz import (
+    DensityEstimate,
     FqSpec,
     JetMatrix,
     TruncSeries,
     build_density_table,
     build_tensor_table,
     density_bounds,
-    density_estimate,
     extra_indices,
     factor_structured_order,
     galois_rep,
@@ -103,16 +103,6 @@ def test_brute_equals_formula_small_grid(f2, f3):
         for k in range(3):
             for n in range(1, 6):
                 assert image_order_brute(spec, k, n) == image_order_formula(spec, k, n)
-
-
-def test_enumeration_precision_sufficiency(f2, f3):
-    # recomputing with two extra known coefficients cannot change the count
-    for spec in (f2, f3):
-        for k in (1, 2):
-            for n in (2, 3):
-                base = image_order_brute(spec, k, n)
-                wide = image_order_brute(spec, k, n, enum_precision=n + k + 2)
-                assert base == wide
 
 
 def test_image_order_thread_invariance(f2, f3):
@@ -251,10 +241,10 @@ def test_density_bounds_example():
 
 
 def test_density_estimate_exact_and_real():
-    est = density_estimate(q=2, dim=2, n=16, unit=1, exponent=15)
+    est = DensityEstimate(q=2, unit=1, exponent=15, denominator=16 * 2)
     assert est.rational == Fraction(15, 32)
     assert est.real == 15 / 32
-    est3 = density_estimate(q=3, dim=1, n=4, unit=2, exponent=3)
+    est3 = DensityEstimate(q=3, unit=2, exponent=3, denominator=4)
     assert abs(est3.real - (3 + 0.6309297535714574) / 4) < 1e-12
 
 
@@ -327,7 +317,7 @@ def test_tensor_density_trends(f2, f3):
     # d prime to p: density 1
     t = build_tensor_table(f3, 2, 40, mode="formula")
     last = t.rows[-1]
-    est = density_estimate(3, 1, last.n, t.unit, last.delta_num)
+    est = DensityEstimate(q=3, unit=t.unit, exponent=last.delta_num, denominator=last.n)
     assert abs(est.real - 1.0) < 0.05
     # q=2, d=2: limit 1/2
     t = build_tensor_table(f2, 2, 200, mode="formula")
@@ -766,7 +756,8 @@ def test_density_band_general_q():
         for k in (1, 2):
             table = build_density_table(spec, k, 60, mode="formula")
             for row in table.rows:
-                est = density_estimate(q, k + 1, row.n, q - 1, row.delta_num).real
+                est = DensityEstimate(q=q, unit=q - 1, exponent=row.delta_num,
+                                      denominator=row.n * (k + 1)).real
                 band = (k + math.log(q - 1, q) + 1) / (row.n * (k + 1))
                 assert abs(est - 1 / (k + 1)) <= band + 1e-12
 
@@ -910,7 +901,7 @@ def _block_keys(spec, k, d, n, m, start, stop):
     return key
 
 
-def _count_tables(monkeypatch, spec, k, d, n, m):
+def _count_tables(monkeypatch, spec, k, d, n):
     """The per-coefficient key tables _image_count hands to _distinct_ors."""
     seen, distinct_ors = [], density_mod._distinct_ors
 
@@ -920,7 +911,7 @@ def _count_tables(monkeypatch, spec, k, d, n, m):
 
     with monkeypatch.context() as patch:
         patch.setattr(density_mod, "_distinct_ors", recording)
-        count = density_mod._image_count(spec, k, d, n, m, 1 << 20)
+        count = density_mod._image_count(spec, k, d, n, 1 << 20)
     assert len(seen) == 1
     return count, seen[0]
 
@@ -934,22 +925,22 @@ def _outer_or(keys, tables):
 
 
 def _key_cases(spec, limit=1 << 12):
-    """(k, d, n, m): k <= 3, d in {1, p, p^2}, m in {n+k, n+k+1}, few units."""
+    """(k, d, n): k <= 3, d in {1, p, p^2}, few units mod t^(n+k)."""
     for k, d in itertools.product(range(4), (1, spec.p, spec.p ** 2)):
         for n in (1, 3):
-            for m in (n + k, n + k + 1):
-                if unit_count(spec.q, m) <= limit:
-                    yield k, d, n, m
+            if unit_count(spec.q, n + k) <= limit:
+                yield k, d, n
 
 
-def _check_keys(monkeypatch, spec, k, d, n, m):
+def _check_keys(monkeypatch, spec, k, d, n):
     # (a) every unit's key, as the OR of one column per table the count
     # reads (table 0 at ranks 1..q-1; a coefficient past the tables reads
     # none), against the decode route key for key
+    m = n + k
     total = unit_count(spec.q, m)
     want = _block_keys(spec, k, d, n, m, 0, total)
-    count, tables = _count_tables(monkeypatch, spec, k, d, n, m)
-    case = (spec.q, k, d, n, m)
+    count, tables = _count_tables(monkeypatch, spec, k, d, n)
+    case = (spec.q, k, d, n)
     assert 1 <= len(tables) <= m, case
     missing = np.zeros((m - len(tables), *tables.shape[1:]), dtype=np.uint64)
     got = _outer_or(tables[0][:, 1:], [*tables[1:], *missing])
@@ -966,14 +957,14 @@ def test_unit_keys_match_block_gathers(q, monkeypatch):
     spec = kernel_spec(q)
     cases = list(_key_cases(spec))
     assert cases
-    for k, d, n, m in cases:
-        _check_keys(monkeypatch, spec, k, d, n, m)
+    for k, d, n in cases:
+        _check_keys(monkeypatch, spec, k, d, n)
 
 
 def test_unit_keys_match_block_gathers_wide(monkeypatch, f2):
     # (k+1)*n one-bit entries make 72 and 65 bits: two uint64 words per key
     for k, n in [(7, 9), (4, 13)]:
-        _check_keys(monkeypatch, f2, k, 1, n, n + k)
+        _check_keys(monkeypatch, f2, k, 1, n)
 
 
 def _random_tables(rng, m, q, words):
@@ -1070,6 +1061,7 @@ def test_high_order_formula_spot_check(f2):
 def test_table_row_density_estimate(f3):
     table = build_density_table(f3, 1, 4, mode="formula")
     row = table.rows[1]
-    est = density_estimate(table.q, table.dim, row.n, table.unit, row.delta_num)
+    est = DensityEstimate(q=table.q, unit=table.unit, exponent=row.delta_num,
+                          denominator=row.n * table.dim)
     assert est.rational == Fraction(2, 4) == Fraction(row.delta_num, row.delta_den)
     assert est.unit == 2 and est.q == 3 and est.real == row.delta_real

@@ -245,8 +245,6 @@ def test_density_arg_guards(f2, f3):
 
     with pytest.raises(ValueError):
         build_density_table(f2, 1, 3, mode="bogus")
-    with pytest.raises(InsufficientPrecision):
-        image_order_brute(f2, 2, 3, enum_precision=4)
 
 
 def test_image_order_chunk_and_thread_guards(f3, monkeypatch):

@@ -247,6 +247,21 @@ def test_mul_ranks_matches_schoolbook(q):
             slow = bytes(schoolbook(spec, xr, yr, width))
             for fast in (mul_ranks(spec, xr, yr, width), mul_ranks(spec, yr, xr, width)):
                 assert fast == slow and type(fast) is bytes
+    # zero and one-rank operands (the rank at every position, coefficients
+    # 1 and q-1; an empty one too), against a random operand in both orders,
+    # with windows of nothing, the rank's position and one past it, the full
+    # product and past it
+    yr = [rng.randrange(spec.q) for _ in range(5)]
+    cases = [((), 0)]
+    for n in (1, 2, 7, 40):
+        cases.append(((0,) * n, n - 1))
+        for i, c in itertools.product(range(n), {1, spec.q - 1}):
+            cases.append(((0,) * i + (c,) + (0,) * (n - 1 - i), i))
+    for xr, at in cases:
+        for width in (0, at, at + 1, len(xr) + 4, len(xr) + 7):
+            slow = bytes(schoolbook(spec, xr, yr, width))
+            assert mul_ranks(spec, xr, yr, width) == slow, (xr, width)
+            assert mul_ranks(spec, yr, xr, width) == slow, (xr, width)
     # all-(q-1) operands fill every slot to its bound: lengths on both sides
     # of each lane boundary, at the operands' length and the full product
     top = spec.q - 1
