@@ -1,25 +1,27 @@
 """Image orders and densities of the t-adic representations.
 
-The unit a of F_q[[t]] acts on the order-k jet side through the matrix with
-rows (a, D^(1)a, ..., D^(k)a); reducing mod t^N gives a finite image whose
-order D(N) is counted two ways: a brute count over all units mod t^(N+k)
-(entries of the jet mod t^N read nothing beyond that), and a closed form
-counting which coefficients of a beyond t^(N-1) the jet still pins down;
-the d-th tensor power a -> a^d is counted the same two ways.  Both brute
-counts are one keyed count: each unit to a^d (d = 1 for
-jets), then its distinct order-k jets (k = 0 for tensor powers).  The power
-a^d is (a^d')^(p^f) for d = p^f d' with d' prime to p: products give a^d',
-and the p^f-th power, being additive, only moves coefficient i to place
-i p^f through x -> x^(p^f), the collapse behind the tensor closed form.
-When d' = 1 (every jet count) each coefficient of a thus lands in one
-place of a^d, so a unit's key is the OR of one table per coefficient, and
-no two tables share a bit: jet entry (j, i) reads only coefficient i+j
-and owns its bits.  So the count is the product of the tables' distinct-
-column counts, with no unit decoded: a coefficient the jet cannot see has
-a constant table and adds no factor.  The product reads the table
-supports, checked disjoint, and the same binomial rows as the closed
-form, so its independent checks are the object-level oracles in the
-tests.  D(N) is always of the structural form unit * q^E and is kept that
+The unit a of F_q[[t]] acts on the order-k jet side through the matrix
+with rows (a, D^(1)a, ..., D^(k)a); reducing mod t^N gives a finite image
+whose order D(N) is counted two ways: a brute count over all units mod
+t^(N+k) (entries of the jet mod t^N read nothing beyond that), and a
+closed form counting which coefficients of a beyond t^(N-1) the jet still
+pins down; the d-th tensor power a -> a^d is counted the same two ways.
+Both brute counts are one count: each unit to a^d (d = 1 for jets), then
+its distinct order-k jets (k = 0 for tensor powers).  The power a^d is
+(a^d')^(p^f) for d = p^f d' with d' prime to p: products give a^d', and
+the p^f-th power, being additive, only moves coefficient i to place i p^f
+through x -> x^(p^f), the collapse behind the tensor closed form.  When
+d' = 1 (every jet count) each coefficient of a thus lands in one place of
+a^d, so a unit's key is the OR of one table per coefficient, and no two
+tables share a bit: jet entry (j, i) reads only coefficient i+j and owns
+its bits.  So the count is the product of the tables' distinct-column
+counts, with no unit decoded: a coefficient the jet cannot see has a
+constant table and adds no factor.  It reads the table supports, checked
+disjoint, and the same binomial rows as the closed form, so its
+independent checks are the object-level oracles in the tests.  When
+d' > 1, which only tensor powers have, the units are decoded and powered
+in blocks, and each a^d, a unit, marks its unit number in a table of all
+units.  D(N) is always of the structural form unit * q^E and is kept that
 way; only display ever touches a floating-point logarithm.
 """
 
@@ -53,9 +55,8 @@ DEFAULT_SEED = 1729
 LINALG_BUDGET_DEFAULT = 10 ** 7
 EXHAUSTIVE_LIMIT_DEFAULT = 10 ** 5
 
-_MERGE_ROW_LIMIT = 1 << 21
-# units per block of the tensor count at d' > 1; larger blocks are no
-# faster past this size and raise the peak memory of the products
+# units per block of the tensor count at d' > 1: it bounds the memory of
+# the power blocks, and larger blocks are no faster
 _TENSOR_CHUNK = 1 << 13
 _CERT_BLOCK = 256  # the rank certificate's largest block of units
 
@@ -110,59 +111,17 @@ def _digit_block(q, m, start, stop):
     return out
 
 
-def _sort_keys(keys):
-    """The sorted columns of a (words, rows) uint64 key array, and whether
-    each differs from the one before: the one sort of every distinct count.
-
-    np.unique is avoided (numpy 2.4 hashes, several times slower here).  One
-    word is sorted in place as one row, so callers pass a fresh array;
-    several words go through lexsort.
+def _distinct_count(keys):
+    """Distinct columns of a fresh, nonempty (words, rows) uint64 key array:
+    one sort, in place for one word and by lexsort for several (np.unique
+    hashes in numpy 2.4, several times slower here), then adjacent diffs.
     """
     if keys.shape[0] == 1:
         row = keys[0]
         row.sort()
-        return keys, row[1:] != row[:-1]
+        return 1 + int(np.count_nonzero(row[1:] != row[:-1]))
     keys = keys[:, np.lexsort(keys)]
-    return keys, (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-
-
-def _unique_keys(keys):
-    """Sorted distinct columns of a key array: _sort_keys, then a mask."""
-    keys, differs = _sort_keys(keys)
-    keep = np.ones(keys.shape[1], dtype=bool)
-    keep[1:] = differs
-    return keys[0][keep][None] if keys.shape[0] == 1 else keys[:, keep]
-
-
-def _distinct_count(keys):
-    """Distinct columns of a fresh, nonempty key array: one sort, no copy."""
-    return 1 + int(np.count_nonzero(_sort_keys(keys)[1]))
-
-
-def _count_distinct_keys(keys_of, total, words, chunk_size):
-    """The number of distinct keys among keys_of(0, total), total >= 1.
-
-    keys_of(start, stop) returns fresh (words, stop-start) uint64 keys of
-    units start..stop-1.  Keys that fit one chunk of `chunk_size` units are
-    sorted once and counted.  Otherwise each chunk is deduplicated, the
-    parts merged by set union, and the last union counted.
-    """
-    if total <= chunk_size:
-        return _distinct_count(keys_of(0, total))
-    merged = np.empty((words, 0), dtype=np.uint64)
-    pending, pending_rows = [], 0
-    for start in range(0, total, chunk_size):
-        part = _unique_keys(keys_of(start, min(start + chunk_size, total)))
-        pending.append(part)
-        pending_rows += part.shape[1]
-        # merge only once the pending rows outnumber the merged set, so
-        # total sort work stays O(U log U) in the U keys produced
-        if pending_rows > max(_MERGE_ROW_LIMIT, merged.shape[1]):
-            merged = _unique_keys(np.concatenate([merged, *pending], axis=1))
-            pending, pending_rows = [], 0
-    if not pending:
-        return int(merged.shape[1])
-    return _distinct_count(np.concatenate([merged, *pending], axis=1))
+    return 1 + int(np.count_nonzero((keys[:, 1:] != keys[:, :-1]).any(axis=0)))
 
 
 def _mul_block(tables, x, y):
@@ -245,25 +204,43 @@ def _distinct_ors(tables):
 def _image_count(spec, k, d, n, budget):
     """The number of distinct jet_k(a^d) mod t^n over every unit a mod t^(n+k).
 
-    Every jet, all (k+1)*n entries, is packed into an integer key of
-    (q-1).bit_length() bits per entry (several uint64 words past 64 bits).
     The budget is checked on the units before any table is built.  Write
     d = P*d' with P = p^f (tensor_decompose).  When d' = 1 (every jet
-    count, and every p-power tensor degree) coefficient l of a moves,
-    through x -> x^P, to place lP of a^d and nowhere else, so a key is the
-    OR of one table per coefficient of a, and those tables share no bit:
-    _distinct_ors multiplies their distinct-column counts.  Otherwise each
-    chunk of _TENSOR_CHUNK units is decoded by _digit_block, raised to the
-    d-th power by _power_block, each coefficient of a^d gathered from the
-    same tables, and _count_distinct_keys counts the distinct keys.  Jet
-    entry (j, i) reads coefficient i+j <= n-1+k, so the units mod t^(n+k)
-    are all that a key can tell apart.
+    count, and every p-power tensor degree) each jet is packed into an
+    integer key of (q-1).bit_length() bits per entry (several uint64 words
+    past 64 bits).  Coefficient l of a moves, through x -> x^P, to place lP
+    of a^d and nowhere else, so a key is the OR of one table per
+    coefficient of a, and those tables share no bit: _distinct_ors
+    multiplies their distinct-column counts.  Jet entry (j, i) reads
+    coefficient i+j <= n-1+k, so the units mod t^(n+k) are all that a key
+    can tell apart.  When d' > 1 (k = 0) each chunk of _TENSOR_CHUNK units
+    is decoded by _digit_block and raised to the d-th power by
+    _power_block, and each power marks its unit number in a table of
+    (q-1)q^(n-1) flags; the count is the flags set.
     """
     q = spec.q
     m = n + k
     total = unit_count(q, m)
     if total > budget:
         raise BudgetExceeded(f"{total} units exceed budget {budget}")
+    f, d_prime = tensor_decompose(d, spec.p)
+    if d_prime > 1:
+        # only tensor powers have d > 1, so this serves k = 0 only: a^d is a
+        # unit mod t^n, and its unit number (Horner's rule on its digits,
+        # constant term minus one) marks one cell of a table of every unit
+        seen = np.zeros(total, dtype=bool)
+        for start in range(0, total, _TENSOR_CHUNK):
+            stop = min(start + _TENSOR_CHUNK, total)
+            block = _power_block(spec, _digit_block(q, m, start, stop), d)
+            # a zero constant term would give index -1: the last cell
+            if not block[0].all():
+                raise MalformedOrder("a power of a unit has a zero constant term")
+            index = block[0].astype(np.int64) - 1
+            for row in block[1:]:
+                index *= q
+                index += row
+            seen[index] = True
+        return int(np.count_nonzero(seen))
     mul = spec.tables.mul_np
     bits = (q - 1).bit_length()
     per_word = 64 // bits
@@ -279,20 +256,9 @@ def _image_count(spec, k, d, n, budget):
             word, pos = divmod(j * n + i, per_word)
             # row i of mul_np is multiplication by the prime-field constant i
             lut[i + j, word] |= mul[row[i]].astype(np.uint64) << np.uint64(pos * bits)
-    f, d_prime = tensor_decompose(d, spec.p)
-    if d_prime == 1:
-        # coefficient l reads lut[lP] through the Frobenius; past t^m it is
-        # lost, so the later coefficients have no table
-        return _distinct_ors(lut[::spec.p ** f][:, :, _frobenius(spec, f)])
-
-    def keys_of(start, stop):
-        block = _power_block(spec, _digit_block(q, m, start, stop), d)
-        key = np.zeros((words, stop - start), dtype=np.uint64)
-        for digit, table in enumerate(lut):
-            key |= table[:, block[digit]]
-        return key
-
-    return _count_distinct_keys(keys_of, total, words, _TENSOR_CHUNK)
+    # coefficient l reads lut[lP] through the Frobenius; past t^m it is
+    # lost, so the later coefficients have no table
+    return _distinct_ors(lut[::spec.p ** f][:, :, _frobenius(spec, f)])
 
 
 def image_order_brute(spec: FqSpec, k: int, n: int, *,
@@ -385,6 +351,8 @@ def density_bounds(k: int, n: int, q: int) -> tuple[Fraction, Fraction]:
     (q-1) q^(N-1) <= D(N) <= (q-1) q^(N+k-1) sandwiches the exponent E in
     [N-1, N+k-1]; the full estimate adds log_q(q-1)/(N(k+1)) in [0, 1/(N(k+1))).
     """
+    if n < 1 or k < 0:
+        raise ValueError("need n >= 1 and k >= 0")
     den = n * (k + 1)
     return Fraction(n - 1, den), Fraction(n + k - 1, den)
 
@@ -398,6 +366,8 @@ def torsion_level_m(p: int, n: int, k: int) -> int:
     must form an initial segment 0..m with n <= m <= n+k; any violation would
     falsify the combinatorics this rests on and raises SegmentViolation.
     """
+    if n < 0 or k < 0:
+        raise ValueError("torsion level and jet order must be nonnegative")
     levels = [*range(n + 1), *extra_indices(p, k, n + 1)]
     m = max(levels)
     if levels != list(range(m + 1)):
@@ -445,13 +415,12 @@ def tensor_image_order_brute(spec: FqSpec, d: int, n: int, *,
     The brute route for the closed form: _image_count at k = 0.  For
     d = p^f (d' = 1) the power of each unit is the OR of one Frobenius
     table per coefficient, tables that share no bit, and _distinct_ors
-    multiplies their distinct-column counts; otherwise each block
-    of units is raised to the d-th power by _power_block (batched truncated
-    products for a^d', then the additive p-part of d spreads the result
-    over every p^f-th coefficient) and the distinct powers of all units are
-    counted.  Its oracles in the tests are the object-level set of
-    (a ** d).ranks, product-only powering of the same blocks, and a gather
-    per coefficient of the decoded powers.
+    multiplies their distinct-column counts; otherwise each block of units
+    is raised to the d-th power by _power_block (batched truncated products
+    for a^d', then the additive p-part of d spreads the result over every
+    p^f-th coefficient), and the powers are counted in a table indexed by
+    unit number.  Its oracles in the tests are the object-level set of
+    (a ** d).ranks and product-only powering of the same blocks.
     """
     if d < 1:
         raise ValueError("tensor degree must be >= 1")
@@ -500,6 +469,8 @@ def _build_table(spec, kind, param, n_max, mode, budget, seed, *,
     """
     if mode not in ("brute", "formula", "both"):
         raise ValueError(f"unknown mode {mode!r}")
+    if n_max < 1:
+        raise ValueError(f"need n_max >= 1, got {n_max}")
     if mode != "formula" and units(n_max) > budget:
         # fail fast on the largest row instead of grinding up to it
         raise BudgetExceeded(
@@ -568,8 +539,11 @@ def motivic_group_check(spec: FqSpec, k: int, *, prec: int = 6, samples: int = 2
 
     Checks closure of products and inverses (unit diagonal throughout, k+1
     free rows), associativity on triples, the identity element, and that
-    jet images of random units land inside the group.
+    jet images of random units land inside the group.  Needs k >= 0 and
+    samples >= 3, so that at least one triple is checked.
     """
+    if k < 0 or samples < 3:
+        raise ValueError(f"need k >= 0 and samples >= 3, got k={k}, samples={samples}")
     rng = random.Random(seed)
     q = spec.q
 

@@ -221,6 +221,8 @@ def jet(k: int, f: TruncSeries, prec: int | None = None) -> JetMatrix:
 
 def verify_leibniz(n: int, f: TruncSeries, g: TruncSeries) -> bool:
     """Check D^(n)(fg) = sum_i D^(i)f * D^(n-i)g as a truncated identity."""
+    if n < 0:
+        raise ValueError("derivative order must be nonnegative")
     prec = min(f.prec, g.prec) - n
     if prec < 1:
         raise InsufficientPrecision(f"need precision > {n} to test order {n}")
@@ -237,6 +239,8 @@ def verify_leibniz(n: int, f: TruncSeries, g: TruncSeries) -> bool:
 
 def verify_iteration(n: int, m: int, f: TruncSeries) -> bool:
     """Check D^(n) o D^(m) = C(n+m, n) D^(n+m) on f."""
+    if n < 0 or m < 0:
+        raise ValueError("derivative orders must be nonnegative")
     prec = f.prec - n - m
     if prec < 1:
         raise InsufficientPrecision(f"need precision > {n + m}")

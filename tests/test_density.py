@@ -117,10 +117,9 @@ def test_image_order_thread_invariance(f2, f3):
 
 
 def test_image_order_brute_merge_path(monkeypatch, f2, f3, f4):
-    # the tensor count at d' > 1 is the one caller of the chunked merge:
-    # chunks of 64 and 17 units, merged whenever 8 keys are pending; F_3
-    # squares and F_4 cubes collide (D < units), F_2 cubes do not
-    monkeypatch.setattr(density_mod, "_MERGE_ROW_LIMIT", 8)
+    # the tensor count at d' > 1 marks unit numbers chunk by chunk: chunks
+    # of 64 and 17 units; F_3 squares and F_4 cubes collide (D < units),
+    # F_2 cubes do not
     for spec, d, n in [(f3, 2, 6), (f4, 3, 5), (f2, 3, 10)]:
         expected = tensor_image_order_formula(spec, d, n)
         for chunk_size in (64, 17):
@@ -128,63 +127,23 @@ def test_image_order_brute_merge_path(monkeypatch, f2, f3, f4):
             assert tensor_image_order_brute(spec, d, n) == expected, (spec.q, d, n, chunk_size)
 
 
-def test_image_order_brute_merge_is_amortised(monkeypatch, f2):
-    # the 2048 units mod t^12 over F_2 have 2048 distinct cubes; in chunks
-    # of 16, merging the whole distinct set again after every chunk would
-    # sort about 130k keys
-    sorted_rows = []
-    sort_keys = density_mod._sort_keys
-
-    # every sort goes through _sort_keys: each chunk's dedupe, the merges
-    # and the final count of the last union
-    def counting(keys):
-        sorted_rows.append(keys.shape[1])
-        return sort_keys(keys)
-
-    monkeypatch.setattr(density_mod, "_MERGE_ROW_LIMIT", 8)
-    monkeypatch.setattr(density_mod, "_TENSOR_CHUNK", 16)
-    monkeypatch.setattr(density_mod, "_sort_keys", counting)
-    assert tensor_image_order_brute(f2, 3, 12) == 2048
-    assert len(sorted_rows) > 128 and sum(sorted_rows) <= 4 * 2048
-
-
+@pytest.mark.parametrize("width", [8, None])
 @pytest.mark.parametrize("words", [1, 2, 3])
-def test_unique_keys_match_np_unique(words):
-    # few values per word, so columns repeat; the top and bottom of uint64 too
+def test_count_distinct_keys_matches_set(words, width):
+    # _distinct_count against a set of the same keys: repeated columns from
+    # a pool of eight values per word (width 8) or from a wide pool (None:
+    # half the keys plus two), with 0 and 2^64-1 in both
     rng = np.random.default_rng(words)
-    pool = np.array([0, 1, 2 ** 63, 2 ** 64 - 1, *rng.integers(0, 2 ** 63, 3)],
-                    dtype=np.uint64)
-    for cols in (0, 1, 2, 9, 500):
-        keys = pool[rng.integers(0, len(pool), size=(words, cols))]
-        before = keys.copy()
-        # lexsort orders by the last word first, np.unique by the first
-        want = np.unique(before[::-1], axis=1)[::-1]
-        got = density_mod._unique_keys(keys)
-        assert got.dtype == np.uint64 and got.shape == want.shape
-        assert np.array_equal(got, want)
+    for total in (1, 2, 15, 16, 17, 83, 640):
+        pool_width = width or total // 2 + 2
+        pool = rng.integers(0, 2 ** 64, size=(words, pool_width), dtype=np.uint64)
+        pool[:, 0], pool[:, 1] = 0, 2 ** 64 - 1
+        keys = pool[:, rng.integers(0, pool_width, size=total)]
+        want = len(set(map(tuple, keys.T)))
+        fresh = keys.copy()
+        assert density_mod._distinct_count(fresh) == want, (total, pool_width)
         if words == 1:  # sorted in place
-            assert np.array_equal(keys[0], np.sort(before[0]))
-
-
-@pytest.mark.parametrize("merge_limit", [8, None])
-@pytest.mark.parametrize("words", [1, 2, 3])
-def test_count_distinct_keys_matches_set(monkeypatch, words, merge_limit):
-    # repeated columns, from a pool of eight values per word and from a
-    # wide pool, with 0 and 2^64-1 in both; one chunk, either side of one
-    # chunk, and several chunks, merged often when merge_limit is 8
-    if merge_limit is not None:
-        monkeypatch.setattr(density_mod, "_MERGE_ROW_LIMIT", merge_limit)
-    rng = np.random.default_rng(words)
-    chunk = 16
-    for total in (1, chunk - 1, chunk, chunk + 1, 5 * chunk + 3, 40 * chunk):
-        for width in (8, total // 2 + 2):
-            pool = rng.integers(0, 2 ** 64, size=(words, width), dtype=np.uint64)
-            pool[:, 0], pool[:, 1] = 0, 2 ** 64 - 1
-            keys = pool[:, rng.integers(0, width, size=total)]
-            want = len(set(map(tuple, keys.T)))
-            got = density_mod._count_distinct_keys(
-                lambda start, stop: keys[:, start:stop].copy(), total, words, chunk)
-            assert got == want, (total, width)
+            assert np.array_equal(fresh[0], np.sort(keys[0]))
 
 
 def test_one_chunk_count_sorts_once(monkeypatch, f4):
@@ -193,13 +152,13 @@ def test_one_chunk_count_sorts_once(monkeypatch, f4):
     # are their ten dedupes, with no sort of the 49,152 choices, whatever
     # the thread count
     sorts = []
-    sort_keys = density_mod._sort_keys
+    distinct_count = density_mod._distinct_count
 
     def spy(keys):
         sorts.append(keys.shape[1])
-        return sort_keys(keys)
+        return distinct_count(keys)
 
-    monkeypatch.setattr(density_mod, "_sort_keys", spy)
+    monkeypatch.setattr(density_mod, "_distinct_count", spy)
     for threads in (1, 2):
         sorts.clear()
         assert image_order_brute(f4, 3, 7, threads=threads) == image_order_formula(f4, 3, 7)
@@ -217,7 +176,7 @@ def test_brute_budgets_fail_before_any_table(monkeypatch, f2):
     def no_work(*args):
         raise AssertionError("tables were built before the budget check")
 
-    for name in ("_sort_keys", "_unique_keys", "_distinct_count", "_distinct_ors"):
+    for name in ("_distinct_count", "_distinct_ors"):
         monkeypatch.setattr(density_mod, name, no_work)
     with pytest.raises(BudgetExceeded):
         image_order_brute(f2, 0, 40, budget=10 ** 6)
@@ -862,17 +821,42 @@ def test_tensor_brute_takes_the_p_part_by_frobenius(f3, monkeypatch):
     assert rows and set(rows) == {(4, 4)}
 
 
-def test_tensor_brute_guards_before_work(monkeypatch, f2):
-    import carlitz.density as density
+def test_tensor_brute_guards_before_work(monkeypatch, f2, f3):
+    # d = 2 over F_2 is d' = 1, over F_3 d' = 2: either way the budget
+    # fails before any block is decoded or powered and before any table,
+    # of keys or of unit numbers, is allocated
+    def no_work(*args, **kwargs):
+        raise AssertionError("work was done before the budget check")
 
-    def no_blocks(*args):
-        raise AssertionError("a block was built")
-
-    monkeypatch.setattr(density, "_digit_block", no_blocks)
-    with pytest.raises(BudgetExceeded):
-        tensor_image_order_brute(f2, 2, 40, budget=10 ** 6)
+    for name in ("_digit_block", "_power_block"):
+        monkeypatch.setattr(density_mod, name, no_work)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "zeros", no_work)
+        for spec in (f2, f3):
+            with pytest.raises(BudgetExceeded):
+                tensor_image_order_brute(spec, 2, 40, budget=10 ** 6)
     with pytest.raises(ValueError):
         tensor_image_order_brute(f2, 0, 3)
+
+
+def test_tensor_brute_unit_numbers(monkeypatch, f2, f3, f4):
+    # with the power replaced by the identity, each unit marks its own unit
+    # number, so every cell of the table is set once; a power whose constant
+    # term is zero has no unit number and must raise, not mark the last cell
+    power_block = density_mod._power_block
+    for spec, d in [(f2, 3), (f3, 2), (f4, 3), (spec_for_order(5), 2)]:
+        for n in (1, 2, 5):
+            monkeypatch.setattr(density_mod, "_power_block", lambda spec, block, d: block)
+            assert tensor_image_order_brute(spec, d, n) == unit_count(spec.q, n)
+
+            def zero_row_0(spec, block, d):
+                out = power_block(spec, block, d)
+                out[0] = 0
+                return out
+
+            monkeypatch.setattr(density_mod, "_power_block", zero_row_0)
+            with pytest.raises(MalformedOrder):
+                tensor_image_order_brute(spec, d, n)
 
 
 def _block_keys(spec, k, d, n, m, start, stop):

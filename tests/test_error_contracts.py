@@ -12,19 +12,25 @@ from carlitz import (
     TruncSeries,
     UInftyElem,
     UPowerSeries,
+    build_density_table,
+    build_tensor_table,
     compute_omega,
+    density_bounds,
     extra_indices,
     hyperderiv,
     image_order_brute,
     jet,
     parse_series,
     jet_columns,
+    motivic_group_check,
     spec_for_order,
     tensor_image_order_formula,
     theta,
     torsion_generators,
+    torsion_level_m,
     unit_count,
     unit_enumerate,
+    verify_iteration,
     verify_leibniz,
 )
 from carlitz.errors import (
@@ -234,17 +240,36 @@ def test_compute_omega_guards(f3):
         compute_omega(f3, 4, 0)
 
 
-def test_density_arg_guards(f2, f3):
+def test_density_arg_guards(f2, f3, monkeypatch):
     with pytest.raises(ValueError):
         image_order_brute(f2, -1, 3)
     with pytest.raises(ValueError):
         image_order_brute(f2, 1, 0)
     with pytest.raises(ValueError):
         tensor_image_order_formula(f3, 2, 0)
-    from carlitz import build_density_table
-
     with pytest.raises(ValueError):
         build_density_table(f2, 1, 3, mode="bogus")
+    # an empty table would pass for a checked one
+    for mode in ("formula", "brute", "both"):
+        for n_max in (0, -1):
+            with pytest.raises(ValueError, match="n_max >= 1"):
+                build_density_table(f2, 1, n_max, mode=mode)
+            with pytest.raises(ValueError, match="n_max >= 1"):
+                build_tensor_table(f3, 2, n_max, mode=mode)
+    # samples < 3 never checks associativity, and samples = 0 checks
+    # nothing at all; k < 0 has no jet.  Each is rejected before a jet
+    # is built.
+    import carlitz.density as density
+
+    def no_jets(*args):
+        raise AssertionError("a jet was built")
+
+    monkeypatch.setattr(density.JetMatrix, "identity", no_jets)
+    for k, samples in [(1, 0), (1, 1), (1, 2), (-1, 25), (-1, 0)]:
+        with pytest.raises(ValueError):
+            motivic_group_check(f3, k, samples=samples)
+    monkeypatch.undo()
+    assert motivic_group_check(f3, 1, samples=3)
 
 
 def test_image_order_chunk_and_thread_guards(f3, monkeypatch):
@@ -265,7 +290,7 @@ def test_image_order_chunk_and_thread_guards(f3, monkeypatch):
     assert image_order_brute(f3, 1, 3, threads=2) == 18
 
 
-def test_negative_orders_rejected_up_front(f3):
+def test_negative_orders_rejected_up_front(f3, monkeypatch):
     omega = compute_omega(f3, 4, 32)
     with pytest.raises(ValueError):
         jet_columns(omega, -1)
@@ -276,6 +301,28 @@ def test_negative_orders_rejected_up_front(f3):
         extra_indices(3, 2, -1)
     with pytest.raises(ValueError):
         extra_indices(3, -1, 2)
+    with pytest.raises(ValueError, match="torsion level and jet order must be nonnegative"):
+        torsion_level_m(3, -1, 2)
+    with pytest.raises(ValueError):
+        torsion_level_m(3, 2, -1)
+    for k, n in [(1, 0), (0, 0), (1, -1), (-1, 3)]:
+        with pytest.raises(ValueError, match="need n >= 1 and k >= 0"):
+            density_bounds(k, n, 3)
+    # the iteration and Leibniz checks reject them before any kernel runs
+    import carlitz.jets as jets
+
+    def no_kernel(*args):
+        raise AssertionError("a kernel ran")
+
+    for name in ("hyperderiv_ranks", "mul_ranks", "cauchy_rows", "scale_ranks"):
+        monkeypatch.setattr(jets, name, no_kernel)
+    f = TruncSeries.from_ranks(f3, [1, 2, 0, 1, 1, 2, 0, 1, 2, 2, 1, 0])
+    for n, m in [(-10, 9), (-1, 9), (-1, 0), (2, -1), (-1, -1)]:
+        with pytest.raises(ValueError, match="derivative orders must be nonnegative"):
+            verify_iteration(n, m, f)
+    for n in (-1, -5):
+        with pytest.raises(ValueError, match="derivative order must be nonnegative"):
+            verify_leibniz(n, f, f)
 
 
 def test_prolongation_action_guards(f3):
