@@ -7,15 +7,13 @@ image orders and densities for the associated t-adic actions.
 
 from .binomials import binom_mod_p, binom_pascal_oracle, binom_row
 from .cinfty import (
-    ProlongationAction,
     UInftyElem,
     UPowerSeries,
     compute_omega,
-    equal_on_overlap,
+    hhat_verdicts,
     jet_columns,
     theta,
     torsion_generators,
-    useries_equal,
     verify_carlitz_equation,
     verify_hhat_membership,
     verify_prolongation_trivialization,

@@ -275,37 +275,6 @@ class UInftyElem:
         return f"<{body}{tail}>"
 
 
-def equal_on_overlap(x: UInftyElem, y: UInftyElem) -> bool:
-    """Exact comparison on the intersection of known windows.
-
-    Raises WindowEmpty when the windows stop before either leading term,
-    i.e. when there is no coefficient left that could tell the two apart.
-    """
-    if x.spec.key != y.spec.key:
-        raise SpecMismatch("mixed field specs")
-    upper = _umin(x.uprec, y.uprec)
-    if x.is_zero and y.is_zero:
-        return True
-    if x.is_zero or y.is_zero:
-        nz = y if x.is_zero else x
-        if upper is not None and nz.val >= upper:
-            raise WindowEmpty("leading term falls outside the comparison window")
-        return False
-    lo = min(x.val, y.val)
-    if upper is None:
-        upper = max(x.val + len(x.ranks), y.val + len(y.ranks))
-    elif lo >= upper:
-        raise WindowEmpty("no known coefficients left to compare")
-    width = upper - lo
-
-    def window(e):
-        # the ranks of e at u^lo .. u^(upper-1), zero-padded
-        head = bytes(min(e.val - lo, width)) + e.ranks[:max(upper - e.val, 0)]
-        return head.ljust(width, b"\0")
-
-    return window(x) == window(y)
-
-
 def theta(spec: FqSpec) -> UInftyElem:
     """theta = -u^(-(q-1)), exact."""
     return UInftyElem.monomial(spec, -(spec.q - 1), spec.p - 1)
@@ -348,30 +317,6 @@ class UPowerSeries:
             raise InsufficientPrecision("cannot raise t-precision")
         return UPowerSeries(self.spec, self.entries[:tprec])
 
-    def __add__(self, other):
-        n = min(self.tprec, other.tprec)
-        return UPowerSeries(
-            self.spec, [self.entries[i] + other.entries[i] for i in range(n)]
-        )
-
-    def __sub__(self, other):
-        n = min(self.tprec, other.tprec)
-        return UPowerSeries(
-            self.spec, [self.entries[i] - other.entries[i] for i in range(n)]
-        )
-
-    def scale_u(self, c: UInftyElem) -> "UPowerSeries":
-        return UPowerSeries(self.spec, [c * e for e in self.entries])
-
-    def tshift(self) -> "UPowerSeries":
-        """Multiplication by t (mod t^tprec)."""
-        z = UInftyElem.zero(self.spec)
-        return UPowerSeries(self.spec, (z,) + self.entries[:-1])
-
-    def frobenius(self) -> "UPowerSeries":
-        """tau, extended t-linearly: the q-power map on each coefficient."""
-        return UPowerSeries(self.spec, [e.frobenius() for e in self.entries])
-
     def hyperderiv(self, n: int) -> "UPowerSeries":
         if n < 0:
             raise ValueError("derivative order must be nonnegative")
@@ -386,12 +331,6 @@ class UPowerSeries:
 
     def __repr__(self):
         return f"UPowerSeries(tprec={self.tprec}, q={self.spec.q})"
-
-
-def useries_equal(a: UPowerSeries, b: UPowerSeries) -> bool:
-    """Entrywise window comparison through the common t-precision."""
-    n = min(a.tprec, b.tprec)
-    return all(equal_on_overlap(a.entries[i], b.entries[i]) for i in range(n))
 
 
 def compute_omega(spec: FqSpec, tprec: int, uprec: int) -> UPowerSeries:
@@ -437,13 +376,82 @@ def compute_omega(spec: FqSpec, tprec: int, uprec: int) -> UPowerSeries:
     return UPowerSeries(spec, entries)
 
 
+def _twist_sum(spec, x, y, z, lo, hi, tau=True):
+    """The ranks at u^lo .. u^(hi-1) of -(theta x + tau(x) - y - z), with
+    no tau(x) when not `tau`; None is zero, and no term starts below u^lo.
+    theta x is -x moved down by q-1, and only the ranks of x whose tau image
+    lands below u^hi are spread, by one strided copy.  The result ends
+    early, or is b"", where no term reaches."""
+    q, width = spec.q, hi - lo
+    terms = [(x.val - q + 1, x.ranks)] + [(e.val, e.ranks) for e in (y, z) if e is not None]
+    if tau:
+        cut = x.ranks[:max(0, -((q * x.val - hi) // q))]
+        spread = bytearray(len(cut) * q)
+        spread[::q] = cut.translate(spec.tables.neg)
+        terms.append((q * x.val, bytes(spread)))
+    acc = b""
+    for val, ranks in terms:
+        ranks = ranks[:max(width - val + lo, 0)]
+        if ranks:
+            acc = _add_bytes(spec, acc, ranks, val - lo, width) if acc else bytes(val - lo) + ranks
+    return acc
+
+
+def _twist_holds(spec, x, y, z, membership):
+    """One entry of theta x + tau(x) - y = z on rank bytes, decided as the
+    window comparison of the two sides' normal forms decides it.
+
+    With `membership` the sides are L = theta x + tau(x) - y and R = z (the
+    hhat check), else L = tau(x) and R = y - theta x, z None (the Carlitz
+    check); None is an exact zero.  A side is known below the least window
+    of its terms: x's less q-1 for theta x, q times x's for tau(x).  The
+    sides differ below the least window of all (upper) exactly when L - R
+    has a rank there.  If not, the side whose window ends at upper leads
+    below it unless it is zero: the entry holds when the one-term side (z,
+    or tau(x)) leads below upper or both sides are zero in their windows,
+    and raises WindowEmpty otherwise.
+    """
+    q = spec.q
+    theta_top, tau_top = (None, None) if x.uprec is None else (x.uprec - q + 1, q * x.uprec)
+    y_top = None if y is None else y.uprec
+    if membership:
+        left, right = _umin(_umin(theta_top, tau_top), y_top), None if z is None else z.uprec
+    else:
+        left, right = tau_top, _umin(y_top, theta_top)
+    upper = _umin(left, right)
+    spans = [(e.val, len(e.ranks)) for e in (y, z) if e is not None and e.ranks]
+    if x.ranks:
+        spans += [(x.val - q + 1, len(x.ranks)), (q * x.val, q * len(x.ranks))]
+    if not spans:
+        return True
+    lo, end = min(s for s, _ in spans), max(s + n for s, n in spans)
+    acc = _twist_sum(spec, x, y, z, lo, end if upper is None else upper)
+    if acc.count(0) != len(acc):
+        return False
+    if upper is None:
+        return True
+    plain, top = (z, left) if membership else (x, right)
+    if plain is not None and plain.ranks:
+        if (plain.val if membership else q * plain.val) < upper:
+            return True
+    else:
+        acc = _twist_sum(spec, x, y, None, lo, end if top is None else top,
+                         membership)[max(upper - lo, 0):]
+        if acc.count(0) == len(acc):
+            return True
+    raise WindowEmpty("leading term falls outside the comparison window")
+
+
 def verify_carlitz_equation(omega: UPowerSeries) -> bool:
     """Check tau(omega) = (t - theta) * omega coefficientwise in t.
 
     This is the functional equation pinning omega as the rigid trivializer
-    of the Carlitz motive; the comparison is exact on window overlaps.
+    of the Carlitz motive; the comparison is exact on window overlaps.  Each
+    entry is one _twist_holds, up to the first that fails.
     """
-    return verify_prolongation_trivialization(omega, 0)
+    es = omega.entries
+    return all(_twist_holds(omega.spec, x, es[m - 1] if m else None, None, False)
+               for m, x in enumerate(es))
 
 
 def verify_prolongation_trivialization(omega: UPowerSeries, k: int) -> bool:
@@ -451,67 +459,59 @@ def verify_prolongation_trivialization(omega: UPowerSeries, k: int) -> bool:
 
     Hyperderivatives in t commute with the q-power twist, so these k+1
     identities are exactly the entries of the jet form of the Carlitz
-    equation; verify_carlitz_equation is the case k = 0.
+    equation.  Entry n of order j is, on both sides, C(n+j, j) times entry
+    n+j of order 0, the Carlitz equation.  A nonzero constant moves no window
+    and no zero rank, and a zero one leaves exact zeros on both sides, so
+    every order holds, fails or raises as order 0 does.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k >= omega.tprec:
         raise InsufficientPrecision("t-precision too low for the requested jet order")
-    rhs_base = omega.tshift() - omega.scale_u(theta(omega.spec))
-    for j in range(k + 1):
-        lhs = omega.hyperderiv(j).frobenius()
-        rhs = rhs_base.hyperderiv(j)
-        if not useries_equal(lhs, rhs):
-            return False
-    return True
+    return verify_carlitz_equation(omega)
 
 
-class ProlongationAction:
-    """The t-action of the order-k prolongation of the Carlitz module.
-
-    On a column h of k+1 coordinates it acts as Theta_k h + tau(h), where
-    Theta_k = theta*Id - S and S is the shift (S h)_i = h_{i+1}.  The
-    nilpotent part Theta_k - theta*Id has order k+1.
+def hhat_verdicts(k: int, columns: Sequence[Sequence[UPowerSeries]]) -> list[bool]:
+    """verify_hhat_membership of each column in turn.  Component i holds
+    when theta h_i + tau(h_i) - h_(i+1) = t h_i entry by entry (no h_(i+1)
+    when i = k), which depends on (h_i, h_(i+1)) alone.  The columns of
+    jet_columns share their components, so deciding each distinct pair once
+    a call takes k+1 pairs for the k+1 columns, not (k+1)(k+2)/2.
     """
+    if k < 0:
+        raise ValueError("prolongation order must be nonnegative")
+    for column in columns:
+        if len(column) != k + 1:
+            raise ValueError(f"column must have {k + 1} components")
+        if any(h.spec.key != column[0].spec.key for h in column):
+            raise SpecMismatch("mixed field specs")
+        if any(a.tprec > b.tprec for a, b in zip(column, column[1:])):
+            raise InsufficientPrecision("cannot raise t-precision")
+    memo = {}
 
-    def __init__(self, spec: FqSpec, k: int):
-        if k < 0:
-            raise ValueError("prolongation order must be nonnegative")
-        self.spec = spec
-        self.k = k
+    def holds(h, nxt):
+        if nxt is not None and all(e.uprec is None and not e.ranks for e in nxt.entries):
+            nxt = None  # subtracting an exact zero is no term
+        if (h, nxt) not in memo:
+            es = h.entries  # entry by entry, up to the first that fails
+            memo[h, nxt] = all(
+                _twist_holds(h.spec, x, nxt and nxt.entries[n], es[n - 1] if n else None, True)
+                for n, x in enumerate(es))
+        return memo[h, nxt]
 
-    def apply(self, column: Sequence[UPowerSeries]) -> list[UPowerSeries]:
-        if len(column) != self.k + 1:
-            raise ValueError(f"column must have {self.k + 1} components")
-        th = theta(self.spec)
-        out = []
-        for i, h in enumerate(column):
-            comp = h.scale_u(th) + h.frobenius()
-            if i < self.k:
-                comp = comp - column[i + 1].truncate_t(comp.tprec)
-            out.append(comp)
-        return out
-
-    def nilpotent_matrix(self) -> list[list[UInftyElem]]:
-        """Theta_k - theta*Id: minus one on the superdiagonal."""
-        z = UInftyElem.zero(self.spec)
-        m1 = UInftyElem.monomial(self.spec, 0, self.spec.p - 1)
-        n = self.k + 1
-        return [[m1 if c == r + 1 else z for c in range(n)] for r in range(n)]
+    return [all(holds(h, column[i + 1] if i < k else None) for i, h in enumerate(column))
+            for column in columns]
 
 
 def verify_hhat_membership(k: int, column: Sequence[UPowerSeries]) -> bool:
     """Check that a column lies in the Tate-module model.
 
     Membership of h = sum_n e_n t^n amounts to Theta_k h + tau(h) = t h as
-    truncated identities: the t-action of the prolongation applied degreewise
-    equals the shift by one t-power.
+    truncated identities, where Theta_k = theta*Id - S and (S h)_i = h_(i+1):
+    the t-action of the order-k prolongation of the Carlitz module, applied
+    degreewise, equals the shift by one t-power.
     """
-    if not column:
-        raise ValueError("empty column")
-    spec = column[0].spec
-    lhs = ProlongationAction(spec, k).apply(column)
-    return all(useries_equal(a, h.tshift()) for a, h in zip(lhs, column))
+    return hhat_verdicts(k, [column])[0]
 
 
 def jet_columns(omega: UPowerSeries, k: int) -> list[list[UPowerSeries]]:

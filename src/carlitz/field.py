@@ -129,6 +129,10 @@ class FieldTables(NamedTuple):
     byte: `blocks[c]` maps the key sum_i d_{s+i} p^i of the chunk at
     s = c * block_digits to the rank of sum_i d_{s+i} x^(s+i) reduced mod
     the defining polynomial.
+
+    For odd p, e > 1 and (2p-1)^e <= 256, `radix[r]` reads the base-p digits
+    of r in radix 2p-1, so two such bytes add without a carry, and `unradix`
+    maps a sum to the rank of its digits mod p; otherwise both are None.
     """
 
     add: tuple
@@ -141,6 +145,8 @@ class FieldTables(NamedTuple):
     mod_p: bytes
     block_digits: int
     blocks: tuple
+    radix: bytes | None
+    unradix: bytes | None
 
 
 class FqSpec:
@@ -236,6 +242,8 @@ class FqSpec:
                 for key in range(p ** n)
             ]
             blocks.append(bytes(ranks) + bytes(256 - len(ranks)))
+        b = 2 * p - 1
+        radix = p > 2 and e > 1 and b ** e <= 256
         self._tables = FieldTables(
             add=add, mul=mul, neg=mul[p - 1],
             inv=bytes([0] + [row.index(1) for row in mul[1:]]) + pad,
@@ -245,6 +253,10 @@ class FqSpec:
             mod_p=bytes(b % p for b in range(256)),
             block_digits=g,
             blocks=tuple(blocks),
+            radix=bytes(sum(d * b ** i for i, d in enumerate(self.decode(r)))
+                        for r in range(q)) + pad if radix else None,
+            unradix=bytes(self.encode(v // b ** i % b for i in range(e))
+                          for v in range(256)) if radix else None,
         )
         return self._tables
 

@@ -382,6 +382,11 @@ def _add_bytes(spec, x, y, shift, width):
         return s.to_bytes(width, "little")
     if spec.e == 1:
         return _add_mod_p(spec, x, y, shift, width)
+    radix, unradix = spec.tables.radix, spec.tables.unradix
+    if radix is not None:
+        s = (int.from_bytes(x.translate(radix), "little")
+             + (int.from_bytes(y.translate(radix), "little") << 8 * shift))
+        return s.to_bytes(width, "little").translate(unradix)
     out = 0
     for i, digit in enumerate(spec.tables.digits):
         plane = _add_mod_p(spec, x.translate(digit), y.translate(digit), shift, width)

@@ -4,26 +4,56 @@ import random
 import pytest
 
 from carlitz import (
-    ProlongationAction,
     UInftyElem,
     UPowerSeries,
     compute_omega,
-    equal_on_overlap,
+    hhat_verdicts,
     jet_columns,
     spec_for_order,
     theta,
     torsion_generators,
-    useries_equal,
     verify_carlitz_equation,
     verify_hhat_membership,
     verify_prolongation_trivialization,
     zeta,
 )
 from carlitz.binomials import binom_pascal_oracle
-from carlitz.errors import DivisionByZero, InsufficientPrecision, WindowEmpty
+from carlitz.errors import DivisionByZero, InsufficientPrecision, SpecMismatch, WindowEmpty
 from carlitz.series import mul_ranks
 
 from conftest import kernel_spec, omega_for, perturb_entry
+
+
+def equal_on_overlap(x, y):
+    """Exact comparison on the intersection of known windows, the object
+    route's comparison and the reference of the omega checks' kernel.
+
+    Raises WindowEmpty when the windows stop before either leading term,
+    i.e. when there is no coefficient left that could tell the two apart.
+    """
+    if x.spec.key != y.spec.key:
+        raise SpecMismatch("mixed field specs")
+    upper = min((e.uprec for e in (x, y) if e.uprec is not None), default=None)
+    if x.is_zero and y.is_zero:
+        return True
+    if x.is_zero or y.is_zero:
+        nz = y if x.is_zero else x
+        if upper is not None and nz.val >= upper:
+            raise WindowEmpty("leading term falls outside the comparison window")
+        return False
+    lo = min(x.val, y.val)
+    if upper is None:
+        upper = max(x.val + len(x.ranks), y.val + len(y.ranks))
+    elif lo >= upper:
+        raise WindowEmpty("no known coefficients left to compare")
+    width = upper - lo
+
+    def window(e):
+        # the ranks of e at u^lo .. u^(upper-1), zero-padded
+        head = bytes(min(e.val - lo, width)) + e.ranks[:max(upper - e.val, 0)]
+        return head.ljust(width, b"\0")
+
+    return window(x) == window(y)
 
 
 # -- element arithmetic -------------------------------------------------------
@@ -231,7 +261,8 @@ def test_prolongation_k0_equals_carlitz():
             x = perturb_entry(om, n) if n else om
             rhs = [(x.entries[i - 1] if i else zero) - th * x.entries[i]
                    for i in range(x.tprec)]
-            want = useries_equal(x.frobenius(), UPowerSeries(om.spec, rhs))
+            lhs = UPowerSeries(om.spec, [e.frobenius() for e in x.entries])
+            want = _useries_equal(lhs, UPowerSeries(om.spec, rhs))
             assert want == (n == 0)
             assert verify_prolongation_trivialization(x, 0) == want
             assert verify_carlitz_equation(x) == want
@@ -265,31 +296,141 @@ def test_hhat_soundness():
     assert any(not verify_hhat_membership(1, col) for col in cols)
 
 
-def test_nilpotent_part():
-    f3 = spec_for_order(3)
-    for k in (0, 1, 2, 3):
-        act = ProlongationAction(f3, k)
-        m = act.nilpotent_matrix()
-        n = k + 1
-        # multiply the matrix by itself k+1 times; everything must vanish
-        cur = m
-        for _ in range(k):
-            nxt = [[UInftyElem.zero(f3) for _ in range(n)] for _ in range(n)]
-            for r in range(n):
-                for c in range(n):
-                    acc = UInftyElem.zero(f3)
-                    for s in range(n):
-                        acc = acc + cur[r][s] * m[s][c]
-                    nxt[r][c] = acc
-            cur = nxt
-        power = cur
-        # one more multiplication kills it
-        for r in range(n):
-            for c in range(n):
-                acc = UInftyElem.zero(f3)
-                for s in range(n):
-                    acc = acc + power[r][s] * m[s][c]
-                assert acc.is_zero
+# -- the omega checks against their object-level route -----------------------
+
+def _useries_equal(a, b):
+    """Entrywise window comparison through the common t-precision."""
+    n = min(a.tprec, b.tprec)
+    return all(equal_on_overlap(a.entries[i], b.entries[i]) for i in range(n))
+
+
+def _tshift(h):
+    """Multiplication by t (mod t^tprec)."""
+    return UPowerSeries(h.spec, (UInftyElem.zero(h.spec),) + h.entries[:-1])
+
+
+def _prolongation_by_objects(omega, j):
+    """Jet order j of verify_prolongation_trivialization by UInftyElem
+    arithmetic: tau(D^(j) omega) against D^(j)(t omega - theta omega), each
+    side a UPowerSeries.  The check for k is this for j = 0..k in turn."""
+    th = theta(omega.spec)
+    rhs = UPowerSeries(omega.spec, [a - th * e for a, e in
+                                    zip(_tshift(omega).entries, omega.entries)])
+    lhs = UPowerSeries(omega.spec, [e.frobenius() for e in omega.hyperderiv(j).entries])
+    return _useries_equal(lhs, rhs.hyperderiv(j))
+
+
+def _hhat_by_objects(k, column):
+    """verify_hhat_membership by UInftyElem arithmetic: Theta_k h + tau(h),
+    Theta_k = theta*Id - S with (S h)_i = h_(i+1), every component formed
+    first, then each against t h in turn."""
+    th = theta(column[0].spec)
+    comps = []
+    for i, h in enumerate(column):
+        comp = [th * e + e.frobenius() for e in h.entries]
+        if i < k:
+            nxt = column[i + 1].truncate_t(h.tprec).entries
+            comp = [c - y for c, y in zip(comp, nxt)]
+        comps.append(UPowerSeries(h.spec, comp))
+    return all(_useries_equal(a, _tshift(h)) for a, h in zip(comps, column))
+
+
+def _verdict(fn, *args):
+    """fn's result, or the type and message of the WindowEmpty it raises."""
+    try:
+        return fn(*args)
+    except WindowEmpty as exc:
+        return WindowEmpty, str(exc)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_twist_kernel_matches_equal_on_overlap(q):
+    # the rank-byte kernel against equal_on_overlap of the two sides built
+    # by UInftyElem arithmetic, on random x, y, z: exact or windowed, zero
+    # or not, y or z absent, and one side often the other's exact value
+    import carlitz.cinfty as cinfty
+
+    spec = spec_for_order(q)
+    th, zero = theta(spec), UInftyElem.zero(spec)
+    rng = random.Random(q)
+
+    def element():
+        val = rng.randrange(-4, 6)
+        ranks = [rng.randrange(q) if rng.random() < 0.6 else 0
+                 for _ in range(rng.randrange(0, 7))]
+        uprec = None if rng.random() < 0.25 else val + rng.randrange(0, 9)
+        return UInftyElem(spec, val, ranks, uprec)
+
+    seen = set()
+    for _ in range(3000):
+        x = element()
+        y = element() if rng.random() < 0.85 else None
+        membership = rng.random() < 0.5
+        if membership:
+            z = element() if rng.random() < 0.85 else None
+            left = th * x + x.frobenius() - (y or zero)
+            if rng.random() < 0.3:
+                z = left
+                if not left.is_zero and rng.random() < 0.5:
+                    top = left.val + 9 if left.uprec is None else left.uprec
+                    z = left.truncate_to(rng.randrange(left.val + 1, top + 1))
+                elif not left.is_zero and left.uprec is None and rng.random() < 0.5:
+                    # the exact left side less its top term, often tau(x)'s
+                    z = left - UInftyElem.monomial(spec, left.val + len(left.ranks) - 1,
+                                                   left.ranks[-1])
+            right = z or zero
+        else:
+            if rng.random() < 0.3:
+                y = x.frobenius() + th * x
+            z, left, right = None, x.frobenius(), (y or zero) - th * x
+        want = _verdict(equal_on_overlap, left, right)
+        assert _verdict(cinfty._twist_holds, spec, x, y, z, membership) == want, \
+            (x, y, z, membership)
+        seen.add(want if type(want) is bool else want[1])
+    # both sides nonzero and past the window cannot happen: the side whose
+    # window is the shorter has its leading rank inside it
+    assert seen == {True, False, "leading term falls outside the comparison window"}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_omega_checks_match_object_route_on_tiny_windows(q):
+    # every tprec <= 6, uprec in {1, 2, 3, 4, 5, 8, 13, q, q^2, 2q^2} and
+    # k < tprec, on omega and on omega with one rank of one entry flipped
+    # at offset 0, 1 or 3: the same verdict, or the same WindowEmpty
+    spec = spec_for_order(q)
+    seen = set()
+    for tprec in range(1, 7):
+        for uprec in sorted({1, 2, 3, 4, 5, 8, 13, q, q * q, 2 * q * q}):
+            om = compute_omega(spec, tprec, uprec)
+            variants = [om] + [perturb_entry(om, n, offset) for n in range(tprec)
+                               for offset in (0, 1, 3) if om.entries[n].ranks]
+            for x in variants:
+                by_j = [_verdict(_prolongation_by_objects, x, j) for j in range(tprec)]
+                assert _verdict(verify_carlitz_equation, x) == by_j[0]
+                for k in range(tprec):
+                    # the first order that fails or raises decides
+                    want = next((v for v in by_j[:k + 1] if v is not True), True)
+                    assert _verdict(verify_prolongation_trivialization, x, k) == want
+                    cols = jet_columns(x, k)
+                    want = [_verdict(_hhat_by_objects, k, col) for col in cols]
+                    # one call for all columns raises what the first raising
+                    # column raises, or gives every column's verdict
+                    raised = [v for v in want if type(v) is not bool]
+                    assert _verdict(hhat_verdicts, k, cols) == (raised[0] if raised else want)
+                    seen.update(v if type(v) is bool else v[1] for v in want + by_j)
+    assert {True, False, "leading term falls outside the comparison window"} <= seen, seen
+
+
+def test_hhat_verdicts_key_on_the_component_pair():
+    # the same first component over three different second ones: the
+    # shared component is decided once per pair, never once for all
+    om = omega_for(3, 6, 64)
+    d1 = om.hyperderiv(1)
+    zero = UPowerSeries.zero(om.spec, 6)
+    columns = [[d1, om], [d1, zero], [d1, perturb_entry(om, 2)], [om, zero]]
+    want = [_hhat_by_objects(1, col) for col in columns]
+    assert want == [True, False, False, True]
+    assert hhat_verdicts(1, columns) == want
 
 
 def test_torsion_generators_table():
@@ -316,14 +457,6 @@ def test_torsion_generators_precision_guard():
     om = omega_for(2)
     with pytest.raises(InsufficientPrecision):
         torsion_generators(om, 6, 2)
-
-
-def test_useries_equal_and_shift(f2):
-    om = omega_for(2)
-    assert useries_equal(om, om)
-    shifted = om.tshift()
-    assert shifted.entries[0].is_zero
-    assert shifted.entries[1] == om.entries[0]
 
 
 def test_add_and_frobenius_windows_honest(f3):

@@ -8,7 +8,6 @@ import carlitz.binomials as binomials
 from carlitz import (
     FqSpec,
     JetMatrix,
-    ProlongationAction,
     TruncSeries,
     UInftyElem,
     UPowerSeries,
@@ -30,6 +29,7 @@ from carlitz import (
     torsion_level_m,
     unit_count,
     unit_enumerate,
+    verify_hhat_membership,
     verify_iteration,
     verify_leibniz,
 )
@@ -229,8 +229,8 @@ def test_upower_series_guards(f3):
     for tprec in (0, -1):
         with pytest.raises(ValueError):
             omega.truncate_t(tprec)
-    with pytest.raises(ValueError):
-        ProlongationAction(f3, 1).apply([s])
+    with pytest.raises(ValueError, match="column must have 2 components"):
+        verify_hhat_membership(1, [s])
 
 
 def test_compute_omega_guards(f3):
@@ -326,13 +326,23 @@ def test_negative_orders_rejected_up_front(f3, monkeypatch):
 
 
 def test_prolongation_action_guards(f3):
-    with pytest.raises(ValueError):
-        ProlongationAction(f3, -1)
+    # the order-k prolongation's t-action needs k >= 0, checked before any
+    # column is read
+    s = UPowerSeries.zero(f3, 3)
+    for column in ([s], [s, s], ["not a series"]):
+        with pytest.raises(ValueError, match="prolongation order must be nonnegative"):
+            verify_hhat_membership(-1, column)
 
 
 def test_theta_scale_matches_element_mul(f3):
+    # the omega checks' kernel takes theta * x as x moved down by q-1 and
+    # negated; alone in a window it gives -(theta * x), rank for rank
+    import carlitz.cinfty as cinfty
+
     om = compute_omega(f3, 4, 64)
     th = theta(f3)
-    lhs = om.scale_u(th)
-    for n in range(4):
-        assert lhs.entries[n] == th * om.entries[n]
+    for x in om.entries:
+        want = th * x
+        lo, hi = want.val - 2, want.uprec
+        got = cinfty._twist_sum(f3, x, None, None, lo, hi, tau=False)
+        assert got.ljust(hi - lo, b"\0") == bytes(2) + (-want).ranks

@@ -535,3 +535,29 @@ def test_arithmetic_does_not_revalidate(monkeypatch):
         e + exact, e * exact, e * y, e.scale(5), e.frobenius(), e.inverse()
     exact.frobenius(), exact.inverse(uprec=12), exact + exact
     assert calls == []
+
+
+@st.composite
+def radix_adds(draw):
+    q = draw(st.sampled_from([9, 25, 27]))
+    width = draw(st.integers(1, 80))
+    shift = draw(st.integers(0, width))
+    ranks = st.integers(0, q - 1)
+    x = bytes(draw(st.lists(ranks, max_size=width)))
+    y = bytes(draw(st.lists(ranks, max_size=width - shift)))
+    return q, x, y, shift, width
+
+
+@settings(max_examples=300, deadline=None)
+@given(radix_adds())
+def test_radix_add_matches_digit_planes(case):
+    # odd extension fields with (2p-1)^e <= 256 add in radix 2p-1, one int
+    # add; the same field with those tables taken away adds digit plane by
+    # digit plane
+    q, x, y, shift, width = case
+    spec = spec_for_order(q)
+    assert spec.tables.radix is not None
+    assert kernel_spec("3^5").tables.radix is None  # 5^5 > 256: planes
+    planes = FqSpec(spec.p, spec.e)
+    planes._tables = spec.tables._replace(radix=None, unradix=None)
+    assert _add_bytes(spec, x, y, shift, width) == _add_bytes(planes, x, y, shift, width)

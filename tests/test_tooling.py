@@ -9,12 +9,16 @@ thread pools.
 
 import argparse
 import ast
+import contextlib
+import io
 import importlib.util
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import carlitz
 import carlitz.binomials
@@ -122,6 +126,87 @@ def test_omega_makes_one_product_per_factor_and_entry(monkeypatch):
         n = k % 31 + 1
         assert width <= omega.entries[n].uprec - (n - 1)  # window [v_n, uprec), v_n = n-1
         assert len_x <= width and shift + len_y <= width
+
+
+def test_omega_checks_decide_each_identity_once_on_rank_bytes(monkeypatch):
+    # omega-verify's three checks on (2, 32, 1024), k = 2: every entry is
+    # decided by the rank-byte kernel with no UInftyElem arithmetic, the
+    # Carlitz and prolongation lines share one decision per t-index m, and
+    # the hhat columns one per (component pair, entry)
+    import carlitz.cinfty as cinfty
+
+    omega = carlitz.compute_omega(carlitz.spec_for_order(2), 32, 1024)
+    arith, decided = [], []
+    twist_holds = cinfty._twist_holds
+
+    def spy_twist(spec, x, y, z, membership):
+        decided.append((membership, x, y, z))
+        return twist_holds(spec, x, y, z, membership)
+
+    def spy_arith(name):
+        method = getattr(cinfty.UInftyElem, name)
+
+        def spy(*args):
+            arith.append(name)
+            return method(*args)
+        return classmethod(lambda cls, *args: spy(*args)) if name == "_normal" else spy
+
+    monkeypatch.setattr(cinfty, "compute_omega", lambda *args: omega)
+    jet_columns, made = cinfty.jet_columns, []
+    monkeypatch.setattr(cinfty, "jet_columns", lambda *args: made.append(jet_columns(*args))
+                        or made[-1])
+    monkeypatch.setattr(cinfty, "_twist_holds", spy_twist)
+    for name in ("__add__", "__sub__", "__mul__", "__rmul__", "frobenius", "_normal"):
+        monkeypatch.setattr(cinfty.UInftyElem, name, spy_arith(name))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = carlitz.cli.main(["omega-verify", "--q", "2", "--k", "2",
+                                 "--tprec", "32", "--uprec", "1024"])
+    monkeypatch.undo()
+    assert code == 0 and out.getvalue().count("PASS") == 5
+    assert arith == []
+    # one decision per t-index m, shared by the Carlitz and prolongation lines
+    carlitz_m = [x for membership, x, _, _ in decided if not membership]
+    assert [id(x) for x in carlitz_m] == [id(x) for x in omega.entries]
+    # one per entry n < tprec - k = 30 of each pair (D^(m) omega,
+    # D^(m-1) omega), m <= k, where the three columns checked apart make 30
+    # for each of their 9 components; the zero component's 30 are trivial
+    [columns] = made
+    ds, zero = columns[2], columns[0][1]
+    want = [(d.entries[n], nxt and nxt.entries[n], d.entries[n - 1] if n else None)
+            for d, nxt in [(ds[2], None), (zero, None), (ds[1], ds[2]), (ds[0], ds[1])]
+            for n in range(30)]
+    got = [(x, y, z) for membership, x, y, z in decided if membership]
+    assert len(got) == 120
+    assert [tuple(map(id, g)) for g in got] == [tuple(map(id, w)) for w in want]
+
+
+@pytest.mark.parametrize("mutation", ["drop tau", "plus theta"])
+def test_omega_check_kernel_mutations_fail(monkeypatch, mutation):
+    # a kernel without the tau(x) term, or with theta = +u^(-(q-1)), must
+    # fail every check on the true omega; q = 3, since over F_2 theta = -theta
+    import carlitz.cinfty as cinfty
+    from carlitz.series import add_ranks, scale_ranks
+
+    spec = carlitz.spec_for_order(3)
+    omega = carlitz.compute_omega(spec, 8, 128)
+    columns = carlitz.jet_columns(omega, 2)
+    twist_sum = cinfty._twist_sum
+
+    def mutated(spec, x, y, z, lo, hi, tau=True):
+        if mutation == "drop tau":
+            return twist_sum(spec, x, y, z, lo, hi, False)
+        # the kernel's sum carries -theta x; add 2 theta x to flip its sign
+        minus_theta = twist_sum(spec, x, None, None, lo, hi, False)
+        return add_ranks(spec, twist_sum(spec, x, y, z, lo, hi, tau),
+                         scale_ranks(spec, spec.p - 2, minus_theta), 0, hi - lo)
+
+    assert carlitz.verify_prolongation_trivialization(omega, 2)
+    assert carlitz.hhat_verdicts(2, columns) == [True] * 3
+    monkeypatch.setattr(cinfty, "_twist_sum", mutated)
+    assert not carlitz.verify_carlitz_equation(omega)
+    assert not carlitz.verify_prolongation_trivialization(omega, 2)
+    assert carlitz.hhat_verdicts(2, columns) == [False] * 3
 
 
 def _readme_synopses():
