@@ -49,7 +49,7 @@ from .errors import (
 )
 from .field import FqSpec
 from .jets import JetMatrix, jet
-from .series import ENUM_BUDGET_DEFAULT, TruncSeries, _add_bytes, unit_count
+from .series import ENUM_BUDGET_DEFAULT, TruncSeries, unit_count
 
 DEFAULT_SEED = 1729
 LINALG_BUDGET_DEFAULT = 10 ** 7
@@ -125,15 +125,17 @@ def _distinct_count(keys):
 
 
 def _mul_block(tables, x, y):
-    """Batched truncated product: column c is the product of columns c of x, y.
+    """Batched truncated product: column c of each (n, units) layer of x
+    times column c of y.
 
-    x and y are (n, units) rank arrays; row i of the result is the t^i
-    coefficient, gathered from the field's add and mul tables.
+    x is (..., n, units) and y is (n, units) rank arrays; row i of a layer
+    of the result is the t^i coefficient, gathered from the field's add and
+    mul tables.  A leading axis of x makes one product of many layers.
     """
     add, mul = tables.add_np, tables.mul_np
-    out = mul[x[0], y]
-    for i in range(1, len(x)):
-        out[i:] = add[out[i:], mul[x[i], y[:-i]]]
+    out = mul[x[..., :1, :], y]
+    for i in range(1, x.shape[-2]):
+        out[..., i:, :] = add[out[..., i:, :], mul[x[..., i:i + 1, :], y[:-i]]]
     return out
 
 
@@ -625,22 +627,94 @@ def _certificate_rows(spec, k, n, monos, tdeg_bound, chunk):
     chunk joins the n+k rank bytes of each unit.  Row u*n + i is unit u at
     t^i, and column (m, s) holds the t^(i-s) coefficient of monomial m at
     its jet.  Jet row j is the gather C(i+j, j) * a_(i+j); monomial m is the
-    one lower in its last nonzero variable j (earlier in `monos`) times row j.
+    one lower in its last nonzero variable j (earlier in `monos`) times row
+    j.  The monomials of one total degree and one such j form a layer, made
+    by one batched _mul_block of their parents with row j.
     """
     block = np.frombuffer(chunk, dtype=np.uint8).reshape(-1, n + k).T
     tables, units = spec.tables, block.shape[1]
     jets = [tables.mul_np[np.array(binom_row(spec.p, j, n)[:n])[:, None], block[j:j + n]]
             for j in range(k + 1)]
     at = {m: c for c, m in enumerate(monos)}
-    evals = np.zeros((len(monos), n, units), dtype=np.uint8)
-    evals[0, 0] = 1  # monos[0] is the constant monomial
+    layers = {}
     for c, m in enumerate(monos[1:], 1):
         j = max(i for i, mj in enumerate(m) if mj)
-        evals[c] = _mul_block(tables, evals[at[m[:j] + (m[j] - 1,) + m[j + 1:]]], jets[j])
+        cols, parents = layers.setdefault((sum(m), j), ([], []))
+        cols.append(c)
+        parents.append(at[m[:j] + (m[j] - 1,) + m[j + 1:]])
+    evals = np.zeros((len(monos), n, units), dtype=np.uint8)
+    evals[0, 0] = 1  # monos[0] is the constant monomial
+    for (_, j), (cols, parents) in sorted(layers.items()):
+        evals[cols] = _mul_block(tables, evals[parents], jets[j])
     rows = np.zeros((units, n, len(monos), tdeg_bound + 1), dtype=np.uint8)
     for s in range(min(tdeg_bound + 1, n)):
         rows[:, s:, :, s] = evals[:, :n - s].transpose(2, 1, 0)
     return rows.reshape(units * n, -1)
+
+
+def _row_rank(spec, blocks, n_cols):
+    """The rank over F_q of the rows of the blocks, read until it is n_cols.
+
+    blocks yields (rows, n_cols) uint8 arrays of ranks.  Each row is one
+    int: a column is e lanes of w bytes (w = 1 for p < 128, else 2), lane i
+    from the top holding base-p digit e-1-i of the rank, and column 0 is
+    the most significant.  A step adds the pivot's multiple that clears the
+    lead, lane by lane, and takes p from every lane that reached p: bit
+    8w-1 of lane + 2^(8w-1) - p flags it.  So a reduced row sheds its lead
+    column, and the columns from its lead on, ceil(bytes / (e w)), name the
+    pivot that clears it.  A pivot is kept as its rank bytes scaled to lead
+    with 1, and the lane int of minus c times it is made once per lead c.
+    """
+    p, e, q = spec.p, spec.e, spec.q
+    lane = 8 if p < 128 else 16
+    col = e * lane
+    # code[r] is the lane bytes of rank r, most significant lane first
+    code = [b"".join(bytes(lane // 8 - 1) + bytes((r // p ** i % p,))
+                     for i in range(e - 1, -1, -1)) for r in range(q)]
+    lanes = np.frombuffer(b"".join(code), dtype=np.uint8).reshape(q, -1)
+    rank_of = {c: r for r, c in enumerate(code)}
+    lead_of = {int.from_bytes(c, "big"): r for c, r in rank_of.items()}
+    plain = col == 8  # e = 1 and p < 128: the lanes are the ranks
+
+    def encode(ranks):
+        return int.from_bytes(ranks if plain else b"".join(code[r] for r in ranks), "big")
+
+    def decode(s, width):
+        data = s.to_bytes(width * col // 8, "big")
+        if plain:
+            return data
+        return bytes(rank_of[data[i:i + col // 8]] for i in range(0, len(data), col // 8))
+
+    unit = sum(1 << lane * i for i in range(e))
+    ones = [0]
+    for _ in range(n_cols):
+        ones.append(ones[-1] << col | unit)
+    bias = [((1 << lane - 1) - p) * one for one in ones]
+    flag = lane - 1
+    mul, inv, neg = spec.tables.mul, spec.tables.inv, spec.tables.neg
+    # pivots[columns from the lead on] = (scaled rank bytes, {top column: multiple})
+    pivots: list[tuple[bytes, dict[int, int]] | None] = [None] * (n_cols + 1)
+    rank, row_bytes = 0, n_cols * col // 8
+    for block in blocks:
+        data = (block if plain else lanes[block]).tobytes()
+        for start in range(0, len(data), row_bytes):
+            s = int.from_bytes(data[start:start + row_bytes], "big")
+            while s:
+                width = -(-s.bit_length() // col)
+                top = s >> col * (width - 1)
+                pivot = pivots[width]
+                if pivot is None:
+                    pivots[width] = (decode(s, width).translate(mul[inv[lead_of[top]]]), {})
+                    rank += 1
+                    if rank == n_cols:
+                        return rank
+                    break
+                m = pivot[1].get(top)
+                if m is None:
+                    m = pivot[1][top] = encode(pivot[0].translate(mul[neg[lead_of[top]]]))
+                s += m
+                s -= p * (((s + bias[width]) >> flag) & ones[width])
+    return rank
 
 
 def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: int,
@@ -664,8 +738,9 @@ def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: i
     rank of a row set does not depend on its order, so the report is the
     same for every seed.  Units are evaluated by _certificate_rows in
     blocks that start at the fewest units whose n rows each can reach full
-    rank, ceil(n_columns / n), and double up to _CERT_BLOCK; the loop
-    stops at full rank.
+    rank, ceil(n_columns / n), and double up to _CERT_BLOCK.  _row_rank
+    reduces the rows as lane-packed ints, one int add and one lane
+    reduction a step, and stops drawing blocks at full rank.
     """
     if n < 1 or min(k, deg_bound, tdeg_bound) < 0:
         raise ValueError("need n >= 1 and k, deg_bound, tdeg_bound >= 0")
@@ -686,28 +761,14 @@ def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: i
         sampled, n_units, rng = True, sample_count, random.Random(seed)
         source = (_random_unit(rng, q, prec) for _ in range(sample_count))
 
-    mul, inv, neg = spec.tables.mul, spec.tables.inv, spec.tables.neg
-    pivots: dict[int, bytes] = {}
-    # a unit gives n rows, so fewer units than this never reach full rank
-    rank, size = 0, min(-(-n_cols // n), _CERT_BLOCK)
-    while rank < n_cols and (chunk := b"".join(itertools.islice(source, size))):
-        rows = _certificate_rows(spec, k, n, monos, tdeg_bound, chunk).tobytes()
-        for start in range(0, len(rows), n_cols):
-            row = rows[start:start + n_cols]
-            # Gaussian reduction against the pivots, each scaled to lead with
-            # 1.  A row is kept from its lead column on, so its length names
-            # that column and the pivot that clears it.  A step is one
-            # translate (the pivot times minus the lead) and one packed add.
-            while row := row.lstrip(b"\0"):
-                pivot = pivots.get(len(row))
-                if pivot is None:
-                    pivots[len(row)] = row.translate(mul[inv[row[0]]])
-                    rank += 1
-                    break
-                row = _add_bytes(spec, row, pivot.translate(mul[neg[row[0]]]), 0, len(row))
-            if rank == n_cols:
-                break
-        size = min(2 * size, _CERT_BLOCK)
+    def blocks():
+        # a unit gives n rows, so fewer units than this never reach full rank
+        size = min(-(-n_cols // n), _CERT_BLOCK)
+        while chunk := b"".join(itertools.islice(source, size)):
+            yield _certificate_rows(spec, k, n, monos, tdeg_bound, chunk)
+            size = min(2 * size, _CERT_BLOCK)
+
+    rank = _row_rank(spec, blocks(), n_cols)
     return ZariskiReport(
         full_rank=rank == n_cols, rank=rank, n_columns=n_cols,
         n_units=n_units, k=k, deg_bound=deg_bound,

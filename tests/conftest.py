@@ -59,9 +59,14 @@ def random_series(rng: random.Random, spec, prec, *, unit=False) -> TruncSeries:
 
 
 def perturb_entry(omega, n, offset=1):
-    """Flip one coefficient of omega's entry n, inside its declared window."""
+    """Flip one coefficient of omega's entry n, inside its declared window.
+
+    An entry whose window is empty has no coefficient to flip: ValueError.
+    """
     e = omega.entries[n]
     ranks = list(e.ranks)
+    if not ranks:
+        raise ValueError(f"entry {n} has an empty window: no coefficient to perturb")
     i = min(offset, len(ranks) - 1)
     ranks[i] = (ranks[i] + 1) % e.spec.p if e.spec.e == 1 else ranks[i] ^ 1
     bad = UInftyElem(e.spec, e.val, ranks, e.uprec)

@@ -421,6 +421,17 @@ def test_omega_checks_match_object_route_on_tiny_windows(q):
     assert {True, False, "leading term falls outside the comparison window"} <= seen, seen
 
 
+def test_perturb_entry_names_an_empty_window():
+    # at q = 2 and uprec 1 every entry n >= 1 is declared with width 0
+    om = compute_omega(spec_for_order(2), 4, 1)
+    assert om.entries[0].ranks and not om.entries[2].ranks
+    assert perturb_entry(om, 0).entries[0].ranks != om.entries[0].ranks
+    with pytest.raises(ValueError, match="entry 2 has an empty window"):
+        perturb_entry(om, 2)
+    with pytest.raises(ValueError, match="entry 2 has an empty window"):
+        perturb_entry(om, 2, offset=0)
+
+
 def test_hhat_verdicts_key_on_the_component_pair():
     # the same first component over three different second ones: the
     # shared component is decided once per pair, never once for all

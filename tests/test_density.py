@@ -527,11 +527,34 @@ def _zariski_rank_by_entries(spec, k, deg, tdeg, n, units):
     (9, 1, 2, 1, 2, "sampled"),
     (4, 1, 3, 2, 3, "lex"),
     (9, 1, 2, 1, 2, "lex"),
+    # one-byte lanes past F_4 and F_9, two-byte lanes from p = 131, and
+    # extension fields of one to eight digits a column
+    (5, 1, 2, 1, 2, "exhaustive"),
+    (7, 0, 3, 2, 2, "exhaustive"),   # rank 8 of 12
+    (25, 0, 2, 1, 2, "exhaustive"),
+    (27, 1, 2, 1, 1, "exhaustive"),  # rank 6 of 12: the t^1 columns vanish
+    (127, 0, 3, 1, 1, "exhaustive"),  # rank 4 of 8, likewise
+    (131, 0, 2, 0, 2, "exhaustive"),
+    (251, 0, 2, 1, 1, "exhaustive"),  # rank 3 of 6
+    ("2^8", 0, 3, 1, 1, "exhaustive"),  # rank 4 of 8
+    ("3^5", 0, 2, 1, 1, "exhaustive"),  # rank 3 of 6
+    ("7^2", 0, 2, 1, 2, "exhaustive"),
+    (5, 1, 3, 2, 3, "sampled"),
+    (7, 1, 3, 2, 3, "sampled"),
+    (25, 1, 3, 2, 3, "sampled"),
+    (27, 1, 3, 2, 3, "sampled"),
+    (127, 1, 2, 1, 3, "sampled"),
+    (131, 1, 2, 1, 2, "sampled"),
+    (251, 1, 3, 1, 3, "sampled"),
+    ("2^8", 1, 2, 1, 3, "sampled"),
+    ("3^5", 1, 3, 2, 3, "sampled"),
+    ("7^2", 1, 3, 2, 3, "sampled"),
+    (131, 0, 3, 1, 2, "lex"),
 ])
 def test_zariski_rank_matches_entrywise_elimination(q, k, deg, tdeg, n, how, monkeypatch):
-    # the byte-row elimination against one table lookup per entry, on
+    # the lane-packed elimination against one table lookup per entry, on
     # prime and extension fields, full-rank and rank-deficient cells
-    spec = spec_for_order(q)
+    spec = kernel_spec(q)
     if how == "exhaustive":
         report = zariski_rank_certificate(spec, k, deg, tdeg, n)
         units = unit_enumerate(spec, n + k)
@@ -557,6 +580,65 @@ def test_zariski_rank_matches_entrywise_elimination(q, k, deg, tdeg, n, how, mon
         assert len(units) == 12 or report.full_rank
     rank, n_cols = _zariski_rank_by_entries(spec, k, deg, tdeg, n, units)
     assert (report.rank, report.full_rank, report.n_columns) == (rank, rank == n_cols, n_cols)
+
+
+# each mutation of _row_rank's source, as (old text, new text); the
+# lead's lane and the multiples' key only matter past one digit and past
+# lead 1, so the cells span extension fields and two-byte lanes
+_ROW_RANK_MUTATIONS = {
+    "no lane reduction": ("s -= p * (((s + bias[width]) >> flag) & ones[width])", "pass"),
+    "flag bit off by one": ("flag = lane - 1", "flag = lane - 2"),
+    "lead from the wrong lane": ("top = s >> col * (width - 1)",
+                                 "top = s >> col * (width - 1) & (1 << lane) - 1"),
+    "multiples cached without the lead": (
+        "m = pivot[1].get(top)\n                if m is None:\n                    m = pivot[1][top]",
+        "m = pivot[1].get(0)\n                if m is None:\n                    m = pivot[1][0]"),
+}
+
+
+def _mutated_row_rank(old, new):
+    """_row_rank with old replaced by new in its source, and a step bound:
+    a mutant that never clears its lead raises instead of spinning."""
+    import inspect
+
+    source = inspect.getsource(density_mod._row_rank)
+    assert source.count(old) == 1 and source.count("            while s:\n") == 1
+    source = source.replace(old, new).replace("            while s:\n",
+                                              "            while s and next(_steps):\n")
+    namespace = dict(vars(density_mod), _steps=iter(range(1, 10 ** 5)))
+    exec(compile(source, density_mod.__file__, "exec"), namespace)
+    return namespace["_row_rank"]
+
+
+@pytest.mark.parametrize("mutation", list(_ROW_RANK_MUTATIONS))
+def test_certificate_elimination_mutations_fail(mutation, monkeypatch):
+    # 12 seeded units on each field against the entrywise elimination: the
+    # bounded copy of the real source agrees on every cell, each mutant
+    # differs or raises on at least one
+    rng = random.Random(31)
+    cells = []
+    for name in (2, 3, 5, 9, 27, 131, 251, "2^8", "7^2"):
+        spec = kernel_spec(name)
+        for k, deg, tdeg, n in [(1, 2, 1, 3), (0, 3, 2, 2)]:
+            units = [random_series(rng, spec, n + k, unit=True) for _ in range(12)]
+            cells.append((spec, k, deg, tdeg, n, units,
+                          _zariski_rank_by_entries(spec, k, deg, tdeg, n, units)[0]))
+
+    def caught():
+        out = 0
+        for spec, k, deg, tdeg, n, units, rank in cells:
+            try:
+                out += zariski_rank_certificate(spec, k, deg, tdeg, n, units=units).rank != rank
+            except (KeyError, StopIteration, OverflowError):
+                out += 1
+        return out
+
+    old, new = _ROW_RANK_MUTATIONS[mutation]
+    bounded, mutant = _mutated_row_rank(old, old), _mutated_row_rank(old, new)
+    monkeypatch.setattr(density_mod, "_row_rank", bounded)
+    assert caught() == 0
+    monkeypatch.setattr(density_mod, "_row_rank", mutant)
+    assert caught() > 0
 
 
 def test_zariski_explicit_units(f2, f3):
@@ -627,10 +709,31 @@ def _object_rows(spec, k, n, monos, tdeg, units):
     return out
 
 
+def _certificate_rows_by_monomial(spec, k, n, monos, tdeg, chunk):
+    """_certificate_rows with one _mul_block product per monomial: the
+    monomial one lower in its last nonzero variable j times jet row j."""
+    block = np.frombuffer(chunk, dtype=np.uint8).reshape(-1, n + k).T
+    tables, units = spec.tables, block.shape[1]
+    jets = [tables.mul_np[np.array(binom_row(spec.p, j, n)[:n])[:, None], block[j:j + n]]
+            for j in range(k + 1)]
+    at = {m: c for c, m in enumerate(monos)}
+    evals = np.zeros((len(monos), n, units), dtype=np.uint8)
+    evals[0, 0] = 1
+    for c, m in enumerate(monos[1:], 1):
+        j = max(i for i, mj in enumerate(m) if mj)
+        evals[c] = density_mod._mul_block(tables, evals[at[m[:j] + (m[j] - 1,) + m[j + 1:]]],
+                                          jets[j])
+    rows = np.zeros((units, n, len(monos), tdeg + 1), dtype=np.uint8)
+    for s in range(min(tdeg + 1, n)):
+        rows[:, s:, :, s] = evals[:, :n - s].transpose(2, 1, 0)
+    return rows.reshape(units * n, -1)
+
+
 @pytest.mark.parametrize("name", [2, 3, 4, 5, 8, 9, 27, "7^2", 131])
 def test_certificate_rows_match_object_rows(name):
-    # the block rows against the object path, row for row, for every unit:
-    # all units where there are at most 200, else 40 seeded ones
+    # the layered block rows against the object path, row for row, and
+    # against one product per monomial, byte for byte, for every unit: all
+    # units where there are at most 200, else 40 seeded ones
     spec = kernel_spec(name)
     rng = random.Random(17)
     for k, deg, tdeg, n in [(0, 3, 2, 3), (1, 2, 1, 3), (2, 2, 2, 2), (1, 3, 3, 2),
@@ -640,10 +743,44 @@ def test_certificate_rows_match_object_rows(name):
             units = list(unit_enumerate(spec, n + k))
         else:
             units = [random_series(rng, spec, n + k, unit=True) for _ in range(40)]
-        rows = density_mod._certificate_rows(spec, k, n, monos, tdeg,
-                                             b"".join(u.ranks for u in units))
+        chunk = b"".join(u.ranks for u in units)
+        rows = density_mod._certificate_rows(spec, k, n, monos, tdeg, chunk)
         assert rows.shape == (len(units) * n, len(monos) * (tdeg + 1))
         assert [r.tobytes() for r in rows] == _object_rows(spec, k, n, monos, tdeg, units)
+        by_monomial = _certificate_rows_by_monomial(spec, k, n, monos, tdeg, chunk)
+        assert rows.dtype == by_monomial.dtype and rows.tobytes() == by_monomial.tobytes()
+
+
+def test_certificate_rows_match_per_monomial_rows_on_the_certify_cell(f3):
+    # q=3, k=3, deg 3, tdeg 2, N=6 over all 13122 units mod t^9, in one block
+    monos = density_mod._monomials(4, 3)
+    chunk = density_mod._digit_block(3, 9, 0, unit_count(3, 9)).T.tobytes()
+    rows = density_mod._certificate_rows(f3, 3, 6, monos, 2, chunk)
+    assert rows.shape == (13122 * 6, 105)
+    assert rows.tobytes() == _certificate_rows_by_monomial(f3, 3, 6, monos, 2, chunk).tobytes()
+
+
+def test_certificate_block_makes_one_product_per_layer(f3, monkeypatch):
+    # the certify cell's 35 monomials are the constant and 12 layers, one
+    # per total degree 1..3 and last nonzero variable 0..3: 12 batched
+    # products a block, where one product per monomial made 34
+    products, rows = [], density_mod._certificate_rows
+    mul_block = density_mod._mul_block
+
+    def spy(tables, x, y):
+        products[-1].append(x.shape[0])
+        return mul_block(tables, x, y)
+
+    def block(*args):
+        products.append([])
+        return rows(*args)
+
+    monkeypatch.setattr(density_mod, "_mul_block", spy)
+    monkeypatch.setattr(density_mod, "_certificate_rows", block)
+    r = zariski_rank_certificate(f3, 3, 3, 2, 6)
+    assert r.full_rank and len(products) == 2
+    for layers in products:
+        assert len(layers) == 12 and sum(layers) == 34
 
 
 def test_digit_block_columns_follow_enumeration(f2, f3, f4):
