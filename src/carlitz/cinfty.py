@@ -38,7 +38,8 @@ from .errors import (
 )
 from .field import FqElem, FqSpec
 from .series import (
-    _add_bytes, add_ranks, inv_ranks, mul_ranks, neg_ranks, scale_ranks, scalar_rank,
+    _add_bytes, add_lanes, add_ranks, inv_ranks, lane_format, mul_ranks, neg_ranks,
+    scale_ranks, scalar_rank,
 )
 
 
@@ -346,33 +347,44 @@ def compute_omega(spec: FqSpec, tprec: int, uprec: int) -> UPowerSeries:
     touches t^n.  That is the window [v_n, v_n + W) with
     W = min(uprec, (q-1)(q^I - 1)) for every n >= 1.
 
-    The loop keeps only those W ranks of each entry, from u^(v_n) on, so
-    factor i adds to entry n the ranks of entry n-1 negated and shifted by
-    s = (q-1)(q^i - 1) within entry n's frame.  The cap is sound: a factor
-    only raises exponents, by (q-1)q^i, and cap_(n-1) = cap_n - (q-1)
-    >= cap_n - (q-1)q^i, so a rank at or past cap_(n-1) only ever lands at
-    or past cap_n.  No rank past a cap reaches a declared rank, and each
-    entry equals the exact product's entry truncated to its window.
+    The loop works with the alternating entries (-1)^n omega_n, for which
+    the recurrence is new_n = old_n + u^((q-1) q^i) new_(n-1), with no
+    negation.  Each entry is one int in the LaneFormat of carlitz.series,
+    rank j of its frame (the coefficient of u^(v_n + j)) in column j, and
+    keeps only the W columns of its window.  Factor i adds to entry n the
+    columns of entry n-1 below W - s, moved up s = (q-1)(q^i - 1) columns
+    into entry n's frame: one add_lanes a factor and entry.  The cap is
+    sound: a factor only raises exponents, by (q-1)q^i, and cap_(n-1) =
+    cap_n - (q-1) >= cap_n - (q-1)q^i, so a column at or past W in entry
+    n-1's frame, or at or past W - s before the move, only ever lands at or
+    past cap_n.  No rank past a cap reaches a declared rank, and each entry
+    equals the exact product's entry truncated to its window.  At the end
+    each entry becomes rank bytes once, and the odd ones are negated.
     """
     if tprec < 1 or uprec < 1:
         raise ValueError("precisions must be >= 1")
-    q = spec.q
+    q, p = spec.q, spec.p
     count = 0
     while (q - 1) * q ** count < uprec:
         count += 1
     width = min(uprec, (q - 1) * (q ** count - 1))
-    neg = spec.tables.mul[spec.p - 1]
-    ranks = [b"\1"] + [bytes(width)] * (tprec - 1)
+    lanes = lane_format(spec)
+    ones, flag, col = lanes.ones(width), lanes.flag, lanes.col
+    bias = lanes.bias * ones
+    packed = [1] + [0] * (tprec - 1)  # zeta's one rank, 1, and zeros
     for i in range(count):
         s = (q - 1) * (q ** i - 1)
+        keep, shift = (1 << col * (width - s)) - 1, col * s
         for n in range(1, tprec):
-            ranks[n] = _add_bytes(
-                spec, ranks[n], ranks[n - 1][:width - s].translate(neg), s, width
-            )
+            packed[n] = add_lanes(p, packed[n], (packed[n - 1] & keep) << shift,
+                                  ones, bias, flag)
     entries = [zeta(spec).truncate_to(uprec - 1)]
     for n in range(1, tprec):
         vn = (q - 1) * n - 1
-        entries.append(UInftyElem._normal(spec, vn, ranks[n], vn + width))
+        ranks = lanes.ranks(packed[n], width, "little")
+        if n % 2:
+            ranks = ranks.translate(spec.tables.neg)
+        entries.append(UInftyElem._normal(spec, vn, ranks, vn + width))
     return UPowerSeries(spec, entries)
 
 

@@ -49,7 +49,7 @@ from .errors import (
 )
 from .field import FqSpec
 from .jets import JetMatrix, jet
-from .series import ENUM_BUDGET_DEFAULT, TruncSeries, unit_count
+from .series import ENUM_BUDGET_DEFAULT, TruncSeries, lane_format, unit_count
 
 DEFAULT_SEED = 1729
 LINALG_BUDGET_DEFAULT = 10 ** 7
@@ -656,55 +656,49 @@ def _row_rank(spec, blocks, n_cols):
     """The rank over F_q of the rows of the blocks, read until it is n_cols.
 
     blocks yields (rows, n_cols) uint8 arrays of ranks.  Each row is one
-    int: a column is e lanes of w bytes (w = 1 for p < 128, else 2), lane i
-    from the top holding base-p digit e-1-i of the rank, and column 0 is
-    the most significant.  A step adds the pivot's multiple that clears the
-    lead, lane by lane, and takes p from every lane that reached p: bit
-    8w-1 of lane + 2^(8w-1) - p flags it.  So a reduced row sheds its lead
-    column, and the columns from its lead on, ceil(bytes / (e w)), name the
-    pivot that clears it.  A pivot is kept as its rank bytes scaled to lead
-    with 1, and the lane int of minus c times it is made once per lead c.
+    int in the LaneFormat of carlitz.series, column 0 the most significant.
+    A step adds the pivot's multiple that clears the lead, lane by lane,
+    and takes p from every lane that reached p, as add_lanes does.  So a
+    reduced row sheds its lead column, and the columns from its lead on,
+    ceil(bits / col), name the pivot that clears it; a step that leaves the
+    row as wide raises ArithmeticError.  A pivot is kept as its rank bytes
+    scaled to lead with 1, and the lane int of minus c times it is made once
+    per lead c.
     """
-    p, e, q = spec.p, spec.e, spec.q
-    lane = 8 if p < 128 else 16
-    col = e * lane
+    p, q = spec.p, spec.q
+    lanes = lane_format(spec)
+    col, flag = lanes.col, lanes.flag
     # code[r] is the lane bytes of rank r, most significant lane first
-    code = [b"".join(bytes(lane // 8 - 1) + bytes((r // p ** i % p,))
-                     for i in range(e - 1, -1, -1)) for r in range(q)]
-    lanes = np.frombuffer(b"".join(code), dtype=np.uint8).reshape(q, -1)
-    rank_of = {c: r for r, c in enumerate(code)}
-    lead_of = {int.from_bytes(c, "big"): r for c, r in rank_of.items()}
+    code = [lanes.column(r).to_bytes(col // 8, "big") for r in range(q)]
+    table = np.frombuffer(b"".join(code), dtype=np.uint8).reshape(q, -1)
+    lead_of = {lanes.column(r): r for r in range(q)}
     plain = col == 8  # e = 1 and p < 128: the lanes are the ranks
 
     def encode(ranks):
         return int.from_bytes(ranks if plain else b"".join(code[r] for r in ranks), "big")
 
-    def decode(s, width):
-        data = s.to_bytes(width * col // 8, "big")
-        if plain:
-            return data
-        return bytes(rank_of[data[i:i + col // 8]] for i in range(0, len(data), col // 8))
-
-    unit = sum(1 << lane * i for i in range(e))
-    ones = [0]
-    for _ in range(n_cols):
-        ones.append(ones[-1] << col | unit)
-    bias = [((1 << lane - 1) - p) * one for one in ones]
-    flag = lane - 1
+    full = lanes.ones(n_cols)
+    ones = [full >> col * (n_cols - w) for w in range(n_cols + 1)]
+    bias = [lanes.bias * one for one in ones]
     mul, inv, neg = spec.tables.mul, spec.tables.inv, spec.tables.neg
     # pivots[columns from the lead on] = (scaled rank bytes, {top column: multiple})
     pivots: list[tuple[bytes, dict[int, int]] | None] = [None] * (n_cols + 1)
     rank, row_bytes = 0, n_cols * col // 8
     for block in blocks:
-        data = (block if plain else lanes[block]).tobytes()
+        data = (block if plain else table[block]).tobytes()
         for start in range(0, len(data), row_bytes):
             s = int.from_bytes(data[start:start + row_bytes], "big")
+            last = n_cols + 1
             while s:
                 width = -(-s.bit_length() // col)
+                if width >= last:
+                    raise ArithmeticError(f"an elimination step left {width} columns")
+                last = width
                 top = s >> col * (width - 1)
                 pivot = pivots[width]
                 if pivot is None:
-                    pivots[width] = (decode(s, width).translate(mul[inv[lead_of[top]]]), {})
+                    ranks = lanes.ranks(s, width, "big")
+                    pivots[width] = (ranks.translate(mul[inv[lead_of[top]]]), {})
                     rank += 1
                     if rank == n_cols:
                         return rank

@@ -10,7 +10,7 @@ which is the canonical deduplication key used by the image counting.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import BudgetExceeded, NonUnit, ParseError, SpecMismatch
 from .field import FqElem, FqSpec
@@ -213,6 +213,12 @@ def _series(spec, ranks):
 # packed into one Python int, one byte-aligned lane per slot (Kronecker
 # substitution: Harvey, J. Symb. Comput. 2009), and unpack them with
 # `bytes.translate` through the 256-byte rows of the field's FieldTables.
+# A product sizes its lanes for the sums it holds (`_lane_bytes`).  A rank
+# sequence that stays packed through a run of additions, as in the factor
+# loop of cinfty.compute_omega and the elimination of density._row_rank,
+# uses the one fixed format of `LaneFormat`: e lanes a rank, one base-p
+# digit a lane, 8 bits a lane for p < 128 and 16 otherwise, and two such
+# ints add lane by lane mod p by `add_lanes`.
 
 def scalar_rank(spec, c) -> int:
     """The rank of a scalar: an FqElem of `spec`, or an int residue mod p."""
@@ -400,12 +406,13 @@ def _add_mod_p(spec, x, y, shift, width):
     if 2 * (p - 1) < 256:
         s = int.from_bytes(x, "little") + (int.from_bytes(y, "little") << 8 * shift)
         return s.to_bytes(width, "little").translate(spec.tables.mod_p)
-    # a sum of two residues can pass a byte: add in two-byte lanes, where
-    # bit 15 of lane + 2^15 - p flags the lanes to take p from
-    ones = _two_byte_lanes(b"\1" * width)
-    s = _two_byte_lanes(x) + (_two_byte_lanes(y) << 16 * shift)
-    s -= p * (((s + (0x8000 - p) * ones) >> 15) & ones)
-    return s.to_bytes(2 * width, "little")[::2]
+    # a sum of two residues can pass a byte: add in the two-byte lanes of
+    # the field's LaneFormat
+    lanes = lane_format(spec)
+    ones = lanes.ones(width)
+    s = add_lanes(p, _two_byte_lanes(x), _two_byte_lanes(y) << 16 * shift,
+                  ones, lanes.bias * ones, lanes.flag)
+    return lanes.ranks(s, width, "little")
 
 
 def _two_byte_lanes(data):
@@ -413,6 +420,70 @@ def _two_byte_lanes(data):
     wide = bytearray(2 * len(data))
     wide[::2] = data
     return int.from_bytes(wide, "little")
+
+
+class LaneFormat(NamedTuple):
+    """The format of a rank sequence kept as one int through many additions.
+
+    A rank is one column of e lanes of `lane` bits, lane i holding its
+    base-p digit i: the int `column(r)`, `col` = e*lane bits wide.  A lane
+    is 8 bits for p < 128 and 16 otherwise, so that a sum of two digits, at
+    most 2p-2, plus the bias 2^(lane-1) - p stays inside its lane, and its
+    bit `flag` = lane-1 is set exactly when the sum reached p.  `unit` has
+    a 1 in each lane of one column and `ones(n)` in each lane of n columns;
+    bias * ones(n) puts the bias in each.  Which end holds the first rank
+    is the caller's: compute_omega keeps rank 0 in the lowest column, the
+    elimination of carlitz.density its first column in the highest.
+    """
+
+    p: int
+    e: int
+    lane: int
+    col: int
+    unit: int
+    flag: int
+    bias: int
+
+    def ones(self, n):
+        return int.from_bytes(self.unit.to_bytes(self.col // 8, "little") * n, "little")
+
+    def column(self, r):
+        return sum(r // self.p ** i % self.p << self.lane * i for i in range(self.e))
+
+    def ranks(self, x, n, order):
+        """The n rank bytes of the lane int x, rank 0 in its lowest column
+        when order is "little" and in its highest when "big"."""
+        size, step = self.col // 8, self.lane // 8
+        data = x.to_bytes(n * size, order)
+        # lane i's digit is the low byte of the lane, i lanes from the low end
+        at, step = (0, step) if order == "little" else (size - 1, -step)
+        if self.e == 1:
+            return data[at::size]
+        out = 0
+        for i in range(self.e):
+            out += self.p ** i * int.from_bytes(data[at + i * step::size], "little")
+        return out.to_bytes(n, "little")
+
+
+def lane_format(spec) -> LaneFormat:
+    """The LaneFormat of the field."""
+    p, e = spec.p, spec.e
+    lane = 8 if p < 128 else 16
+    return LaneFormat(p, e, lane, e * lane, sum(1 << lane * i for i in range(e)), lane - 1,
+                      (1 << lane - 1) - p)
+
+
+def add_lanes(p, x, y, ones, bias, flag):
+    """x + y lane by lane mod p, for two lane ints of one LaneFormat whose
+    lanes hold residues.  ones is the format's ones(n) over at least as
+    many columns as x and y fill, bias is its bias times ones, and flag its
+    flag bit.  For p = 2 it is XOR; otherwise an add, then p is taken from
+    each lane whose flag bit shows it reached p.
+    """
+    if p == 2:
+        return x ^ y
+    s = x + y
+    return s - p * (((s + bias) >> flag) & ones)
 
 
 def unit_count(q: int, prec: int) -> int:

@@ -1,5 +1,7 @@
 import functools
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -40,6 +42,17 @@ def kernel_spec(name):
     if name == "7^2":
         return FqSpec(7, 2, (3, 1, 1))  # x^2+x+3
     return spec_for_order(name)
+
+
+def mutated(func, old, new):
+    """func rebuilt from its own source with the one occurrence of old
+    replaced by new, in a copy of its module's namespace: a must-fail
+    mutant that the real module never sees."""
+    source = inspect.getsource(func)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(sys.modules[func.__module__]))
+    exec(compile(source.replace(old, new), inspect.getsourcefile(func), "exec"), namespace)
+    return namespace[func.__name__]
 
 
 _OMEGA_CACHE = {}

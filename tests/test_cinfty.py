@@ -1,8 +1,11 @@
+import functools
 import itertools
 import random
 
 import pytest
 
+import carlitz.cinfty as cinfty
+import carlitz.series as series
 from carlitz import (
     UInftyElem,
     UPowerSeries,
@@ -21,7 +24,7 @@ from carlitz.binomials import binom_pascal_oracle
 from carlitz.errors import DivisionByZero, InsufficientPrecision, SpecMismatch, WindowEmpty
 from carlitz.series import mul_ranks
 
-from conftest import kernel_spec, omega_for, perturb_entry
+from conftest import kernel_spec, mutated, omega_for, perturb_entry
 
 
 def equal_on_overlap(x, y):
@@ -348,8 +351,6 @@ def test_twist_kernel_matches_equal_on_overlap(q):
     # the rank-byte kernel against equal_on_overlap of the two sides built
     # by UInftyElem arithmetic, on random x, y, z: exact or windowed, zero
     # or not, y or z absent, and one side often the other's exact value
-    import carlitz.cinfty as cinfty
-
     spec = spec_for_order(q)
     th, zero = theta(spec), UInftyElem.zero(spec)
     rng = random.Random(q)
@@ -591,29 +592,66 @@ def _omega_by_exact_product(spec, tprec, uprec):
     return capped
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 27])
-def test_omega_capped_loop_matches_exact_product(q):
-    # uprec at 1, at q-1, and on either side of each (q-1) q^i, where the
-    # number of factors and the window cap change
-    spec = spec_for_order(q)
+# every lane shape of the omega loop: p = 2 with e from 1 to 8, odd p with
+# e > 1, and the two-byte lanes of p >= 128
+_OMEGA_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 131, 251, "2^8", "3^5", "7^2"]
+
+
+@functools.cache
+def _omega_cells(name):
+    """(spec, tprec, uprec, exact-product entries) for uprec at 1, at q-1,
+    and on either side of each (q-1) q^i, where the number of factors and
+    the window cap change."""
+    spec = kernel_spec(name)
+    q = spec.q
     uprecs = {1, q - 1}
     for i in range(5):
         edge = (q - 1) * q ** i
         if edge > 1000:
             break
         uprecs |= {edge - 1, edge, edge + 1}
-    for uprec in sorted(u for u in uprecs if u >= 1):
-        for tprec in (1, 2, 5):
-            got = compute_omega(spec, tprec, uprec).entries
-            want = _omega_by_exact_product(spec, tprec, uprec)
-            assert [(e.val, e.ranks, e.uprec) for e in got] == \
-                [(e.val, e.ranks, e.uprec) for e in want], (uprec, tprec)
+    return [(spec, tprec, uprec, _entries(_omega_by_exact_product(spec, tprec, uprec)))
+            for uprec in sorted(u for u in uprecs if u >= 1) for tprec in (1, 2, 5, 12)]
+
+
+def _entries(entries):
+    return [(e.val, e.ranks, e.uprec) for e in entries]
+
+
+@pytest.mark.parametrize("name", _OMEGA_FIELDS)
+def test_omega_capped_loop_matches_exact_product(name):
+    for spec, tprec, uprec, want in _omega_cells(name):
+        assert _entries(compute_omega(spec, tprec, uprec).entries) == want, (uprec, tprec)
+
+
+# each mutation of the omega loop's lane arithmetic, as (function, old text,
+# new text); the function's name in carlitz.cinfty is replaced by the mutant
+_OMEGA_MUTATIONS = {
+    "lane add without its conditional subtract": (
+        series.add_lanes, "return s - p * (((s + bias) >> flag) & ones)", "return s"),
+    "8-bit lanes at p >= 128": (
+        series.lane_format, "lane = 8 if p < 128 else 16", "lane = 8"),
+    "odd entries not negated": (
+        cinfty.compute_omega, "ranks = ranks.translate(spec.tables.neg)", "pass"),
+}
+
+
+@pytest.mark.parametrize("mutation", list(_OMEGA_MUTATIONS))
+def test_omega_lane_mutations_fail(mutation, monkeypatch):
+    func, old, new = _OMEGA_MUTATIONS[mutation]
+    monkeypatch.setattr(cinfty, func.__name__, mutated(func, old, new))
+    caught = 0
+    for name in _OMEGA_FIELDS:
+        for spec, tprec, uprec, want in _omega_cells(name):
+            try:
+                caught += _entries(cinfty.compute_omega(spec, tprec, uprec).entries) != want
+            except OverflowError:  # a negative lane int has no bytes
+                caught += 1
+    assert caught > 0
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 25, 256])
 def test_monomial_product_matches_general_route(q, monkeypatch):
-    import carlitz.cinfty as cinfty
-
     spec = kernel_spec("2^8") if q == 256 else spec_for_order(q)
     rng = random.Random(q)
 

@@ -41,7 +41,7 @@ from carlitz.errors import (
     SpecMismatch,
 )
 
-from conftest import kernel_spec, random_series
+from conftest import kernel_spec, mutated, random_series
 
 
 def test_galois_rep_examples(f2):
@@ -584,37 +584,26 @@ def test_zariski_rank_matches_entrywise_elimination(q, k, deg, tdeg, n, how, mon
 
 # each mutation of _row_rank's source, as (old text, new text); the
 # lead's lane and the multiples' key only matter past one digit and past
-# lead 1, so the cells span extension fields and two-byte lanes
+# lead 1, so the cells span extension fields and two-byte lanes.  A mutant
+# that never clears its lead raises ArithmeticError, as _row_rank does on
+# any step that leaves the row as wide, instead of spinning
 _ROW_RANK_MUTATIONS = {
     "no lane reduction": ("s -= p * (((s + bias[width]) >> flag) & ones[width])", "pass"),
-    "flag bit off by one": ("flag = lane - 1", "flag = lane - 2"),
+    "flag bit off by one": ("col, flag = lanes.col, lanes.flag",
+                            "col, flag = lanes.col, lanes.flag - 1"),
     "lead from the wrong lane": ("top = s >> col * (width - 1)",
-                                 "top = s >> col * (width - 1) & (1 << lane) - 1"),
+                                 "top = s >> col * (width - 1) & (1 << lanes.lane) - 1"),
     "multiples cached without the lead": (
         "m = pivot[1].get(top)\n                if m is None:\n                    m = pivot[1][top]",
         "m = pivot[1].get(0)\n                if m is None:\n                    m = pivot[1][0]"),
 }
 
 
-def _mutated_row_rank(old, new):
-    """_row_rank with old replaced by new in its source, and a step bound:
-    a mutant that never clears its lead raises instead of spinning."""
-    import inspect
-
-    source = inspect.getsource(density_mod._row_rank)
-    assert source.count(old) == 1 and source.count("            while s:\n") == 1
-    source = source.replace(old, new).replace("            while s:\n",
-                                              "            while s and next(_steps):\n")
-    namespace = dict(vars(density_mod), _steps=iter(range(1, 10 ** 5)))
-    exec(compile(source, density_mod.__file__, "exec"), namespace)
-    return namespace["_row_rank"]
-
-
 @pytest.mark.parametrize("mutation", list(_ROW_RANK_MUTATIONS))
 def test_certificate_elimination_mutations_fail(mutation, monkeypatch):
-    # 12 seeded units on each field against the entrywise elimination: the
-    # bounded copy of the real source agrees on every cell, each mutant
-    # differs or raises on at least one
+    # 12 seeded units on each field against the entrywise elimination: a
+    # copy of the real source agrees on every cell, each mutant differs or
+    # raises on at least one
     rng = random.Random(31)
     cells = []
     for name in (2, 3, 5, 9, 27, 131, 251, "2^8", "7^2"):
@@ -629,16 +618,43 @@ def test_certificate_elimination_mutations_fail(mutation, monkeypatch):
         for spec, k, deg, tdeg, n, units, rank in cells:
             try:
                 out += zariski_rank_certificate(spec, k, deg, tdeg, n, units=units).rank != rank
-            except (KeyError, StopIteration, OverflowError):
+            except (KeyError, ArithmeticError):
                 out += 1
         return out
 
     old, new = _ROW_RANK_MUTATIONS[mutation]
-    bounded, mutant = _mutated_row_rank(old, old), _mutated_row_rank(old, new)
-    monkeypatch.setattr(density_mod, "_row_rank", bounded)
+    real = density_mod._row_rank
+    copy, mutant = mutated(real, old, old), mutated(real, old, new)
+    monkeypatch.setattr(density_mod, "_row_rank", copy)
     assert caught() == 0
     monkeypatch.setattr(density_mod, "_row_rank", mutant)
     assert caught() > 0
+
+
+@pytest.mark.parametrize("name", [3, 131, "7^2"])
+def test_row_rank_raises_on_a_step_that_keeps_the_lead(name):
+    # with every inverse read as 0 each pivot is scaled to zero, so no step
+    # clears a lead: the elimination must raise, not spin.  An alarm in this
+    # process turns a spin into a failure after one second.
+    import signal
+
+    spec = kernel_spec(name)
+    broken = FqSpec(spec.p, spec.e, spec.defining_poly)
+    broken._tables = spec.tables._replace(inv=bytes(256))
+    rows = np.array([[1, 2, 0], [2, 1, 1]], dtype=np.uint8)
+
+    def spin(signum, frame):
+        raise TimeoutError("_row_rank still running after one second")
+
+    previous = signal.signal(signal.SIGALRM, spin)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(ArithmeticError, match="elimination step"):
+            density_mod._row_rank(broken, [rows], 3)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert density_mod._row_rank(spec, [rows], 3) == 2
 
 
 def test_zariski_explicit_units(f2, f3):

@@ -94,17 +94,20 @@ def test_seen_hyperderivative_makes_no_binomial_calls(monkeypatch):
 
 def test_omega_makes_one_product_per_factor_and_entry(monkeypatch):
     # factor i enters by the recurrence new_n = old_n + c new_(n-1): one
-    # rank-byte step (entry n-1 times c, added into entry n) per entry
+    # lane-int step (entry n-1 moved up, added into entry n) per entry
     # n >= 1, where a t-convolution would make about tprec^2/2, each no wider
-    # than the entry's declared window, and no UInftyElem arithmetic at all
+    # than the entry's declared window, with no UInftyElem arithmetic and no
+    # rank-byte addition at all
     import carlitz.cinfty as cinfty
+    import carlitz.series as series
 
-    steps, arith = [], []
-    add_bytes = cinfty._add_bytes
+    steps, arith, byte_adds = [], [], []
+    add_lanes = cinfty.add_lanes
 
-    def spy_step(spec, x, y, shift, width):
-        steps.append((len(x), len(y), shift, width))
-        return add_bytes(spec, x, y, shift, width)
+    def spy_step(p, x, y, ones, bias, flag):
+        out = add_lanes(p, x, y, ones, bias, flag)
+        steps.append(tuple(v.bit_length() for v in (x, y, ones, bias, out)))
+        return out
 
     def spy_arith(name):
         method = getattr(cinfty.UInftyElem, name)
@@ -114,18 +117,26 @@ def test_omega_makes_one_product_per_factor_and_entry(monkeypatch):
             return method(*args)
         return spy
 
-    monkeypatch.setattr(cinfty, "_add_bytes", spy_step)
+    def spy_bytes(*args):
+        byte_adds.append(args)
+        return series._add_bytes(*args)
+
+    monkeypatch.setattr(cinfty, "add_lanes", spy_step)
+    monkeypatch.setattr(cinfty, "_add_bytes", spy_bytes)
+    monkeypatch.setattr(series, "_add_bytes", spy_bytes)
     for name in ("__add__", "__mul__", "__rmul__"):
         monkeypatch.setattr(cinfty.UInftyElem, name, spy_arith(name))
-    omega = carlitz.compute_omega(carlitz.spec_for_order(2), 32, 1024)
+    spec = carlitz.spec_for_order(2)
+    omega = carlitz.compute_omega(spec, 32, 1024)
     monkeypatch.undo()
     factors = 10  # (q-1) q^i < 1024 exactly for i < 10
     assert len(steps) == factors * (32 - 1) == 310
-    assert arith == []
-    for k, (len_x, len_y, shift, width) in enumerate(steps):
+    assert arith == [] and byte_adds == []
+    col = series.lane_format(spec).col  # bits per rank
+    for k, bits in enumerate(steps):
         n = k % 31 + 1
-        assert width <= omega.entries[n].uprec - (n - 1)  # window [v_n, uprec), v_n = n-1
-        assert len_x <= width and shift + len_y <= width
+        window = omega.entries[n].uprec - (n - 1)  # [v_n, uprec), v_n = n-1
+        assert max(bits) <= col * window
 
 
 def test_omega_checks_decide_each_identity_once_on_rank_bytes(monkeypatch):
