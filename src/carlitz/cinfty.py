@@ -446,6 +446,8 @@ def _twist_holds(spec, x, y, z, membership):
     if plain is not None and plain.ranks:
         if (plain.val if membership else q * plain.val) < upper:
             return True
+    elif top is not None and top <= upper:
+        return True  # the sum would be read on [upper, top), which is empty
     else:
         acc = _twist_sum(spec, x, y, None, lo, end if top is None else top,
                          membership)[max(upper - lo, 0):]

@@ -10,6 +10,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import operator
 import os
 import sys
 
@@ -113,7 +114,9 @@ def _omega_dump_text(omega):
 
 
 def _table_text(table, fmt):
-    rows = [dataclasses.astuple(r) for r in table.rows]
+    # a shallow tuple per row: astuple would deep-copy every field
+    row = operator.attrgetter(*(f.name for f in dataclasses.fields(density.ImageRow)))
+    rows = [row(r) for r in table.rows]
     if fmt == "json":
         header = {"q": table.q, "p": table.p, "e": table.e,
                   "k" if table.kind == "prolongation" else "d": table.param,

@@ -32,7 +32,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import or_
 from typing import Sequence
 
 import numpy as np
@@ -111,19 +113,6 @@ def _digit_block(q, m, start, stop):
     return out
 
 
-def _distinct_count(keys):
-    """Distinct columns of a fresh, nonempty (words, rows) uint64 key array:
-    one sort, in place for one word and by lexsort for several (np.unique
-    hashes in numpy 2.4, several times slower here), then adjacent diffs.
-    """
-    if keys.shape[0] == 1:
-        row = keys[0]
-        row.sort()
-        return 1 + int(np.count_nonzero(row[1:] != row[:-1]))
-    keys = keys[:, np.lexsort(keys)]
-    return 1 + int(np.count_nonzero((keys[:, 1:] != keys[:, :-1]).any(axis=0)))
-
-
 def _mul_block(tables, x, y):
     """Batched truncated product: column c of each (n, units) layer of x
     times column c of y.
@@ -184,22 +173,20 @@ def _distinct_ors(tables):
     """The number of distinct ORs of one column of each table, table 0 at
     ranks 1..q-1.
 
-    tables is (r, words, q): the key of unit a is the OR of tables[l][:, a_l]
-    over l < r.  When no two tables share a bit, a key names the column of
-    each table it took, so the count is the product of the tables'
-    distinct-column counts.  A running OR of the supports checks that; a
-    support that meets an earlier one raises MalformedOrder, since the
-    product could then overcount.
+    tables is a list of r lists of q int keys: the key of unit a is the OR
+    of tables[l][a_l] over l < r.  When no two tables share a bit, a key
+    names the column of each table it took, so the count is the product of
+    the tables' distinct-column counts.  A running OR of the supports
+    checks that; a support that meets an earlier one raises MalformedOrder,
+    since the product could then overcount.
     """
-    seen = np.zeros(tables.shape[1], dtype=np.uint64)
-    count = 1
-    for table in (tables[0][:, 1:], *tables[1:]):
-        support = np.bitwise_or.reduce(table, axis=1)
-        if (seen & support).any():
+    seen, count = 0, 1
+    for table in (tables[0][1:], *tables[1:]):
+        support = reduce(or_, table)
+        if seen & support:
             raise MalformedOrder("key tables share bits: the count is not a product")
         seen |= support
-        # a copy: _distinct_count sorts a one-word array in place
-        count *= _distinct_count(table.copy())
+        count *= len(set(table))
     return count
 
 
@@ -208,11 +195,11 @@ def _image_count(spec, k, d, n, budget):
 
     The budget is checked on the units before any table is built.  Write
     d = P*d' with P = p^f (tensor_decompose).  When d' = 1 (every jet
-    count, and every p-power tensor degree) each jet is packed into an
-    integer key of (q-1).bit_length() bits per entry (several uint64 words
-    past 64 bits).  Coefficient l of a moves, through x -> x^P, to place lP
-    of a^d and nowhere else, so a key is the OR of one table per
-    coefficient of a, and those tables share no bit: _distinct_ors
+    count, and every p-power tensor degree) each jet is packed into one
+    int key of (q-1).bit_length() bits per entry, of any width.
+    Coefficient l of a moves, through x -> x^P, to place lP of a^d and
+    nowhere else, so a key is the OR of one table per coefficient of a, a
+    list of q int keys, and those tables share no bit: _distinct_ors
     multiplies their distinct-column counts.  Jet entry (j, i) reads
     coefficient i+j <= n-1+k, so the units mod t^(n+k) are all that a key
     can tell apart.  When d' > 1 (k = 0) each chunk of _TENSOR_CHUNK units
@@ -243,24 +230,24 @@ def _image_count(spec, k, d, n, budget):
                 index += row
             seen[index] = True
         return int(np.count_nonzero(seen))
-    mul = spec.tables.mul_np
+    mul = spec.tables.mul
     bits = (q - 1).bit_length()
-    per_word = 64 // bits
-    words = -(-(k + 1) * n // per_word)
-    # lut[l] maps coefficient l of a^d to its bits in the key.  Entry (j, i)
-    # of the jet is C(i+j, j) * a_(i+j); it occupies bits
-    # [pos*bits, (pos+1)*bits) of its word.  Entries never share bits, so
-    # the tables of all entries that read the same coefficient are OR-ed.
-    lut = np.zeros((m, words, q), dtype=np.uint64)
+    # keys[l][r] is the part of the key that rank r sets at coefficient l of
+    # a^d.  Entry (j, i) of the jet is C(i+j, j) * a_(i+j); it occupies bits
+    # [pos*bits, (pos+1)*bits) with pos = j*n + i.  Entries never share
+    # bits, so the tables of all entries that read the same coefficient are
+    # OR-ed.
+    keys = [[0] * q for _ in range(m)]
     for j in range(k + 1):
         row = binom_row(spec.p, j, n)
         for i in range(n):
-            word, pos = divmod(j * n + i, per_word)
-            # row i of mul_np is multiplication by the prime-field constant i
-            lut[i + j, word] |= mul[row[i]].astype(np.uint64) << np.uint64(pos * bits)
-    # coefficient l reads lut[lP] through the Frobenius; past t^m it is
+            shift = (j * n + i) * bits
+            # row c of mul is multiplication by the prime-field constant c
+            keys[i + j] = [key | r << shift for key, r in zip(keys[i + j], mul[row[i]])]
+    # coefficient l reads keys[lP] through the Frobenius; past t^m it is
     # lost, so the later coefficients have no table
-    return _distinct_ors(lut[::spec.p ** f][:, :, _frobenius(spec, f)])
+    frob = _frobenius(spec, f).tolist()
+    return _distinct_ors([[table[r] for r in frob] for table in keys[::spec.p ** f]])
 
 
 def image_order_brute(spec: FqSpec, k: int, n: int, *,

@@ -1,6 +1,9 @@
 import itertools
+import math
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import numpy as np
 import pytest
@@ -130,39 +133,45 @@ def test_image_order_brute_merge_path(monkeypatch, f2, f3, f4):
 @pytest.mark.parametrize("width", [8, None])
 @pytest.mark.parametrize("words", [1, 2, 3])
 def test_count_distinct_keys_matches_set(words, width):
-    # _distinct_count against a set of the same keys: repeated columns from
-    # a pool of eight values per word (width 8) or from a wide pool (None:
-    # half the keys plus two), with 0 and 2^64-1 in both
-    rng = np.random.default_rng(words)
+    # one table's distinct count against a set of the same int keys of
+    # 64*words bits: repeated from a pool of eight values (width 8) or from
+    # a wide pool (None: half the keys plus two), with 0 and the all-ones
+    # key in both.  Column 0 of table 0 holds a key outside the pool, which
+    # the count must not read.
+    rng = random.Random(words)
+    top = (1 << 64 * words) - 1
     for total in (1, 2, 15, 16, 17, 83, 640):
         pool_width = width or total // 2 + 2
-        pool = rng.integers(0, 2 ** 64, size=(words, pool_width), dtype=np.uint64)
-        pool[:, 0], pool[:, 1] = 0, 2 ** 64 - 1
-        keys = pool[:, rng.integers(0, pool_width, size=total)]
-        want = len(set(map(tuple, keys.T)))
-        fresh = keys.copy()
-        assert density_mod._distinct_count(fresh) == want, (total, pool_width)
-        if words == 1:  # sorted in place
-            assert np.array_equal(fresh[0], np.sort(keys[0]))
+        pool = [0, top, *(rng.getrandbits(64 * words) for _ in range(pool_width - 2))]
+        keys = [rng.choice(pool) for _ in range(total)]
+        assert density_mod._distinct_ors([[top + 1, *keys]]) == len(set(keys)), \
+            (total, pool_width)
 
 
-def test_one_chunk_count_sorts_once(monkeypatch, f4):
+def test_one_chunk_count_takes_one_set_per_table(monkeypatch, f4):
     # q=4, k=3, N=7: the count is the product of the distinct columns of
-    # the ten coefficient tables (table 0 at ranks 1..3), so the only sorts
-    # are their ten dedupes, with no sort of the 49,152 choices, whatever
-    # the thread count
-    sorts = []
-    distinct_count = density_mod._distinct_count
+    # the ten coefficient tables (table 0 at ranks 1..3), so the only sets
+    # are their ten, with no set of the 49,152 unit keys, whatever the
+    # thread count.  D = 3 * 4^7: coefficient 0 gives 3, coefficients 1..7
+    # give 4 each, and 8 and 9, which the jet mod t^7 cannot see
+    # (extra_indices pins only 7), give 1.
+    widths, sizes = [], []
 
-    def spy(keys):
-        sorts.append(keys.shape[1])
-        return distinct_count(keys)
+    def spy(items):
+        items = list(items)
+        out = set(items)
+        widths.append(len(items))
+        sizes.append(len(out))
+        return out
 
-    monkeypatch.setattr(density_mod, "_distinct_count", spy)
+    monkeypatch.setattr(density_mod, "set", spy, raising=False)
+    assert extra_indices(2, 3, 7) == [7]
     for threads in (1, 2):
-        sorts.clear()
+        widths.clear()
+        sizes.clear()
         assert image_order_brute(f4, 3, 7, threads=threads) == image_order_formula(f4, 3, 7)
-        assert sorts == [3] + [4] * 9
+        assert widths == [3] + [4] * 9
+        assert sizes == [3] + [4] * 7 + [1] * 2
 
 
 def test_image_order_budget(f2):
@@ -172,11 +181,12 @@ def test_image_order_budget(f2):
 
 def test_brute_budgets_fail_before_any_table(monkeypatch, f2):
     # the work scales with the distinct keys, not the units, so the unit
-    # budget must still fail first: no table is deduplicated or OR-ed
+    # budget must still fail first: no table is built, Frobenius-mapped,
+    # deduplicated or OR-ed
     def no_work(*args):
         raise AssertionError("tables were built before the budget check")
 
-    for name in ("_distinct_count", "_distinct_ors"):
+    for name in ("binom_row", "_frobenius", "_distinct_ors"):
         monkeypatch.setattr(density_mod, name, no_work)
     with pytest.raises(BudgetExceeded):
         image_order_brute(f2, 0, 40, budget=10 ** 6)
@@ -1016,49 +1026,42 @@ def _block_keys(spec, k, d, n, m, start, stop):
     """Keys of units start..stop-1 mod t^m by decoding, powering and gathers.
 
     The units are decoded by _digit_block and raised to the d-th power by
-    _power_block; then for every (word, coefficient) pair, the OR of the
-    tables of the jet entries in that word that read that coefficient is
-    gathered at each unit's rank there.
+    _power_block; then each jet entry (j, i), C(i+j, j) times coefficient
+    i+j, is gathered from the field's mul table at every unit and OR-ed
+    into its int key at bits [(j*n+i)*bits, (j*n+i+1)*bits).
     """
     q, mul = spec.q, spec.tables.mul_np
     bits = (q - 1).bit_length()
-    per_word = 64 // bits
-    words = -(-(k + 1) * n // per_word)
-    lut = {}
+    block = density_mod._power_block(spec, density_mod._digit_block(q, m, start, stop), d)
+    key = np.zeros(stop - start, dtype=object)
     for j in range(k + 1):
         row = binom_row(spec.p, j, n)
         for i in range(n):
-            word, pos = divmod(j * n + i, per_word)
-            table = mul[row[i]].astype(np.uint64) << np.uint64(pos * bits)
-            lut[word, i + j] = lut.get((word, i + j), 0) | table
-    block = density_mod._power_block(spec, density_mod._digit_block(q, m, start, stop), d)
-    key = np.zeros((words, stop - start), dtype=np.uint64)
-    for (word, digit), table in lut.items():
-        key[word] |= table[block[digit]]
-    return key
+            key |= mul[row[i]][block[i + j]].astype(object) << (j * n + i) * bits
+    return key.tolist()
 
 
-def _count_tables(monkeypatch, spec, k, d, n):
-    """The per-coefficient key tables _image_count hands to _distinct_ors."""
-    seen, distinct_ors = [], density_mod._distinct_ors
+def _count_tables(monkeypatch, spec, k, d, n, image_count=density_mod._image_count):
+    """The per-coefficient key tables image_count hands to _distinct_ors,
+    with its count; image_count may be a mutant of _image_count."""
+    seen, distinct_ors = [], image_count.__globals__["_distinct_ors"]
 
     def recording(tables):
-        seen.append(tables.copy())
+        seen.append([list(table) for table in tables])
         return distinct_ors(tables)
 
     with monkeypatch.context() as patch:
-        patch.setattr(density_mod, "_distinct_ors", recording)
-        count = density_mod._image_count(spec, k, d, n, 1 << 20)
+        patch.setitem(image_count.__globals__, "_distinct_ors", recording)
+        count = image_count(spec, k, d, n, 1 << 20)
     assert len(seen) == 1
     return count, seen[0]
 
 
-def _outer_or(keys, tables):
-    """The OR of keys with one column of each table, every combination,
-    the last table least significant: (words, r * q^len(tables)) keys."""
-    for table in tables:
-        keys = (keys[:, :, None] | table[:, None, :]).reshape(len(keys), -1)
-    return keys
+def _unit_ors(spec, m, tables):
+    """Each unit's OR of one column per table, table 0 at ranks 1..q-1 and
+    the coefficients past the tables at none, in unit-number order."""
+    columns = [tables[0][1:], *tables[1:], *[[0] * spec.q] * (m - len(tables))]
+    return [reduce(or_, choice) for choice in itertools.product(*columns)]
 
 
 def _key_cases(spec, limit=1 << 12):
@@ -1071,26 +1074,22 @@ def _key_cases(spec, limit=1 << 12):
 
 def _check_keys(monkeypatch, spec, k, d, n):
     # (a) every unit's key, as the OR of one column per table the count
-    # reads (table 0 at ranks 1..q-1; a coefficient past the tables reads
-    # none), against the decode route key for key
+    # reads, against the decode route key for key
     m = n + k
-    total = unit_count(spec.q, m)
-    want = _block_keys(spec, k, d, n, m, 0, total)
+    want = _block_keys(spec, k, d, n, m, 0, unit_count(spec.q, m))
     count, tables = _count_tables(monkeypatch, spec, k, d, n)
     case = (spec.q, k, d, n)
-    assert 1 <= len(tables) <= m, case
-    missing = np.zeros((m - len(tables), *tables.shape[1:]), dtype=np.uint64)
-    got = _outer_or(tables[0][:, 1:], [*tables[1:], *missing])
-    assert got.shape == want.shape and np.array_equal(got, want), case
+    assert 1 <= len(tables) <= m and {len(t) for t in tables} == {spec.q}, case
+    assert _unit_ors(spec, m, tables) == want, case
     # (b) the count is the number of distinct unit keys
-    assert count == np.unique(want, axis=1).shape[1], case
+    assert count == len(set(want)), case
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 27, "7^2"])
 def test_unit_keys_match_block_gathers(q, monkeypatch):
     # the per-coefficient tables of p-power degrees (d' = 1) against
-    # decoding, powering and a gather per (word, coefficient), and the
-    # chunks the count forms from them against the distinct keys
+    # decoding, powering and a gather per jet entry, and the count the
+    # tables give against the distinct keys
     spec = kernel_spec(q)
     cases = list(_key_cases(spec))
     assert cases
@@ -1099,62 +1098,110 @@ def test_unit_keys_match_block_gathers(q, monkeypatch):
 
 
 def test_unit_keys_match_block_gathers_wide(monkeypatch, f2):
-    # (k+1)*n one-bit entries make 72 and 65 bits: two uint64 words per key
+    # (k+1)*n one-bit entries make 72 and 65 bits: keys past one machine word
     for k, n in [(7, 9), (4, 13)]:
         _check_keys(monkeypatch, f2, k, 1, n)
 
 
-def _random_tables(rng, m, q, words):
-    """m random (words, q) key tables with pairwise disjoint supports.
+# each mutation of the key tables of _image_count, as (old text, new text)
+_KEY_MUTATIONS = {
+    "bit position without its j*n term": (
+        "shift = (j * n + i) * bits", "shift = i * bits"),
+    "Frobenius dropped": (
+        "frob = _frobenius(spec, f).tolist()", "frob = list(range(q))"),
+}
+
+
+@pytest.mark.parametrize("mutation", list(_KEY_MUTATIONS))
+def test_key_table_mutations_fail(mutation, monkeypatch):
+    # each mutant of the table build must give some unit a key other than
+    # the decode route's, or raise, on the key cases of fields where the
+    # Frobenius moves ranks and where it does not; a copy of the real
+    # source agrees on all of them
+    cases = [(spec, k, d, n) for spec in map(kernel_spec, (2, 3, 4, 9, "7^2"))
+             for k, d, n in _key_cases(spec, 1 << 10)]
+    wants = [_block_keys(spec, k, d, n, n + k, 0, unit_count(spec.q, n + k))
+             for spec, k, d, n in cases]
+
+    def caught(image_count):
+        out = 0
+        for (spec, k, d, n), want in zip(cases, wants):
+            try:
+                _, tables = _count_tables(monkeypatch, spec, k, d, n, image_count)
+            except MalformedOrder:
+                out += 1
+                continue
+            out += _unit_ors(spec, n + k, tables) != want
+        return out
+
+    old, new = _KEY_MUTATIONS[mutation]
+    real = density_mod._image_count
+    assert caught(mutated(real, old, old)) == 0
+    assert caught(mutated(real, old, new)) > 0
+
+
+def test_counts_reading_table_0_at_rank_0_fail(monkeypatch):
+    # the count with table 0 taken over ranks 0..q-1 must differ from the
+    # closed form: a unit's constant term is never 0
+    real = density_mod._distinct_ors
+    old = "for table in (tables[0][1:], *tables[1:]):"
+    mutant = mutated(real, old, "for table in tables:")
+    cases = [(kernel_spec(q), k, n) for q in (2, 3, 4, 9) for k in range(3) for n in (1, 3)]
+    for distinct_ors, wrong in [(mutated(real, old, old), 0), (mutant, len(cases))]:
+        monkeypatch.setattr(density_mod, "_distinct_ors", distinct_ors)
+        assert sum(image_order_brute(spec, k, n) != image_order_formula(spec, k, n)
+                   for spec, k, n in cases) == wrong
+
+
+def _random_tables(rng, m, q, width):
+    """m random lists of q int keys of width bits, with pairwise disjoint
+    supports.
 
     Each table owns four bits of the key and draws its q columns from a
     pool of three values on those bits, so columns repeat.
     """
-    groups = rng.permutation(64 * words)[:4 * m].reshape(m, 4)
-    tables = np.zeros((m, words, q), dtype=np.uint64)
-    for table, group in zip(tables, groups):
-        pool = np.zeros((words, 3), dtype=np.uint64)
-        for bit in group:
-            pool[bit // 64] |= rng.integers(0, 2, size=3, dtype=np.uint64) << np.uint64(bit % 64)
-        table[:] = pool[:, rng.integers(0, 3, size=q)]
+    groups = rng.sample(range(width), 4 * m)
+    tables = []
+    for l in range(m):
+        pool = [sum(rng.getrandbits(1) << bit for bit in groups[4 * l:4 * l + 4])
+                for _ in range(3)]
+        tables.append([rng.choice(pool) for _ in range(q)])
     return tables
 
 
 @pytest.mark.parametrize("words", [1, 2])
 def test_unit_keys_count_the_set_of_ors(words):
-    # tables with disjoint supports and repeated columns: the product route
-    # gives the number of distinct ORs of one column per table, table 0 at
-    # ranks 1..q-1, and leaves the tables as they were
-    rng = np.random.default_rng(words)
+    # tables with disjoint supports and repeated columns, in keys of
+    # 64*words bits: the product route gives the number of distinct ORs of
+    # one column per table, table 0 at ranks 1..q-1, and leaves the tables
+    # as they were
+    rng = random.Random(words)
     overcounts = 0
     for trial in range(40):
-        m, q = int(rng.integers(1, 6)), int(rng.integers(2, 5))
-        tables = _random_tables(rng, m, q, words)
+        m, q = rng.randint(1, 5), rng.randint(2, 4)
+        tables = _random_tables(rng, m, q, 64 * words)
         choices = list(itertools.product(range(1, q), *[range(q)] * (m - 1)))
 
         def ors():
-            return {tuple(np.bitwise_or.reduce([t[:, c] for t, c in zip(tables, choice)]))
-                    for choice in choices}
+            return {reduce(or_, (t[c] for t, c in zip(tables, choice))) for choice in choices}
 
-        before = tables.copy()
+        before = [list(t) for t in tables]
         assert density_mod._distinct_ors(tables) == len(ors()), (trial, m, q)
-        assert np.array_equal(tables, before)
+        assert tables == before
         if m == 1:
             continue
         # a bit of a column the count reads in an earlier table, set in a
         # column of a later one: the supports meet, and a product taken
         # over these tables could overcount, so the route must raise
-        first = int(rng.integers(0, m - 1))
-        later = int(rng.integers(first + 1, m))
-        column = int(rng.integers(1 if first == 0 else 0, q))
-        word = int(rng.integers(0, words))
-        bit = np.uint64(1) << np.uint64(rng.integers(0, 64))
-        tables[first, word, column] |= bit
-        tables[later, word, int(rng.integers(0, q))] |= bit
+        first = rng.randrange(m - 1)
+        later = rng.randrange(first + 1, m)
+        bit = 1 << rng.randrange(64 * words)
+        tables[first][rng.randrange(1 if first == 0 else 0, q)] |= bit
+        tables[later][rng.randrange(q)] |= bit
         with pytest.raises(MalformedOrder):
             density_mod._distinct_ors(tables)
-        overcounts += len(ors()) < np.prod(
-            [len(set(map(tuple, t.T))) for t in (tables[0][:, 1:], *tables[1:])])
+        overcounts += len(ors()) < math.prod(
+            len(set(t)) for t in (tables[0][1:], *tables[1:]))
     # the shared bits do collapse some ORs: a product would overcount there
     assert overcounts
 

@@ -10,11 +10,11 @@ from carlitz import TruncSeries, parse_series, render_series, unit_enumerate
 from carlitz import FqSpec, UInftyElem, spec_for_order, unit_count
 from carlitz.errors import BudgetExceeded, NonUnit, ParseError, SpecMismatch
 from carlitz.series import (
-    _add_bytes, add_ranks, cauchy_rows, inv_ranks, mul_ranks, neg_ranks,
-    scale_ranks,
+    _add_bytes, add_lanes, add_ranks, cauchy_rows, inv_ranks, lane_format, mul_ranks,
+    neg_ranks, scale_ranks,
 )
 
-from conftest import KERNEL_FIELDS, kernel_spec, random_series
+from conftest import KERNEL_FIELDS, kernel_spec, mutated, random_series
 
 
 def lit(q, text, prec):
@@ -561,3 +561,40 @@ def test_radix_add_matches_digit_planes(case):
     planes = FqSpec(spec.p, spec.e)
     planes._tables = spec.tables._replace(radix=None, unradix=None)
     assert _add_bytes(spec, x, y, shift, width) == _add_bytes(planes, x, y, shift, width)
+
+
+def _lane_digits(lanes, x, n):
+    """The base-p digits in each lane of the first n columns of the lane
+    int x, read off its bits, one tuple per column."""
+    mask = (1 << lanes.lane) - 1
+    return [tuple(x >> c * lanes.col + i * lanes.lane & mask for i in range(lanes.e))
+            for c in range(n)]
+
+
+@pytest.mark.parametrize("name", [2, 3, 5, 7, 9, 25, 27, 131, 251, "2^8", "3^5", "7^2"])
+def test_add_lanes_matches_per_digit_addition(name):
+    # random rank sequences, encoded column by column by LaneFormat.column,
+    # added by add_lanes against the field's add table rank by rank, read
+    # back lane by lane.  ones may span more columns than x and y fill.
+    # The top rank q-1 (every digit p-1, sum 2p-2) is always present, so a
+    # lane add without its conditional subtract leaves a digit >= p in some
+    # lane on every odd-p field.
+    spec = kernel_spec(name)
+    lanes = lane_format(spec)
+    rng = random.Random(str(name))
+    no_subtract = mutated(add_lanes, "return s - p * (((s + bias) >> flag) & ones)", "return s")
+
+    def encode(ranks):
+        return sum(lanes.column(r) << lanes.col * c for c, r in enumerate(ranks))
+
+    for n in (1, 2, 7, 64, 300):
+        x = [spec.q - 1] + [rng.randrange(spec.q) for _ in range(n - 1)]
+        y = [spec.q - 1] + [rng.randrange(spec.q) for _ in range(n - 1)]
+        want = _lane_digits(lanes, encode([spec.tables.add[a][b] for a, b in zip(x, y)]), n)
+        for extra in (0, 3):
+            ones = lanes.ones(n + extra)
+            args = (spec.p, encode(x), encode(y), ones, lanes.bias * ones, lanes.flag)
+            out = add_lanes(*args)
+            assert _lane_digits(lanes, out, n) == want and out >> n * lanes.col == 0, (n, extra)
+            if spec.p > 2:
+                assert _lane_digits(lanes, no_subtract(*args), n) != want, (n, extra)

@@ -192,6 +192,26 @@ def test_omega_checks_decide_each_identity_once_on_rank_bytes(monkeypatch):
     assert [tuple(map(id, g)) for g in got] == [tuple(map(id, w)) for w in want]
 
 
+@pytest.mark.parametrize("q, tprec, uprec, sums", [(2, 32, 1024, 83), (9, 4, 300, 6)])
+def test_hhat_checks_take_no_sum_past_an_empty_window(monkeypatch, q, tprec, uprec, sums):
+    # the omega workload's hhat columns (k = 2): a second sum whose window
+    # [upper, top) is empty cannot fail, so it is not taken; 107 and 9 sums
+    # when it was, with the same verdicts
+    import carlitz.cinfty as cinfty
+
+    omega = carlitz.compute_omega(carlitz.spec_for_order(q), tprec, uprec)
+    columns = carlitz.jet_columns(omega, 2)
+    taken, twist_sum = [], cinfty._twist_sum
+
+    def spy(*args):
+        taken.append(args)
+        return twist_sum(*args)
+
+    monkeypatch.setattr(cinfty, "_twist_sum", spy)
+    assert carlitz.hhat_verdicts(2, columns) == [True] * 3
+    assert len(taken) == sums
+
+
 @pytest.mark.parametrize("mutation", ["drop tau", "plus theta"])
 def test_omega_check_kernel_mutations_fail(monkeypatch, mutation):
     # a kernel without the tau(x) term, or with theta = +u^(-(q-1)), must
