@@ -16,13 +16,14 @@ a^d, so a unit's key is the OR of one table per coefficient, and no two
 tables share a bit: jet entry (j, i) reads only coefficient i+j and owns
 its bits.  So the count is the product of the tables' distinct-column
 counts, with no unit decoded: a coefficient the jet cannot see has a
-constant table and adds no factor.  It reads the table supports, checked
-disjoint, and the same binomial rows as the closed form, so its
+constant table and adds no factor, and x -> x^(p^f) permutes the ranks
+and fixes 0, so it changes no count.  The count reads the table supports,
+checked disjoint, and the binomial rows of the closed form, so its
 independent checks are the object-level oracles in the tests.  When
-d' > 1, which only tensor powers have, the units are decoded and powered
-in blocks, and each a^d, a unit, marks its unit number in a table of all
-units.  D(N) is always of the structural form unit * q^E and is kept that
-way; only display ever touches a floating-point logarithm.
+d' > 1 (tensor powers only) _unit_digits decodes the units in blocks to
+be powered, and each a^d marks its unit number in a table of all units.
+D(N) is always of the form unit * q^E and is kept that way; only display
+ever touches a floating-point logarithm.
 """
 
 from __future__ import annotations
@@ -44,12 +45,13 @@ from .errors import (
     BudgetExceeded,
     CrossCheckMismatch,
     InsufficientPrecision,
+    InvalidCharacteristic,
     MalformedOrder,
     NonUnit,
     SegmentViolation,
     SpecMismatch,
 )
-from .field import FqSpec
+from .field import FqSpec, is_prime
 from .jets import JetMatrix, jet
 from .series import ENUM_BUDGET_DEFAULT, TruncSeries, lane_format, unit_count
 
@@ -88,28 +90,19 @@ def _unit_prefix(spec, a, m):
 # brute-force image counting (vectorized enumeration core)
 # ---------------------------------------------------------------------------
 
-def _digit_block(q, m, start, stop):
-    """Coefficient ranks of units start..stop-1, one row per coefficient.
+def _unit_digits(q, m, numbers):
+    """Coefficient ranks of the units mod t^m numbered `numbers`, a column each.
 
-    Row j is the base-q digit of place value q^(m-1-j) of the unit number
-    (plus one in row 0).  Over consecutive numbers that digit steps through
-    0..q-1 in runs of equal values, so each row is a cycle of digits, each
-    repeated for its run, entered at the offset of `start` into its run.
+    Row j is the base-q digit of place value q^(m-1-j) of the unit number,
+    by repeated divmod by q in uint32 (uint64 past 2^32 units); row 0 is
+    the last quotient plus one.
     """
-    size = stop - start
-    out = np.empty((m, size), dtype=np.uint8)
-    cycle = np.arange(q, dtype=np.uint8)
-    run = 1
-    for j in range(m - 1, -1, -1):
-        first, offset = divmod(start, run)
-        runs = -(-(offset + size) // run)
-        digits = np.tile(np.roll(cycle, -(first % q)), -(-runs // q))[:runs]
-        counts = np.full(runs, run)
-        counts[0] -= offset
-        counts[-1] -= runs * run - offset - size
-        out[j] = np.repeat(digits, counts)
-        run *= q
-    out[0] += 1
+    dtype = np.uint64 if unit_count(q, m) > 1 << 32 else np.uint32
+    x = np.asarray(numbers, dtype=dtype)
+    out = np.empty((m, x.size), dtype=np.uint8)
+    for j in range(m - 1, 0, -1):
+        x, out[j] = np.divmod(x, q)
+    out[0] = x + 1
     return out
 
 
@@ -200,10 +193,11 @@ def _image_count(spec, k, d, n, budget):
     Coefficient l of a moves, through x -> x^P, to place lP of a^d and
     nowhere else, so a key is the OR of one table per coefficient of a, a
     list of q int keys, and those tables share no bit: _distinct_ors
-    multiplies their distinct-column counts.  Jet entry (j, i) reads
+    multiplies their distinct-column counts, read at a_l, not a_l^P, as
+    x -> x^P permutes the ranks and fixes 0.  Jet entry (j, i) reads
     coefficient i+j <= n-1+k, so the units mod t^(n+k) are all that a key
-    can tell apart.  When d' > 1 (k = 0) each chunk of _TENSOR_CHUNK units
-    is decoded by _digit_block and raised to the d-th power by
+    can tell apart.  When d' > 1 (k = 0) each chunk of _TENSOR_CHUNK unit
+    numbers is decoded by _unit_digits and raised to the d-th power by
     _power_block, and each power marks its unit number in a table of
     (q-1)q^(n-1) flags; the count is the flags set.
     """
@@ -219,8 +213,8 @@ def _image_count(spec, k, d, n, budget):
         # constant term minus one) marks one cell of a table of every unit
         seen = np.zeros(total, dtype=bool)
         for start in range(0, total, _TENSOR_CHUNK):
-            stop = min(start + _TENSOR_CHUNK, total)
-            block = _power_block(spec, _digit_block(q, m, start, stop), d)
+            numbers = np.arange(start, min(start + _TENSOR_CHUNK, total))
+            block = _power_block(spec, _unit_digits(q, m, numbers), d)
             # a zero constant term would give index -1: the last cell
             if not block[0].all():
                 raise MalformedOrder("a power of a unit has a zero constant term")
@@ -244,10 +238,9 @@ def _image_count(spec, k, d, n, budget):
             shift = (j * n + i) * bits
             # row c of mul is multiplication by the prime-field constant c
             keys[i + j] = [key | r << shift for key, r in zip(keys[i + j], mul[row[i]])]
-    # coefficient l reads keys[lP] through the Frobenius; past t^m it is
-    # lost, so the later coefficients have no table
-    frob = _frobenius(spec, f).tolist()
-    return _distinct_ors([[table[r] for r in frob] for table in keys[::spec.p ** f]])
+    # coefficient l lands at place lP (past t^m it is lost, with no table);
+    # x -> x^P permutes the ranks and fixes 0, so it changes no count
+    return _distinct_ors(keys[::spec.p ** f])
 
 
 def image_order_brute(spec: FqSpec, k: int, n: int, *,
@@ -277,9 +270,12 @@ def extra_indices(p: int, k: int, n: int) -> list[int]:
 
     The jet entry in row j at t^(l-j) is C(l, j) a_l, so a_l with l >= n is
     visible exactly when C(l, j) != 0 mod p for some j with l-n+1 <= j <= k.
+    p must be prime, even when no binomial is read.
     """
     if n < 0 or k < 0:
         raise ValueError("need n >= 0 and k >= 0")
+    if not is_prime(p):
+        raise InvalidCharacteristic(f"p={p} is not prime")
     out = []
     for l in range(n, n + k):
         # C(l, j) vanishes for j > l
@@ -402,12 +398,12 @@ def tensor_image_order_brute(spec: FqSpec, d: int, n: int, *,
     """Count distinct d-th powers a^d mod t^n over all units mod t^n.
 
     The brute route for the closed form: _image_count at k = 0.  For
-    d = p^f (d' = 1) the power of each unit is the OR of one Frobenius
-    table per coefficient, tables that share no bit, and _distinct_ors
-    multiplies their distinct-column counts; otherwise each block of units
-    is raised to the d-th power by _power_block (batched truncated products
-    for a^d', then the additive p-part of d spreads the result over every
-    p^f-th coefficient), and the powers are counted in a table indexed by
+    d = p^f (d' = 1) the power of each unit is the OR of one table per
+    coefficient, tables that share no bit, and _distinct_ors multiplies
+    their distinct-column counts; otherwise each block of units is raised
+    to the d-th power by _power_block (batched truncated products for a^d',
+    then the additive p-part of d spreads the result over every p^f-th
+    coefficient), and the powers are counted in a table indexed by
     unit number.  Its oracles in the tests are the object-level set of
     (a ** d).ranks and product-only powering of the same blocks.
     """
@@ -713,15 +709,16 @@ def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: i
     vector of this map is exactly a relation vanishing on every sampled
     unit, so full column rank certifies that no relation within the bounds
     exists.  Unit sets are exhaustive below `exhaustive_limit`, else sampled
-    reproducibly from `seed`.  The exhaustive set is decoded once by
-    _digit_block and evaluated in an order drawn from `seed`: units near
-    each other in lexicographic order give nearly dependent rows, and the
-    rank of a row set does not depend on its order, so the report is the
-    same for every seed.  Units are evaluated by _certificate_rows in
-    blocks that start at the fewest units whose n rows each can reach full
-    rank, ceil(n_columns / n), and double up to _CERT_BLOCK.  _row_rank
-    reduces the rows as lane-packed ints, one int add and one lane
-    reduction a step, and stops drawing blocks at full rank.
+    reproducibly from `seed`.  The exhaustive set is drawn as unit numbers
+    in an order from `seed`, each block decoded by _unit_digits when it is
+    built: units near each other in lexicographic order give nearly
+    dependent rows, and the rank of a row set does not depend on its
+    order, so the report is the same for every seed.  Units are evaluated
+    by _certificate_rows in blocks that start at the fewest units whose n
+    rows each can reach full rank, ceil(n_columns / n), and double up to
+    _CERT_BLOCK.  _row_rank reduces the rows as lane-packed ints, one int
+    add and one lane reduction a step, and stops drawing blocks at full
+    rank.
     """
     if n < 1 or min(k, deg_bound, tdeg_bound) < 0:
         raise ValueError("need n >= 1 and k, deg_bound, tdeg_bound >= 0")
@@ -730,14 +727,16 @@ def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: i
         raise BudgetExceeded(f"{n_cols} columns x {n} rows exceeds budget {budget}")
     monos = _monomials(k + 1, deg_bound)
     q, prec, sampled = spec.q, n + k, False
-    # each source yields the prec rank bytes of one unit
+    # decode makes a block of the source the prec rank bytes of its units:
+    # the exhaustive source yields unit numbers, the others rank bytes
+    decode = b"".join
     if units is not None:
         source = [_unit_prefix(spec, a, prec) for a in units]
         n_units, source = len(source), iter(source)
     elif (n_units := unit_count(q, prec)) <= exhaustive_limit:
-        digits = _digit_block(q, prec, 0, n_units).T.tobytes()
-        source = (digits[i * prec:(i + 1) * prec]
-                  for i in _shuffled_range(n_units, random.Random(seed)))
+        def decode(numbers):
+            return _unit_digits(q, prec, numbers).T.tobytes()
+        source = _shuffled_range(n_units, random.Random(seed))
     else:
         sampled, n_units, rng = True, sample_count, random.Random(seed)
         source = (_random_unit(rng, q, prec) for _ in range(sample_count))
@@ -745,8 +744,8 @@ def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: i
     def blocks():
         # a unit gives n rows, so fewer units than this never reach full rank
         size = min(-(-n_cols // n), _CERT_BLOCK)
-        while chunk := b"".join(itertools.islice(source, size)):
-            yield _certificate_rows(spec, k, n, monos, tdeg_bound, chunk)
+        while block := list(itertools.islice(source, size)):
+            yield _certificate_rows(spec, k, n, monos, tdeg_bound, decode(block))
             size = min(2 * size, _CERT_BLOCK)
 
     rank = _row_rank(spec, blocks(), n_cols)

@@ -224,8 +224,10 @@ def test_torsion_level_cli(capsys):
 
 
 def test_torsion_level_bad_p(capsys):
-    code, _, _ = run(capsys, "torsion-level", "--p", "6", "--n", "1", "--k", "1")
-    assert code == EX_USAGE
+    # k = 0 and n = 0 read no binomial, and p must still be prime
+    for p, n, k in [("6", "1", "1"), ("4", "2", "0"), ("1", "0", "0")]:
+        code, out, err = run(capsys, "torsion-level", "--p", p, "--n", n, "--k", k)
+        assert code == EX_USAGE and out == "" and f"p={p} is not prime" in err, (p, n, k)
 
 
 def test_zariski_cli(capsys):

@@ -181,12 +181,11 @@ def test_image_order_budget(f2):
 
 def test_brute_budgets_fail_before_any_table(monkeypatch, f2):
     # the work scales with the distinct keys, not the units, so the unit
-    # budget must still fail first: no table is built, Frobenius-mapped,
-    # deduplicated or OR-ed
+    # budget must still fail first: no table is built, deduplicated or OR-ed
     def no_work(*args):
         raise AssertionError("tables were built before the budget check")
 
-    for name in ("binom_row", "_frobenius", "_distinct_ors"):
+    for name in ("binom_row", "_distinct_ors"):
         monkeypatch.setattr(density_mod, name, no_work)
     with pytest.raises(BudgetExceeded):
         image_order_brute(f2, 0, 40, budget=10 ** 6)
@@ -458,6 +457,30 @@ def test_certificate_blocks_start_at_the_rank_bound(monkeypatch, f2):
     r, blocks = _certificate_blocks(monkeypatch, spec_for_order(3), 3, 3, 2, 6,
                                     units=units)
     assert len(units) == 14 and blocks == [14] and not r.full_rank
+
+
+def test_certificate_decodes_only_the_units_it_draws(monkeypatch, f2):
+    # the exhaustive source decodes each block's unit numbers when the
+    # block is built: 54 of the 13122 units of the certify cell, where
+    # decoding every unit up front took all of them; a cell that never
+    # reaches full rank decodes every unit once
+    decoded, unit_digits = [], density_mod._unit_digits
+
+    def spy(q, m, numbers):
+        decoded.extend(np.asarray(numbers).tolist())
+        return unit_digits(q, m, numbers)
+
+    monkeypatch.setattr(density_mod, "_unit_digits", spy)
+    r, blocks = _certificate_blocks(monkeypatch, spec_for_order(3), 3, 3, 2, 6)
+    assert r.full_rank and r.n_units == 13122 and sum(blocks) == 54
+    assert len(decoded) <= density_mod._CERT_BLOCK and len(decoded) == 54
+    assert len(set(decoded)) == 54
+    for spec, cell, rank in [(f2, (2, 2, 1, 4), (19, 20)),
+                             (spec_for_order(3), (2, 4, 2, 5), (101, 105))]:
+        decoded.clear()
+        r = zariski_rank_certificate(spec, *cell)
+        assert (r.rank, r.n_columns) == rank and not r.full_rank
+        assert sorted(decoded) == list(range(r.n_units)), cell
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 100, 13122])
@@ -780,7 +803,7 @@ def test_certificate_rows_match_object_rows(name):
 def test_certificate_rows_match_per_monomial_rows_on_the_certify_cell(f3):
     # q=3, k=3, deg 3, tdeg 2, N=6 over all 13122 units mod t^9, in one block
     monos = density_mod._monomials(4, 3)
-    chunk = density_mod._digit_block(3, 9, 0, unit_count(3, 9)).T.tobytes()
+    chunk = density_mod._unit_digits(3, 9, np.arange(unit_count(3, 9))).T.tobytes()
     rows = density_mod._certificate_rows(f3, 3, 6, monos, 2, chunk)
     assert rows.shape == (13122 * 6, 105)
     assert rows.tobytes() == _certificate_rows_by_monomial(f3, 3, 6, monos, 2, chunk).tobytes()
@@ -809,37 +832,65 @@ def test_certificate_block_makes_one_product_per_layer(f3, monkeypatch):
         assert len(layers) == 12 and sum(layers) == 34
 
 
-def test_digit_block_columns_follow_enumeration(f2, f3, f4):
+def test_unit_digits_columns_follow_enumeration(f2, f3, f4):
     # the order both brute counts and the rank certificate rely on
     for spec, m in [(f2, 5), (f3, 4), (f4, 3)]:
-        block = density_mod._digit_block(spec.q, m, 0, unit_count(spec.q, m))
+        block = density_mod._unit_digits(spec.q, m, np.arange(unit_count(spec.q, m)))
         assert [bytes(col) for col in block.T.tolist()] == \
             [u.ranks for u in unit_enumerate(spec, m)]
 
 
-def _digit_block_divmod(q, m, start, stop):
-    r = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((m, stop - start), dtype=np.int64)
-    for j in range(m - 1, 0, -1):
-        r, out[j] = np.divmod(r, q)
-    out[0] = r + 1
-    return out
+def _check_unit_digits(q, m, numbers, want):
+    got = density_mod._unit_digits(q, m, numbers)
+    assert got.dtype == np.uint8 and got.shape == (m, len(want)), (q, m)
+    assert [bytes(col) for col in got.T.tolist()] == want, (q, m)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 9, 256])
-def test_digit_block_matches_divmod(q):
+@pytest.mark.parametrize("name", [2, 3, 4, 9, 256, "7^2"])
+def test_unit_digits_match_enumeration(name):
+    # consecutive ranges of two sizes at many starts, then unsorted, sparse
+    # and repeated numbers, as numpy arrays and as lists of ints, against
+    # the units in enumeration order
+    spec, rng = kernel_spec({256: "2^8"}.get(name, name)), random.Random(5)
+    q = spec.q
     for m in (1, 2, 3, 6):
         total = unit_count(q, m)
-        if total > 1 << 18:
+        if total > 1 << 16:
             continue
+        units = [u.ranks for u in unit_enumerate(spec, m)]
         for size in (17, 1 << 16):
             starts = list(range(0, total, size))[:40] + [1, 5, q + 2, total - 3]
-            for start in starts:
-                if 0 <= start < total:
-                    stop = min(start + size, total)
-                    got = density_mod._digit_block(q, m, start, stop)
-                    assert np.array_equal(got, _digit_block_divmod(q, m, start, stop)), \
-                        (m, size, start)
+            for start in (s for s in starts if 0 <= s < total):
+                stop = min(start + size, total)
+                _check_unit_digits(q, m, np.arange(start, stop), units[start:stop])
+        shuffled = rng.sample(range(total), total)
+        sparse = sorted(rng.sample(range(total), min(total, 9)))
+        repeated = rng.choices(range(total), k=50) + [total - 1] * 3 + [0] * 2
+        for numbers in (shuffled, sparse, repeated, []):
+            want = [units[i] for i in numbers]
+            _check_unit_digits(q, m, numbers, want)
+            _check_unit_digits(q, m, np.array(numbers, dtype=np.int64), want)
+
+
+def _python_digits(q, m, number):
+    """The ranks of unit `number` mod t^m by Python int divmod."""
+    head, tail = divmod(number, q ** (m - 1))
+    digits = []
+    for _ in range(m - 1):
+        tail, digit = divmod(tail, q)
+        digits.append(digit)
+    return bytes([head + 1, *digits[::-1]])
+
+
+def test_unit_digits_past_32_bits():
+    # 2^32 units at (2, 33) still fit uint32; 2^39 at (2, 40), 2*3^21 at
+    # (3, 22) and 255*256^4 at (256, 5) take uint64, with numbers >= 2^32
+    rng = random.Random(3)
+    for q, m in [(2, 33), (2, 40), (3, 22), (256, 5)]:
+        total = unit_count(q, m)
+        numbers = [0, 1, total - 1, total - 2, (1 << 32) - 1]
+        numbers += [rng.randrange(total // 2, total) for _ in range(20)]
+        _check_unit_digits(q, m, numbers, [_python_digits(q, m, u) for u in numbers])
 
 
 def test_image_order_past_byte_ranks():
@@ -959,7 +1010,7 @@ def test_power_block_matches_products(q):
         total = unit_count(q, n)
         if total > 1 << 15:
             break
-        block = density_mod._digit_block(q, n, 0, total)
+        block = density_mod._unit_digits(q, n, np.arange(total))
         assert density_mod._power_block(spec, block, 1) is block
         for d in (1, 2, 3, 4, 6, 9, 10, 12, 18, 25, 27):
             got = density_mod._power_block(spec, block, d)
@@ -991,7 +1042,7 @@ def test_tensor_brute_guards_before_work(monkeypatch, f2, f3):
     def no_work(*args, **kwargs):
         raise AssertionError("work was done before the budget check")
 
-    for name in ("_digit_block", "_power_block"):
+    for name in ("_unit_digits", "_power_block"):
         monkeypatch.setattr(density_mod, name, no_work)
     with monkeypatch.context() as patch:
         patch.setattr(np, "zeros", no_work)
@@ -1022,17 +1073,34 @@ def test_tensor_brute_unit_numbers(monkeypatch, f2, f3, f4):
                 tensor_image_order_brute(spec, d, n)
 
 
+def _inverse_power(spec, d):
+    """The rank table of the inverse of x -> x^d, a permutation of F_q when
+    d is a power of p, by repeated multiplication."""
+    mul, inverse = spec.tables.mul, [0] * spec.q
+    for r in range(spec.q):
+        x = r
+        for _ in range(d - 1):
+            x = mul[x][r]
+        inverse[x] = r
+    assert sorted(inverse) == list(range(spec.q))
+    return np.array(inverse, dtype=np.uint8)
+
+
 def _block_keys(spec, k, d, n, m, start, stop):
     """Keys of units start..stop-1 mod t^m by decoding, powering and gathers.
 
-    The units are decoded by _digit_block and raised to the d-th power by
-    _power_block; then each jet entry (j, i), C(i+j, j) times coefficient
-    i+j, is gathered from the field's mul table at every unit and OR-ed
-    into its int key at bits [(j*n+i)*bits, (j*n+i+1)*bits).
+    The units are decoded by _unit_digits and raised to the d-th power by
+    _power_block, and the powers are mapped back through the inverse of
+    x -> x^d: at d = p^f each coefficient a_l of a lands in a^d as a_l^d,
+    and the count reads a_l itself.  Then each jet entry (j, i), C(i+j, j)
+    times coefficient i+j, is gathered from the field's mul table at every
+    unit and OR-ed into its int key at bits [(j*n+i)*bits, (j*n+i+1)*bits).
     """
     q, mul = spec.q, spec.tables.mul_np
     bits = (q - 1).bit_length()
-    block = density_mod._power_block(spec, density_mod._digit_block(q, m, start, stop), d)
+    numbers = np.arange(start, stop)
+    block = density_mod._power_block(spec, density_mod._unit_digits(q, m, numbers), d)
+    block = _inverse_power(spec, d)[block]
     key = np.zeros(stop - start, dtype=object)
     for j in range(k + 1):
         row = binom_row(spec.p, j, n)
@@ -1107,17 +1175,14 @@ def test_unit_keys_match_block_gathers_wide(monkeypatch, f2):
 _KEY_MUTATIONS = {
     "bit position without its j*n term": (
         "shift = (j * n + i) * bits", "shift = i * bits"),
-    "Frobenius dropped": (
-        "frob = _frobenius(spec, f).tolist()", "frob = list(range(q))"),
 }
 
 
 @pytest.mark.parametrize("mutation", list(_KEY_MUTATIONS))
 def test_key_table_mutations_fail(mutation, monkeypatch):
     # each mutant of the table build must give some unit a key other than
-    # the decode route's, or raise, on the key cases of fields where the
-    # Frobenius moves ranks and where it does not; a copy of the real
-    # source agrees on all of them
+    # the decode route's, or raise, on the key cases of prime and extension
+    # fields; a copy of the real source agrees on all of them
     cases = [(spec, k, d, n) for spec in map(kernel_spec, (2, 3, 4, 9, "7^2"))
              for k, d, n in _key_cases(spec, 1 << 10)]
     wants = [_block_keys(spec, k, d, n, n + k, 0, unit_count(spec.q, n + k))
@@ -1210,7 +1275,7 @@ def test_p_power_counts_skip_decoding(monkeypatch, f3):
     # d' = 1 counts by the product over its tables alone; d = 2 over F_3 still
     # decodes and squares its units
     calls = []
-    for name in ("_digit_block", "_power_block"):
+    for name in ("_unit_digits", "_power_block"):
         def spy(*args, _real=getattr(density_mod, name), _name=name):
             calls.append(_name)
             return _real(*args)
@@ -1221,7 +1286,7 @@ def test_p_power_counts_skip_decoding(monkeypatch, f3):
         assert tensor_image_order_brute(f3, d, 7) == tensor_image_order_formula(f3, d, 7)
     assert calls == []
     assert tensor_image_order_brute(f3, 2, 4) == tensor_image_order_formula(f3, 2, 4)
-    assert set(calls) == {"_digit_block", "_power_block"}
+    assert set(calls) == {"_unit_digits", "_power_block"}
 
 
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 16, 25, 27])

@@ -35,6 +35,7 @@ from carlitz import (
 )
 from carlitz.errors import (
     InsufficientPrecision,
+    InvalidCharacteristic,
     ParseError,
     SpecMismatch,
     UnsupportedOrder,
@@ -288,6 +289,20 @@ def test_image_order_chunk_and_thread_guards(f3, monkeypatch):
             density.build_density_table(f3, 1, 3, threads=threads)
     monkeypatch.undo()
     assert image_order_brute(f3, 1, 3, threads=2) == 18
+
+
+def test_non_prime_p_rejected_where_no_binomial_is_read():
+    # k = 0 and n = 0 read no binomial row, and still need a prime p; the
+    # order checks come first
+    for p in (0, 1, 4, 6, 9):
+        for k, n in [(0, 3), (2, 0), (0, 0), (1, 2)]:
+            with pytest.raises(InvalidCharacteristic, match=f"p={p} is not prime"):
+                extra_indices(p, k, n)
+        for n, k in [(2, 0), (0, 0), (0, 3)]:
+            with pytest.raises(InvalidCharacteristic, match=f"p={p} is not prime"):
+                torsion_level_m(p, n, k)
+    with pytest.raises(ValueError, match="need n >= 0 and k >= 0"):
+        extra_indices(4, 0, -1)
 
 
 def test_negative_orders_rejected_up_front(f3, monkeypatch):

@@ -1,16 +1,17 @@
 """The benchmark's tracer names functions of the package by string.
 
 It skips a name it cannot resolve, so a rename in the package would
-silently zero a per-layer figure; these checks fail instead.  Three more
-checks keep the README's CLI synopsis in step with the parser, each
-class's unchecked constructor in one place, and the package free of
-thread pools.
+silently zero a per-layer figure; these checks fail instead.  Four more
+checks keep the README's CLI synopsis in step with the parser, every
+private helper the README names existing, each class's unchecked
+constructor in one place, and the package free of thread pools.
 """
 
 import argparse
 import ast
 import contextlib
 import io
+import importlib
 import importlib.util
 import os
 import re
@@ -267,6 +268,33 @@ def test_readme_synopsis_lists_every_option():
                     continue
                 assert re.search(re.escape(option) + r"(?![\w-])", synopses[command]), \
                     f"{command} {option}"
+
+
+def _resolves(module, name):
+    """Whether the dotted name is an attribute of the module, read with or
+    without the module's own name in front."""
+    parts = name.split(".")
+    if parts[0] == module.__name__.rpartition(".")[2]:
+        parts = parts[1:]
+    obj = module
+    for part in parts:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_readme_private_names_resolve():
+    # every private helper the README names, as `_name`, `module._name` or
+    # `Class._name(...)`, is an attribute of a carlitz module, so a rename
+    # cannot leave the README naming a helper that is gone
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    names = set(re.findall(r"`((?:\w+\.)*_[A-Za-z]\w*)(?:\([^`]*\))?`", readme))
+    modules = [importlib.import_module(f"carlitz.{path.stem}")
+               for path in sorted(PACKAGE.glob("*.py")) if not path.stem.startswith("__")]
+    assert len(names) >= 12
+    assert not [name for name in sorted(names)
+                if not any(_resolves(module, name) for module in modules)]
 
 
 def test_one_unchecked_constructor_per_class():
