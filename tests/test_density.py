@@ -473,8 +473,7 @@ def test_certificate_decodes_only_the_units_it_draws(monkeypatch, f2):
     monkeypatch.setattr(density_mod, "_unit_digits", spy)
     r, blocks = _certificate_blocks(monkeypatch, spec_for_order(3), 3, 3, 2, 6)
     assert r.full_rank and r.n_units == 13122 and sum(blocks) == 54
-    assert len(decoded) <= density_mod._CERT_BLOCK and len(decoded) == 54
-    assert len(set(decoded)) == 54
+    assert len(decoded) == len(set(decoded)) == 54
     for spec, cell, rank in [(f2, (2, 2, 1, 4), (19, 20)),
                              (spec_for_order(3), (2, 4, 2, 5), (101, 105))]:
         decoded.clear()
