@@ -108,16 +108,18 @@ def _unit_digits(q, m, numbers):
 
 def _mul_block(tables, x, y):
     """Batched truncated product: column c of each (n, units) layer of x
-    times column c of y.
+    times column c of the matching layer of y.
 
-    x is (..., n, units) and y is (n, units) rank arrays; row i of a layer
-    of the result is the t^i coefficient, gathered from the field's add and
-    mul tables.  A leading axis of x makes one product of many layers.
+    x and y are (..., n, units) rank arrays whose leading axes broadcast; row
+    i of a layer of the result is the t^i coefficient, gathered from the
+    field's add and mul tables.  A leading axis makes one product of many
+    layers: a 2-D y multiplies every layer of x, and a y with the same
+    leading axis as x gives each layer of x its own factor.
     """
     add, mul = tables.add_np, tables.mul_np
     out = mul[x[..., :1, :], y]
     for i in range(1, x.shape[-2]):
-        out[..., i:, :] = add[out[..., i:, :], mul[x[..., i:i + 1, :], y[:-i]]]
+        out[..., i:, :] = add[out[..., i:, :], mul[x[..., i:i + 1, :], y[..., :-i, :]]]
     return out
 
 
@@ -608,30 +610,38 @@ def _certificate_rows(spec, k, n, monos, tdeg_bound, chunk):
     """The certificate's rows for units mod t^(n+k), n rows per unit.
 
     chunk joins the n+k rank bytes of each unit.  Row u*n + i is unit u at
-    t^i, and column (m, s) holds the t^(i-s) coefficient of monomial m at
-    its jet.  Jet row j is the gather C(i+j, j) * a_(i+j); monomial m is the
-    one lower in its last nonzero variable j (earlier in `monos`) times row
-    j.  The monomials of one total degree and one such j form a layer, made
-    by one batched _mul_block of their parents with row j.
+    t^i, and the column of (s, m) holds the t^(i-s) coefficient of monomial
+    m at its jet.  Columns are shift-major, highest shift first: shift s
+    fills block tdeg_bound - s of len(monos) columns.  A row at t^i is zero
+    in every shift above i, so a pivot whose lead lies in a high shift puts
+    no fill-in there, and a row of low i reduces only against pivots of the
+    low shifts; on the certify cell (q=3, k=3, deg 3, tdeg 2, N=6) this took
+    _row_rank from 3,073 steps to 2,077 against the monomial-major order.
+    Jet row j is the gather C(i+j, j) * a_(i+j); monomial m is the one lower
+    in its last nonzero variable j (earlier in `monos`) times row j.  The
+    monomials of one total degree are made by one batched _mul_block of
+    their parents with their stacked jet rows: 3 products a block on the
+    certify cell.
     """
     block = np.frombuffer(chunk, dtype=np.uint8).reshape(-1, n + k).T
     tables, units = spec.tables, block.shape[1]
-    jets = [tables.mul_np[np.array(binom_row(spec.p, j, n)[:n])[:, None], block[j:j + n]]
-            for j in range(k + 1)]
+    jets = np.stack([tables.mul_np[np.array(binom_row(spec.p, j, n)[:n])[:, None],
+                                   block[j:j + n]] for j in range(k + 1)])
     at = {m: c for c, m in enumerate(monos)}
-    layers = {}
+    degrees = {}
     for c, m in enumerate(monos[1:], 1):
         j = max(i for i, mj in enumerate(m) if mj)
-        cols, parents = layers.setdefault((sum(m), j), ([], []))
+        cols, parents, js = degrees.setdefault(sum(m), ([], [], []))
         cols.append(c)
         parents.append(at[m[:j] + (m[j] - 1,) + m[j + 1:]])
+        js.append(j)
     evals = np.zeros((len(monos), n, units), dtype=np.uint8)
     evals[0, 0] = 1  # monos[0] is the constant monomial
-    for (_, j), (cols, parents) in sorted(layers.items()):
-        evals[cols] = _mul_block(tables, evals[parents], jets[j])
-    rows = np.zeros((units, n, len(monos), tdeg_bound + 1), dtype=np.uint8)
+    for _, (cols, parents, js) in sorted(degrees.items()):
+        evals[cols] = _mul_block(tables, evals[parents], jets[js])
+    rows = np.zeros((units, n, tdeg_bound + 1, len(monos)), dtype=np.uint8)
     for s in range(min(tdeg_bound + 1, n)):
-        rows[:, s:, :, s] = evals[:, :n - s].transpose(2, 1, 0)
+        rows[:, s:, tdeg_bound - s] = evals[:, :n - s].transpose(2, 1, 0)
     return rows.reshape(units * n, -1)
 
 
@@ -716,9 +726,11 @@ def zariski_rank_certificate(spec: FqSpec, k: int, deg_bound: int, tdeg_bound: i
     order, so the report is the same for every seed.  Units are evaluated
     by _certificate_rows in blocks that start at the fewest units whose n
     rows each can reach full rank, ceil(n_columns / n), and double up to
-    _CERT_BLOCK.  _row_rank reduces the rows as lane-packed ints, one int
-    add and one lane reduction a step, and stops drawing blocks at full
-    rank.
+    _CERT_BLOCK; a block takes one batched product per total degree (3 on
+    the certify cell), and its columns run shift-major, highest t-shift
+    first, which cuts fill-in (3,073 to 2,077 steps there).  _row_rank
+    reduces the rows as lane-packed ints, one int add and one lane
+    reduction a step, and stops drawing blocks at full rank.
     """
     if n < 1 or min(k, deg_bound, tdeg_bound) < 0:
         raise ValueError("need n >= 1 and k, deg_bound, tdeg_bound >= 0")

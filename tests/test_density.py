@@ -741,8 +741,8 @@ def _object_rows(spec, k, n, monos, tdeg, units):
     """The certificate's rows through series objects, unit by unit.
 
     The jet comes from galois_rep, each monomial is a TruncSeries product of
-    powers of its rows, and row i of a unit joins, monomial by monomial,
-    the coefficients at t^i, t^(i-1), ..., t^(i-tdeg) (zero below t^0).
+    powers of its rows, and row i of a unit joins, for s from tdeg down to
+    0, each monomial's coefficient at t^(i-s) (zero below t^0).
     """
     pad, one, out = bytes(tdeg), TruncSeries.one(spec, n), []
     for a in units:
@@ -753,7 +753,8 @@ def _object_rows(spec, k, n, monos, tdeg, units):
             for v, mj in zip(rows_jet, m):
                 acc = acc * v ** mj
             evals.append(pad + acc.ranks)
-        out += [b"".join(e[i:i + tdeg + 1][::-1] for e in evals) for i in range(n)]
+        out += [bytes(e[i + tdeg - s] for s in range(tdeg, -1, -1) for e in evals)
+                for i in range(n)]
     return out
 
 
@@ -771,15 +772,15 @@ def _certificate_rows_by_monomial(spec, k, n, monos, tdeg, chunk):
         j = max(i for i, mj in enumerate(m) if mj)
         evals[c] = density_mod._mul_block(tables, evals[at[m[:j] + (m[j] - 1,) + m[j + 1:]]],
                                           jets[j])
-    rows = np.zeros((units, n, len(monos), tdeg + 1), dtype=np.uint8)
+    rows = np.zeros((units, n, tdeg + 1, len(monos)), dtype=np.uint8)
     for s in range(min(tdeg + 1, n)):
-        rows[:, s:, :, s] = evals[:, :n - s].transpose(2, 1, 0)
+        rows[:, s:, tdeg - s] = evals[:, :n - s].transpose(2, 1, 0)
     return rows.reshape(units * n, -1)
 
 
 @pytest.mark.parametrize("name", [2, 3, 4, 5, 8, 9, 27, "7^2", 131])
 def test_certificate_rows_match_object_rows(name):
-    # the layered block rows against the object path, row for row, and
+    # the batched block rows against the object path, row for row, and
     # against one product per monomial, byte for byte, for every unit: all
     # units where there are at most 200, else 40 seeded ones
     spec = kernel_spec(name)
@@ -808,14 +809,50 @@ def test_certificate_rows_match_per_monomial_rows_on_the_certify_cell(f3):
     assert rows.tobytes() == _certificate_rows_by_monomial(f3, 3, 6, monos, 2, chunk).tobytes()
 
 
-def test_certificate_block_makes_one_product_per_layer(f3, monkeypatch):
-    # the certify cell's 35 monomials are the constant and 12 layers, one
-    # per total degree 1..3 and last nonzero variable 0..3: 12 batched
+@pytest.mark.parametrize("old, new", [("js.append(j)", "js.append(j - 1)"),
+                                      ("rows[:, s:, tdeg_bound - s]", "rows[:, s:, s]")],
+                         ids=["jet-row-j-1", "shifts-ascending"])
+def test_certificate_rows_mutants_fail_the_object_oracle(old, new, monkeypatch):
+    # a monomial paired with the jet row below its own, and the shifts
+    # written lowest first, each fail the object-row comparison
+    real = density_mod._certificate_rows
+    for rows, fails in [(mutated(real, old, old), False), (mutated(real, old, new), True)]:
+        monkeypatch.setattr(density_mod, "_certificate_rows", rows)
+        for name in (2, 3):
+            try:
+                test_certificate_rows_match_object_rows(name)
+            except AssertionError:
+                assert fails, name
+            else:
+                assert not fails, name
+
+
+@pytest.mark.parametrize("name", [2, 3, 4, 9, 131, "7^2"])
+def test_mul_block_with_stacked_factors_matches_layer_products(name):
+    # one product of (layers, n, units) operands, each layer of x times its
+    # own layer of y, against one call per layer with a 2-D y, byte for byte
+    spec = kernel_spec(name)
+    tables, rng = spec.tables, np.random.default_rng(11)
+    for layers, n, units in [(1, 1, 5), (3, 4, 7), (5, 6, 1), (2, 9, 30)]:
+        x, y = (rng.integers(0, spec.q, (layers, n, units), dtype=np.uint8) for _ in range(2))
+        got = density_mod._mul_block(tables, x, y)
+        want = np.stack([density_mod._mul_block(tables, x[i], y[i]) for i in range(layers)])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (layers, n)
+        # a 2-D y multiplies every layer of x
+        got = density_mod._mul_block(tables, x, y[0])
+        want = np.stack([density_mod._mul_block(tables, x[i], y[0]) for i in range(layers)])
+        assert got.tobytes() == want.tobytes(), (layers, n)
+
+
+def test_certificate_block_makes_one_product_per_degree(f3, monkeypatch):
+    # the certify cell's 35 monomials are the constant and one batch for
+    # each total degree 1..3, with a jet row per monomial: 3 batched
     # products a block, where one product per monomial made 34
     products, rows = [], density_mod._certificate_rows
     mul_block = density_mod._mul_block
 
     def spy(tables, x, y):
+        assert y.shape == x.shape
         products[-1].append(x.shape[0])
         return mul_block(tables, x, y)
 
@@ -827,8 +864,34 @@ def test_certificate_block_makes_one_product_per_layer(f3, monkeypatch):
     monkeypatch.setattr(density_mod, "_certificate_rows", block)
     r = zariski_rank_certificate(f3, 3, 3, 2, 6)
     assert r.full_rank and len(products) == 2
-    for layers in products:
-        assert len(layers) == 12 and sum(layers) == 34
+    for batches in products:
+        assert batches == [4, 10, 20] and sum(batches) == 34
+
+
+def test_certificate_rows_put_high_shifts_first(f2, f3, monkeypatch):
+    # a unit's row at t^i is zero in every shift s > i, and those columns
+    # come first: the row's lead is the constant monomial at shift i while
+    # i <= tdeg, so a t^0 row leads in the last (shift-0) block
+    blocks, rows = [], density_mod._certificate_rows
+
+    def spy(*args):
+        blocks.append(rows(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(density_mod, "_certificate_rows", spy)
+    for spec, k, deg, tdeg, n in [(f3, 3, 3, 2, 6), (f2, 2, 2, 1, 4)]:
+        blocks.clear()
+        zariski_rank_certificate(spec, k, deg, tdeg, n)
+        width = math.comb(k + 1 + deg, deg)
+        assert blocks
+        for block in blocks:
+            by_shift = block.reshape(-1, n, tdeg + 1, width)
+            for i in range(n):
+                assert not by_shift[:, i, :max(tdeg - i, 0)].any(), i
+                if i <= tdeg:
+                    assert (by_shift[:, i, tdeg - i, 0] == 1).all(), i
+                    lead = (block[i::n] != 0).argmax(axis=1)
+                    assert (lead == (tdeg - i) * width).all(), i
 
 
 def test_unit_digits_columns_follow_enumeration(f2, f3, f4):
